@@ -13,7 +13,7 @@ The library is organized in layers:
   eigenfunction with its convergence certificate.
 - :mod:`twistpf.filters` -- bootstrap, twisted, auxiliary and
   importance-sampling runs, all returning a :class:`RunTrace`.
-- :mod:`twistpf.oracle` -- exact product-space moments, asymptotic variances
+- :mod:`twistpf.oracle` -- exact cloud-chain moments, asymptotic variances
   and the growth-rate bound, for validating the samplers.
 - :mod:`twistpf.harness` -- replicate experiments, CSV artifacts, manifests.
 """

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "variance-growth": "relative second moment of the normalizer vs horizon",
         "clt-check": "empirical vs exact asymptotic variances (finite models)",
         "unbiasedness": "replicate-mean of the normalizer vs the exact value",
-        "oracle-check": "exact product-space variance growth (finite models)",
+        "oracle-check": "exact cloud-chain variance growth (finite models)",
         "bound": "twist discrepancy and growth-rate bound (finite models)",
     }
     for name in _COMMANDS:

@@ -47,7 +47,7 @@ from .oracle import (
     write_oracle_csv,
     write_oracle_summary_csv,
 )
-from .twists import eigen_triple, make_twist
+from .twists import ConvergenceError, eigen_triple, make_twist
 
 __all__ = [
     "ConfigError",
@@ -377,13 +377,15 @@ def _second_moment_stats(log_z_col: np.ndarray, log_ref: float):
     return v, v * se_rel
 
 
-def _write_manifest(out_dir, stem: str, experiment: str, config: ExperimentConfig, artifacts):
+def _write_manifest(out_dir, stem: str, experiment: str, config: ExperimentConfig, artifacts,
+                    extra=None):
     manifest = {
         "experiment": experiment,
         "config": config.to_dict(),
         "seed": config.seed,
         "version": __version__,
         "artifacts": list(artifacts),
+        **(extra or {}),
     }
     path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(path, "w") as fh:
@@ -618,11 +620,12 @@ def run_unbiasedness(source, out_dir: str) -> ExperimentResult:
 
 
 def run_oracle_check(source, out_dir: str) -> ExperimentResult:
-    """Exact variance-growth study on the product-space chain (finite models).
+    """Exact variance-growth study on the occupation-count chain (finite models).
 
     Writes ``n, V_tilde, log_V_over_n`` plus a summary with the fitted slope
     and, when the twist has a computable discrepancy to the eigenfunction,
-    the growth-rate bound.
+    the growth-rate bound. When the eigen elements cannot be certified on the
+    window, the bound cell is empty and the manifest's ``bound_error`` says why.
     """
     config = load_config(source)
     if config.model_kind != "finite":
@@ -636,7 +639,7 @@ def run_oracle_check(source, out_dir: str) -> ExperimentResult:
         config.params, twist, config.particles, window, config.steps
     )
     fit = fit_slope(report.n, report.log_v)
-    bound_val = None
+    bound_val = bound_error = None
     if config.particles >= 2:
         try:
             t_lo, t_hi = _eigen_range(config, window)
@@ -646,8 +649,8 @@ def run_oracle_check(source, out_dir: str) -> ExperimentResult:
             )
             ts = range(1, min(config.steps, t_hi) + 1)
             bound_val = upsilon_bound(triple, twist, window, ts, config.particles).bound
-        except Exception:
-            bound_val = None
+        except (ConvergenceError, ConfigError) as exc:
+            bound_error = str(exc)
     stem = config.name if config.name != "run" else "oracle_check"
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     summary_path = os.path.join(out_dir, f"{stem}_summary.csv")
@@ -656,6 +659,7 @@ def run_oracle_check(source, out_dir: str) -> ExperimentResult:
     manifest_path = _write_manifest(
         out_dir, stem, "oracle-check", config,
         [os.path.basename(csv_path), os.path.basename(summary_path)],
+        extra={"bound_error": bound_error},
     )
     return ExperimentResult([], csv_path, manifest_path,
                             {"report": report, "fit": fit, "bound": bound_val,

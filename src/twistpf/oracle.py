@@ -1,11 +1,21 @@
-"""Exact product-space oracles for finite-state models.
+"""Exact oracles for finite-state models on the particle cloud chain.
 
-The particle cloud of an N-particle run is itself a Markov chain on the
-product grid of size k^N. For finite models that chain's kernels can be built
-densely, so the exact first and second moments of the estimators, and hence
-variance-growth rates, are computable without any sampling. Everything here
-is deterministic and serves as the reference the sampling algorithms are
-tested against.
+The cloud of an N-particle run is a Markov chain whose every ingredient (the
+product initial law, the mixture resample-mutate kernel, the particle-mean
+potential and twist, the uniformly chosen twisted slot) is symmetric in the
+particles. So it lumps exactly onto occupation counts ``c``, ``sum(c) = N``,
+with multinomial transitions ``m_bold(c, c') = N! / prod_j c'_j! * prod_j
+mix(c)_j ** c'_j`` where ``mix(c) = (c * g) @ trans / (c . g)``: C(N + k - 1,
+k - 1) states instead of k^N, e.g. 36 instead of 2187 at k = 3, N = 7. Dense
+kernels there give the exact first and second moments of the estimators, and
+hence variance-growth rates, without sampling; they are the reference the
+sampling algorithms are tested against.
+
+:func:`build_bold_kernels` is the ordered product-space view of the same
+formula (each tuple's counts, unit multiplicity), kept so tests can index
+kernel rows by particle tuple. Both spaces are checked against one byte
+budget, ``_BYTE_BUDGET``, before anything is allocated; past it a
+``ValueError`` names N, k, the state count and the bytes needed.
 
 Conventions: kernels built at time ``t`` map clouds at ``t`` to clouds at
 ``t + 1``; the twist enters through psi at ``t + 1``.
@@ -14,15 +24,19 @@ Conventions: kernels built at time ``t`` map clouds at ``t`` to clouds at
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .models import FiniteHMMParams, finite_forward
 from .twists import TwistFunction
 
 __all__ = [
     "product_states",
+    "occupation_states",
     "BoldKernelSet",
     "build_bold_kernels",
     "OracleReport",
@@ -38,24 +52,45 @@ __all__ = [
     "write_oracle_summary_csv",
 ]
 
-_STATE_GUARD = 10_000
+_BYTE_BUDGET = 256 * 2**20
+_DENSE_ARRAYS = 8  # S x S float64 arrays live while one step is built (6 measured)
+
+
+def _check_size(k: int, n_particles: int, n_states: int) -> None:
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    need = _DENSE_ARRAYS * 8 * n_states**2
+    if need > _BYTE_BUDGET:
+        raise ValueError(
+            f"the cloud chain of N={n_particles} particles on k={k} states has "
+            f"{n_states} states; its dense kernels need {need} bytes, over the "
+            f"budget of {_BYTE_BUDGET}"
+        )
 
 
 def product_states(k: int, n_particles: int) -> np.ndarray:
     """All clouds of ``n_particles`` points on a ``k``-state grid, shape (k^N, N)."""
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    size = k**n_particles
-    if size > _STATE_GUARD:
-        raise ValueError(
-            f"product state space k^N = {size} exceeds the guard {_STATE_GUARD}"
-        )
-    idx = np.arange(size)
-    digits = np.empty((size, n_particles), dtype=np.int64)
-    for i in range(n_particles - 1, -1, -1):
-        digits[:, i] = idx % k
-        idx = idx // k
-    return digits
+    _check_size(k, n_particles, int(k) ** n_particles)
+    digits = itertools.product(range(k), repeat=n_particles)
+    return np.array(list(digits), dtype=np.int64).reshape(-1, n_particles)
+
+
+def occupation_states(k: int, n_particles: int) -> np.ndarray:
+    """All occupation-count vectors of ``n_particles`` points on a ``k``-state
+    grid, shape (C(N + k - 1, k - 1), k), enumerated by stars and bars."""
+    size = math.comb(n_particles + k - 1, k - 1)
+    _check_size(k, n_particles, size)
+    bars = np.array(
+        list(itertools.combinations(range(n_particles + k - 1), k - 1)), dtype=np.int64
+    ).reshape(size, k - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n_particles + k - 1))
+    return np.diff(edges, axis=1) - 1
+
+
+def _log0(x: np.ndarray) -> np.ndarray:
+    # a finite stand-in for log 0 keeps 0 * log 0 = 0 inside matrix products
+    # and still underflows exp to exactly 0
+    return np.log(x, out=np.full(x.shape, -1e300), where=x > 0)
 
 
 @dataclass
@@ -66,7 +101,8 @@ class BoldKernelSet:
     (mean of per-particle potentials), ``q_bold = diag(g_bold) m_bold``.
     ``m_tilde`` is the psi-twisted cloud kernel, ``phi`` the importance ratio
     ``d m_bold / d m_tilde``, and ``r_tilde = g_bold^2 phi^2 m_tilde`` the
-    second-moment kernel of the twisted run.
+    second-moment kernel of the twisted run. ``states`` holds the occupation
+    counts, or the ordered tuples when built by :func:`build_bold_kernels`.
     """
 
     t: int
@@ -80,6 +116,27 @@ class BoldKernelSet:
     r_tilde: np.ndarray
 
 
+def _cloud_kernels(params, twist, window, t, counts, log_coef) -> BoldKernelSet:
+    """One-step kernels of the cloud chain on states given by their float
+    occupation counts; ``log_coef`` is each state's log multiplicity as a
+    successor (multinomial on the count space, zero on the ordered grid)."""
+    fk = params.fk()
+    n_particles = counts[0].sum()
+    cg = counts * np.exp(fk.log_g_grid(window, t))                # (S, k)
+    g_bold = cg.sum(axis=1) / n_particles
+    mix = cg @ fk.trans / cg.sum(axis=1, keepdims=True)           # (S, k)
+    m_bold = np.exp(_log0(mix) @ counts.T + log_coef[None, :])    # (S, S)
+
+    lp = twist.log_psi(window, t + 1, np.arange(params.k))
+    psi_bold = counts @ np.exp(lp - lp.max()) / n_particles       # (S,)
+    mb_psi = m_bold @ psi_bold
+    m_tilde = m_bold * psi_bold[None, :] / mb_psi[:, None]
+    phi = mb_psi[:, None] / psi_bold[None, :]
+    r_tilde = (g_bold**2)[:, None] * phi**2 * m_tilde
+    q_bold = g_bold[:, None] * m_bold
+    return BoldKernelSet(t, counts, g_bold, psi_bold, m_bold, m_tilde, q_bold, phi, r_tilde)
+
+
 def build_bold_kernels(
     params: FiniteHMMParams,
     twist: TwistFunction,
@@ -87,38 +144,12 @@ def build_bold_kernels(
     window,
     t: int,
 ) -> BoldKernelSet:
-    fk = params.fk()
+    """The cloud kernels on the ordered product grid, ``states`` row by row."""
     states = product_states(params.k, n_particles)
-    size = states.shape[0]
-    grid = np.arange(params.k)
-
-    g_states = np.exp(fk.log_g_grid(window, t))[states]          # (S, N)
-    g_bold = g_states.mean(axis=1)
-    w = g_states / g_states.sum(axis=1, keepdims=True)
-    mix = (w[:, :, None] * fk.trans[states]).sum(axis=1)          # (S, k)
-    m_bold = np.ones((size, size))
-    for i in range(n_particles):
-        m_bold *= mix[:, states[:, i]]                            # (S, S)
-
-    lp = twist.log_psi(window, t + 1, grid)
-    psi = np.exp(lp - lp.max())
-    psi_bold = psi[states].mean(axis=1)                           # (S,)
-    mb_psi = m_bold @ psi_bold
-    m_tilde = m_bold * psi_bold[None, :] / mb_psi[:, None]
-    phi = mb_psi[:, None] / psi_bold[None, :]
-    r_tilde = (g_bold**2)[:, None] * phi**2 * m_tilde
-    q_bold = g_bold[:, None] * m_bold
-    return BoldKernelSet(
-        t=t,
-        states=states,
-        g_bold=g_bold,
-        psi_bold=psi_bold,
-        m_bold=m_bold,
-        m_tilde=m_tilde,
-        q_bold=q_bold,
-        phi=phi,
-        r_tilde=r_tilde,
-    )
+    counts = (states[:, :, None] == np.arange(params.k)).sum(axis=1).astype(float)
+    kern = _cloud_kernels(params, twist, window, t, counts, np.zeros(len(states)))
+    kern.states = states
+    return kern
 
 
 @dataclass
@@ -152,22 +183,24 @@ def exact_moments(
     n_steps: int,
     mu0=None,
 ) -> OracleReport:
-    """Exact E[Z_hat] and E[Z_hat^2] of the twisted run for horizons 0..n_steps.
+    """Exact E[Z_hat] and E[Z_hat^2] of the twisted run for horizons 0..n_steps,
+    computed on the occupation-count chain.
 
     ``mu0`` optionally replaces the per-particle initial law (the cloud starts
     from its N-fold product either way).
     """
     window.require(0, n_steps - 1 + twist.lookahead, context="exact_moments")
-    states = product_states(params.k, n_particles)
+    counts = occupation_states(params.k, n_particles).astype(float)
+    log_coef = gammaln(n_particles + 1.0) - gammaln(counts + 1.0).sum(axis=1)
     init = params.mu0 if mu0 is None else np.asarray(mu0, dtype=float)
     if init.shape != (params.k,) or abs(init.sum() - 1.0) > 1e-9 or (init < 0).any():
         raise ValueError("mu0 override must be a probability vector on the grid")
-    alpha1 = init[states].prod(axis=1)
+    alpha1 = np.exp(log_coef + counts @ _log0(init))
     alpha2 = alpha1.copy()
     log_m1 = np.zeros(n_steps + 1)
     log_m2 = np.zeros(n_steps + 1)
     for p in range(1, n_steps + 1):
-        kern = build_bold_kernels(params, twist, n_particles, window, p - 1)
+        kern = _cloud_kernels(params, twist, window, p - 1, counts, log_coef)
         step1 = kern.g_bold[:, None] * kern.phi * kern.m_tilde
         v1 = alpha1 @ step1
         s1 = v1.sum()
@@ -177,6 +210,7 @@ def exact_moments(
         s2 = v2.sum()
         log_m2[p] = log_m2[p - 1] + np.log(s2)
         alpha2 = v2 / s2
+        del kern, step1  # free this step's S x S arrays before the next build
     log_z = finite_forward(params, window, n_steps).log_z
     return OracleReport(
         n_particles=n_particles,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from twistpf import harness
 from twistpf.cli import main
 from twistpf.harness import (
     ConfigError,
@@ -16,6 +17,7 @@ from twistpf.harness import (
     run_unbiasedness,
     run_variance_growth,
 )
+from twistpf.twists import ConvergenceError
 
 
 def finite_cfg(**over):
@@ -158,6 +160,31 @@ def test_oracle_check_writes_summary(tmp_path):
     sheader, srows = read_csv(str(tmp_path / "oracle_check_summary.csv"))
     assert "slope" in sheader
     assert len(srows) == 1
+
+
+def test_oracle_check_records_bound_error(tmp_path, monkeypatch):
+    cfg = finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1}, steps=20)
+    res = run_oracle_check(cfg, str(tmp_path / "ok"))
+    assert res.extra["bound"] is not None
+    assert json.load(open(res.manifest_path))["bound_error"] is None
+
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("eigenfunction not converged")
+
+    monkeypatch.setattr(harness, "eigen_triple", no_convergence)
+    res = run_oracle_check(cfg, str(tmp_path / "short"))
+    manifest = json.load(open(res.manifest_path))
+    assert manifest["bound_error"] == "eigenfunction not converged"
+    assert "bound_error" not in manifest["config"]
+    _, srows = read_csv(str(tmp_path / "short" / "oracle_check_summary.csv"))
+    assert srows[0][2] == ""
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a convergence failure")
+
+    monkeypatch.setattr(harness, "eigen_triple", broken)
+    with pytest.raises(RuntimeError, match="not a convergence failure"):
+        run_oracle_check(cfg, str(tmp_path / "broken"))
 
 
 def test_single_run_trace_csv(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from twistpf.oracle import (
     exact_clt_variances,
     exact_moments,
     fit_slope,
+    occupation_states,
     product_states,
     upsilon_bound,
     upsilon_slope,
@@ -292,3 +294,108 @@ def test_exact_moments_rejects_bad_particle_count():
     _, w = simulate(params, 8, seed=14)
     with pytest.raises(ValueError):
         exact_moments(params, ConstantTwist(params.fk()), 0, w, 4)
+
+
+def acceptance_params():
+    return FiniteHMMParams(
+        mu0=np.array([0.5, 0.3, 0.2]),
+        trans=np.array([[0.55, 0.25, 0.20], [0.20, 0.55, 0.25], [0.20, 0.30, 0.50]]),
+        emit=np.array([[0.40, 0.32, 0.28], [0.29, 0.42, 0.29], [0.30, 0.28, 0.42]]),
+    )
+
+
+def product_chain_moments(params, twist, n_particles, w, n_steps, mu0=None):
+    # the same normalised forward recursions run on the ordered k^N clouds
+    states = product_states(params.k, n_particles)
+    init = params.mu0 if mu0 is None else mu0
+    alpha1 = init[states].prod(axis=1)
+    alpha2 = alpha1.copy()
+    log_m1 = np.zeros(n_steps + 1)
+    log_m2 = np.zeros(n_steps + 1)
+    for p in range(1, n_steps + 1):
+        kern = build_bold_kernels(params, twist, n_particles, w, p - 1)
+        v1 = alpha1 @ (kern.g_bold[:, None] * kern.phi * kern.m_tilde)
+        log_m1[p] = log_m1[p - 1] + np.log(v1.sum())
+        alpha1 = v1 / v1.sum()
+        v2 = alpha2 @ kern.r_tilde
+        log_m2[p] = log_m2[p - 1] + np.log(v2.sum())
+        alpha2 = v2 / v2.sum()
+    return log_m1, log_m2
+
+
+def test_occupation_states_are_the_compositions_of_n():
+    for k, n_particles in ((1, 4), (2, 1), (2, 5), (3, 4), (4, 3)):
+        counts = occupation_states(k, n_particles)
+        assert counts.shape == (math.comb(n_particles + k - 1, k - 1), k)
+        assert (counts >= 0).all()
+        assert (counts.sum(axis=1) == n_particles).all()
+        # exactly the distinct count vectors of the ordered clouds
+        lumped = {tuple(np.bincount(s, minlength=k)) for s in product_states(k, n_particles)}
+        assert {tuple(c) for c in counts} == lumped
+        assert len(lumped) == counts.shape[0]
+
+
+def test_count_space_moments_match_product_chain():
+    for params in (two_state_params(), three_state_params()):
+        _, w0 = simulate(params, 140, seed=15)
+        w = w0.shift(60)
+        n = 6
+        tri = eigen_triple(params, w, t_lo=-20, t_hi=40)
+        twists = [
+            ConstantTwist(params.fk()),
+            FiniteLagTwist(params, 1),
+            FiniteLagTwist(params, 2),
+            tri.as_twist(),
+        ]
+        mu0 = np.linspace(1.0, 2.0, params.k)
+        for twist in twists:
+            for n_particles in range(1, 6):
+                for init in (None, mu0 / mu0.sum()):
+                    want1, want2 = product_chain_moments(params, twist, n_particles, w, n, init)
+                    rep = exact_moments(params, twist, n_particles, w, n, mu0=init)
+                    label = (params.k, type(twist).__name__, n_particles, init is None)
+                    assert np.allclose(rep.log_first, want1, rtol=0, atol=1e-12), label
+                    assert np.allclose(rep.log_second, want2, rtol=0, atol=1e-12), label
+
+
+def test_single_particle_moments_reproduce_forward_recursion():
+    params = three_state_params()
+    _, w0 = simulate(params, 140, seed=16)
+    w = w0.shift(60)
+    exact = finite_forward(params, w, 10).log_z
+    for twist in (ConstantTwist(params.fk()), FiniteLagTwist(params, 2)):
+        rep = exact_moments(params, twist, 1, w, 10)
+        assert np.allclose(rep.log_first, exact, rtol=0, atol=1e-12)
+
+
+def test_relative_variance_approaches_clt_variance_without_sampling():
+    # N (V_tilde_n - 1) -> varsigma^2_rel as N grows, with the 1/N gap
+    params = acceptance_params()
+    _, w0 = simulate(params, 200, seed=11)
+    w = w0.shift(80)
+    n = 10
+    tw = FiniteLagTwist(params, 2)
+    target = exact_clt_variances(params, tw, np.ones(params.k), w, n).varsigma2_rel
+    gaps = {}
+    for n_particles in (20, 40):
+        rep = exact_moments(params, tw, n_particles, w, n)
+        scaled = n_particles * math.expm1(rep.log_v[n])
+        gaps[n_particles] = abs(scaled - target) / target
+    assert gaps[40] < 0.01, gaps
+    assert gaps[40] <= 0.6 * gaps[20], gaps
+
+
+def test_byte_budget_refuses_large_chains_before_allocating():
+    params = three_state_params()
+    _, w = simulate(params, 8, seed=17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"N=2000 .* k=3 .* 2003001 states") as err:
+            exact_moments(params, ConstantTwist(params.fk()), 2000, w, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "bytes" in str(err.value)
+    assert peak < 2**20
+    with pytest.raises(ValueError, match=r"N=12 .* k=3 .* 531441 states"):
+        build_bold_kernels(params, ConstantTwist(params.fk()), 12, w, 0)
