@@ -26,6 +26,8 @@ from .filters import (
     apf_run,
     bootstrap_run,
     default_test_functions,
+    replicate_blocks,
+    run_filter,
     sis_run,
     twisted_run,
     write_runtrace_csv,
@@ -119,6 +121,8 @@ __all__ = [
     "twisted_run",
     "apf_run",
     "sis_run",
+    "replicate_blocks",
+    "run_filter",
     "default_test_functions",
     "write_runtrace_csv",
     "build_bold_kernels",

@@ -10,6 +10,12 @@ All runs share conventions:
   particle order, then twist-specific draws. Identical ``(seed, replicate)``
   reproduces a bitwise-identical :class:`RunTrace`.
 
+Bootstrap, twisted and auxiliary runs share one step loop over a block of
+replicates, an ``(R, N)`` cloud (:func:`replicate_blocks`): all array work runs
+once per step for the block, and only the draws are made per replicate, the
+same calls in the same order as a run on its own, so no trace depends on its
+block. Test functions must act elementwise.
+
 The twisted run follows the product-space construction: at each step one
 uniformly chosen slot is replaced by a draw whose ancestor is selected
 proportionally to Q_t(psi_{t+1}) and mutated from the psi-reweighted kernel;
@@ -28,9 +34,9 @@ import numpy as np
 
 from .fkcore import FiniteFK, FKModel
 from .models import StochasticVolatilityFK
-from .resampling import multinomial_resample
+from .resampling import resample_rows
 from .rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
-from .twists import TwistFunction
+from .twists import ConstantTwist, TwistFunction
 
 __all__ = [
     "RunTrace",
@@ -38,6 +44,8 @@ __all__ = [
     "twisted_run",
     "apf_run",
     "sis_run",
+    "run_filter",
+    "replicate_blocks",
     "default_test_functions",
     "write_runtrace_csv",
 ]
@@ -53,6 +61,7 @@ class RunTrace:
     registered test function. ``gamma(name)`` returns the unnormalized-measure
     estimate ``eta * exp(log_z)``; for long horizons read it in log domain
     instead (it underflows deliberately rather than silently rescaling).
+    The traces of :func:`replicate_blocks` carry a leading replicate axis.
     """
 
     n_steps: int
@@ -84,126 +93,158 @@ def default_test_functions(model: FKModel) -> dict:
     }
 
 
-def _logmeanexp(v: np.ndarray) -> float:
-    m = v.max()
-    if not np.isfinite(m):
+# particles x replicates per block: small clouds share each step's array calls
+# among many replicates, a cloud of over 2**13 particles runs alone
+BLOCK_ELEMENTS = 1 << 14
+_KINDS = ("bootstrap", "twisted", "apf")
+
+
+def _logmeanexp(v: np.ndarray) -> np.ndarray:
+    """Log mean exp of each row of a 2-d array."""
+    m = np.maximum.reduce(v, axis=1)
+    if not np.logical_and.reduce(np.isfinite(m)):
         raise ValueError("all log values are -inf")
-    return float(m) + math.log(float(np.add.reduce(np.exp(v - m))) / v.size)
+    s = np.add.reduce(np.exp(v - m[:, None]), axis=1)
+    n = v.shape[1]
+    return np.array([mi + math.log(si / n) for mi, si in zip(m.tolist(), s.tolist())])
 
 
-def _record(eta, tf, p, pos):
-    for name, fn in tf.items():
-        eta[name][p] = float(np.mean(fn(pos)))
+def _step_draws(stream, p: int, n: int, proposal, twist):
+    """One replicate's draws at step ``p``: resampling uniforms, mutation noise
+    and, with a ``twist``, the slot, its ancestor's uniform and its move."""
+    draws = [stream.generator(p, RESAMPLE).random(n),
+             proposal.noise(stream.generator(p, MUTATE), n)]
+    if twist is not None:
+        gen = stream.generator(p, TWIST)
+        draws += [gen.integers(n), gen.random(1), twist.noise(gen, 1)]
+    return draws
 
 
-def bootstrap_run(
-    model: FKModel,
-    window,
-    n_steps: int,
-    n_particles: int,
-    seed: int,
-    replicate: int = 0,
-    test_functions: dict | None = None,
-    initial=None,
-) -> RunTrace:
-    """Standard resample-mutate particle run under the model's own dynamics."""
-    if n_steps > 0:
-        window.require(0, n_steps - 1, context="bootstrap_run")
+def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicates,
+               test_functions, initial) -> RunTrace:
+    """The step loop for one block of replicates; every array of the returned
+    trace has a leading replicate axis."""
+    if kind not in _KINDS:
+        raise ValueError(f"filter kind must be one of {_KINDS}, got {kind!r}")
+    twisted, auxiliary = kind == "twisted", kind == "apf"
+    if kind == "bootstrap":
+        twist = ConstantTwist(model)
+    if n_steps > 0 or not twisted:
+        window.require(0, n_steps - 1 + twist.lookahead, context=f"{kind}_run")
     tf = default_test_functions(model) if test_functions is None else test_functions
-    stream = RngStream(seed, replicate).session()
-    if initial is None:
-        pos = model.sample_initial(n_particles, stream.generator(0, INIT))
+    streams = [RngStream(seed, r).session() for r in replicates]
+    n_rep, n = len(streams), n_particles
+    # the cloud starts from mu0 and moves by M_t, both reweighted by psi in an
+    # auxiliary run (psi = 1 is the model's own law, draw for draw)
+    proposal = twist if auxiliary else ConstantTwist(model)
+    if initial is not None:
+        pos = np.tile(np.array(initial), (n_rep, 1))
     else:
-        pos = np.array(initial)
-    pos0 = pos.copy()
-    log_z = np.zeros(n_steps + 1)
-    log_phi = np.zeros(n_steps + 1)
-    eta = {name: np.zeros(n_steps + 1) for name in tf}
-    _record(eta, tf, 0, pos)
+        pos = np.array([proposal.sample_twisted_initial(window, n, s.generator(0, INIT))
+                        for s in streams])
+    aux = {} if auxiliary else {"initial_positions": pos}
+    # per-step log increments of the weights and of the estimator proper
+    inc_w, inc = np.zeros((2, n_rep, n_steps + 1))
+    eta = {name: np.zeros((n_rep, n_steps + 1)) for name in tf}
+    est = {name: np.zeros((n_rep, n_steps + 1)) for name in tf}
+
+    def record(p, pos, lr):
+        # eta, and in an auxiliary run the 1/psi-weighted estimates
+        w = np.exp(-(lr - lr.min(axis=1, keepdims=True))) if auxiliary and tf else None
+        for name, fn in tf.items():
+            f = fn(pos)
+            eta[name][:, p] = np.mean(f, axis=1)
+            if w is not None:
+                est[name][:, p] = np.sum(f * w, axis=1) / w.sum(axis=1)
+
+    lr = twist.log_psi(window, 0, pos) if auxiliary else None
+    record(0, pos, lr)
+    rows = np.arange(n_rep)[:, None]
     for p in range(1, n_steps + 1):
         t = p - 1
-        lg = model.log_g(window, t, pos)
-        log_z[p] = log_z[p - 1] + _logmeanexp(lg)
-        anc = multinomial_resample(lg, n_particles, stream.generator(p, RESAMPLE))
-        pos = model.sample_mutation(window, t, pos[anc], stream.generator(p, MUTATE))
-        _record(eta, tf, p, pos)
+        lw = twist.log_q_psi(window, t, pos) - lr if auxiliary else model.log_g(window, t, pos)
+        inc_w[:, p] = _logmeanexp(lw)
+        draws = [_step_draws(s, p, n, proposal, twist if twisted else None) for s in streams]
+        u, noise, *slot_draws = (np.array(c) for c in zip(*draws))
+        new = proposal.twisted_mutate(window, t, pos[rows, resample_rows(lw, u)], noise)
+        if twisted:
+            # per cloud: a slot, its ancestor drawn by Q_t(psi_{t+1}), a twisted move
+            slots, u_anc, z_move = slot_draws
+            lq = twist.log_q_psi(window, t, pos)
+            parent = pos[rows, resample_rows(lq, u_anc)]
+            new[rows, slots[:, None]] = twist.twisted_mutate(window, t, parent, z_move)
+            inc[:, p] = _logmeanexp(lq) - _logmeanexp(twist.log_psi(window, p, new))
+        elif auxiliary:
+            lr = twist.log_psi(window, p, new)
+            inc[:, p] = _logmeanexp(-lr)  # the terminal correction, at every p
+        pos = new
+        record(p, pos, lr)
+    aux["final_positions"] = pos
+    log_z = log_w = np.cumsum(inc_w, axis=1)
+    log_phi = inc - inc_w if twisted else np.zeros((n_rep, n_steps + 1))
+    if twisted:
+        log_z = np.cumsum(inc, axis=1)
+        aux["log_z_standard"] = log_w
+    elif auxiliary:
+        aux["log_mu0_weight"] = log_mu0_w = twist.log_mu0_psi(window)
+        log_z = log_mu0_w + inc + log_w
+        log_z[:, 0] = 0.0
+        aux.update({f"filter_est_{name}": est[name] for name in tf})
+    return RunTrace(n_steps, n_particles, log_z, log_phi, eta, aux)
+
+
+def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, window,
+                     n_steps: int, n_particles: int, seed: int, replicates,
+                     test_functions: dict | None = None):
+    """Yield one :class:`RunTrace` per block of ``BLOCK_ELEMENTS // n_particles``
+    (at least one) of the given replicate indices, with a leading replicate
+    axis on every array; row ``i`` equals the run of ``replicates[i]`` bit for
+    bit. ``kind`` is ``bootstrap``, ``twisted`` or ``apf``; ``twist`` (the
+    twist or the auxiliary weight) is ignored by ``bootstrap``."""
+    reps = list(replicates)
+    size = max(1, BLOCK_ELEMENTS // n_particles)
+    for lo in range(0, len(reps), size):
+        yield _run_block(kind, model, twist, window, n_steps, n_particles, seed,
+                         reps[lo : lo + size], test_functions, None)
+
+
+def run_filter(kind: str, model: FKModel, twist: TwistFunction | None, window,
+               n_steps: int, n_particles: int, seed: int, replicate: int = 0,
+               test_functions: dict | None = None, initial=None) -> RunTrace:
+    """One bootstrap, twisted or auxiliary run (see :func:`replicate_blocks`)."""
+    block = _run_block(kind, model, twist, window, n_steps, n_particles, seed,
+                       [replicate], test_functions, initial)
     return RunTrace(
-        n_steps, n_particles, log_z, log_phi, eta,
-        aux={"initial_positions": pos0, "final_positions": pos},
+        n_steps, n_particles, block.log_z[0], block.log_phi[0],
+        {name: v[0] for name, v in block.eta.items()},
+        {name: v[0] if isinstance(v, np.ndarray) else v for name, v in block.aux.items()},
     )
 
 
-def twisted_run(
-    model: FKModel,
-    twist: TwistFunction,
-    window,
-    n_steps: int,
-    n_particles: int,
-    seed: int,
-    replicate: int = 0,
-    test_functions: dict | None = None,
-    initial=None,
-) -> RunTrace:
+def bootstrap_run(model: FKModel, window, n_steps: int, n_particles: int, seed: int,
+                  replicate: int = 0, test_functions: dict | None = None,
+                  initial=None) -> RunTrace:
+    """Standard resample-mutate particle run under the model's own dynamics."""
+    return run_filter("bootstrap", model, None, window, n_steps, n_particles, seed,
+                      replicate, test_functions, initial)
+
+
+def twisted_run(model: FKModel, twist: TwistFunction, window, n_steps: int,
+                n_particles: int, seed: int, replicate: int = 0,
+                test_functions: dict | None = None, initial=None) -> RunTrace:
     """Particle run under the psi-twisted sampling law.
 
     ``log_z`` estimates the same marginal likelihood as the bootstrap run;
     ``aux['log_z_standard']`` keeps the uncorrected functional so that
     ``log_z == log_z_standard + cumsum(log_phi)`` holds within rounding.
     """
-    if n_steps > 0:
-        window.require(0, n_steps - 1 + twist.lookahead, context="twisted_run")
-    tf = default_test_functions(model) if test_functions is None else test_functions
-    stream = RngStream(seed, replicate).session()
-    if initial is None:
-        pos = model.sample_initial(n_particles, stream.generator(0, INIT))
-    else:
-        pos = np.array(initial)
-    pos0 = pos.copy()
-    log_z = np.zeros(n_steps + 1)
-    log_z_std = np.zeros(n_steps + 1)
-    log_phi = np.zeros(n_steps + 1)
-    eta = {name: np.zeros(n_steps + 1) for name in tf}
-    _record(eta, tf, 0, pos)
-    for p in range(1, n_steps + 1):
-        t = p - 1
-        lg = model.log_g(window, t, pos)
-        lq = twist.log_q_psi(window, t, pos)
-        std_inc = _logmeanexp(lg)
-        anc = multinomial_resample(lg, n_particles, stream.generator(p, RESAMPLE))
-        new = model.sample_mutation(window, t, pos[anc], stream.generator(p, MUTATE))
-        gen_tw = stream.generator(p, TWIST)
-        slot = int(gen_tw.integers(n_particles))
-        a_idx = int(multinomial_resample(lq, 1, gen_tw)[0])
-        new[slot] = twist.sample_twisted_mutation(
-            window, t, pos[a_idx : a_idx + 1], gen_tw
-        )[0]
-        lp = twist.log_psi(window, p, new)
-        inc = _logmeanexp(lq) - _logmeanexp(lp)
-        log_z[p] = log_z[p - 1] + inc
-        log_z_std[p] = log_z_std[p - 1] + std_inc
-        log_phi[p] = inc - std_inc
-        pos = new
-        _record(eta, tf, p, pos)
-    return RunTrace(
-        n_steps, n_particles, log_z, log_phi, eta,
-        aux={
-            "log_z_standard": log_z_std,
-            "initial_positions": pos0,
-            "final_positions": pos,
-        },
-    )
+    return run_filter("twisted", model, twist, window, n_steps, n_particles, seed,
+                      replicate, test_functions, initial)
 
 
-def apf_run(
-    model: FKModel,
-    weight: TwistFunction,
-    window,
-    n_steps: int,
-    n_particles: int,
-    seed: int,
-    replicate: int = 0,
-    test_functions: dict | None = None,
-) -> RunTrace:
+def apf_run(model: FKModel, weight: TwistFunction, window, n_steps: int,
+            n_particles: int, seed: int, replicate: int = 0,
+            test_functions: dict | None = None) -> RunTrace:
     """Auxiliary particle run: the model is transformed by a strictly positive
     lookahead weight ``r`` (a twist object supplying its integrals in closed
     form), and the estimator is corrected by the initial integral ``mu0(r)``
@@ -214,47 +255,8 @@ def apf_run(
     ``aux['filter_est_<name>']`` records the 1/r-weighted estimates that
     target the prediction filter of the original model.
     """
-    look = weight.lookahead
-    if n_steps > 0:
-        window.require(0, n_steps - 1 + look, context="apf_run")
-    elif look > 0:
-        window.require(0, look - 1, context="apf_run")
-    tf = default_test_functions(model) if test_functions is None else test_functions
-    stream = RngStream(seed, replicate).session()
-    pos = weight.sample_twisted_initial(window, n_particles, stream.generator(0, INIT))
-    log_mu0_w = weight.log_mu0_psi(window)
-    log_z = np.zeros(n_steps + 1)
-    log_phi = np.zeros(n_steps + 1)
-    eta = {name: np.zeros(n_steps + 1) for name in tf}
-    est = {name: np.zeros(n_steps + 1) for name in tf}
-    _record(eta, tf, 0, pos)
-
-    def weighted_estimates(p, lr_vals):
-        w = np.exp(-(lr_vals - lr_vals.min()))
-        w_sum = w.sum()
-        for name, fn in tf.items():
-            est[name][p] = float(np.sum(fn(pos) * w) / w_sum)
-
-    weighted_estimates(0, weight.log_psi(window, 0, pos))
-    cum_g = 0.0
-    for p in range(1, n_steps + 1):
-        t = p - 1
-        lr = weight.log_psi(window, t, pos)
-        lq = weight.log_q_psi(window, t, pos)
-        lg_eff = lq - lr
-        cum_g += _logmeanexp(lg_eff)
-        anc = multinomial_resample(lg_eff, n_particles, stream.generator(p, RESAMPLE))
-        pos = weight.sample_twisted_mutation(
-            window, t, pos[anc], stream.generator(p, MUTATE)
-        )
-        lr_new = weight.log_psi(window, p, pos)
-        log_z[p] = log_mu0_w + _logmeanexp(-lr_new) + cum_g
-        _record(eta, tf, p, pos)
-        weighted_estimates(p, lr_new)
-    aux = {"log_mu0_weight": log_mu0_w, "final_positions": pos}
-    for name in tf:
-        aux[f"filter_est_{name}"] = est[name]
-    return RunTrace(n_steps, n_particles, log_z, log_phi, eta, aux=aux)
+    return run_filter("apf", model, weight, window, n_steps, n_particles, seed,
+                      replicate, test_functions)
 
 
 def sis_run(
@@ -276,9 +278,10 @@ def sis_run(
     ``aux['chain_log_weights']`` has shape ``(n_steps + 1, n_chains)``;
     ``aux['selfnorm_<name>']`` records self-normalized estimates.
     """
-    look = proposal.lookahead if proposal is not None else 0
+    # psi = 1 makes the proposal the model's own kernel, draw for draw
+    proposal = ConstantTwist(model) if proposal is None else proposal
     if n_steps > 0:
-        window.require(0, n_steps - 1 + look, context="sis_run")
+        window.require(0, n_steps - 1 + proposal.lookahead, context="sis_run")
     tf = default_test_functions(model) if test_functions is None else test_functions
     stream = RngStream(seed, replicate).session()
     pos = model.sample_initial(n_chains, stream.generator(0, INIT))
@@ -290,16 +293,11 @@ def sis_run(
         selfnorm[name][0] = float(np.mean(fn(pos)))
     for p in range(1, n_steps + 1):
         t = p - 1
-        gen_mu = stream.generator(p, MUTATE)
-        if proposal is None:
-            logw = logw + model.log_g(window, t, pos)
-            pos = model.sample_mutation(window, t, pos, gen_mu)
-        else:
-            inc = proposal.log_q_psi(window, t, pos)
-            pos = proposal.sample_twisted_mutation(window, t, pos, gen_mu)
-            logw = logw + inc - proposal.log_psi(window, p, pos)
+        inc = proposal.log_q_psi(window, t, pos)
+        pos = proposal.sample_twisted_mutation(window, t, pos, stream.generator(p, MUTATE))
+        logw = logw + inc - proposal.log_psi(window, p, pos)
         chain_lw[p] = logw
-        log_z[p] = _logmeanexp(logw)
+        log_z[p] = _logmeanexp(logw[None, :])[0]
         w = np.exp(logw - logw.max())
         for name, fn in tf.items():
             selfnorm[name][p] = float(np.sum(fn(pos) * w) / w.sum())

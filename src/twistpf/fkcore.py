@@ -19,7 +19,6 @@ Gaussian propagation).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "DistributionVector",
@@ -29,6 +28,7 @@ __all__ = [
     "q_apply",
     "q_apply_log",
     "phi_map",
+    "logsumexp",
 ]
 
 _PROB_TOL = 1e-12
@@ -76,6 +76,12 @@ class FKModel:
 
     ``lookahead`` declares how many observation indices beyond the current
     step the potential reads; runners validate window coverage up front.
+
+    A mutation is split into the draws and a transform: ``noise`` takes one
+    uniform (or, for Gaussian models, one standard normal) per particle from a
+    generator, and ``mutate`` maps positions of any shape plus noise of the
+    same shape to new positions, elementwise. Particle runs draw the noise per
+    replicate stream and transform a whole block of replicates at once.
     """
 
     lookahead = 0
@@ -87,9 +93,17 @@ class FKModel:
         """log G_t at the particle positions ``x`` (vectorized)."""
         raise NotImplementedError("subclass must implement log_g")
 
+    def noise(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """The draws one mutation of ``size`` particles consumes."""
+        return gen.random(size)
+
+    def mutate(self, window, t: int, x, noise):
+        """M_t(x, .) driven by ``noise`` (from :meth:`noise`), elementwise."""
+        raise NotImplementedError("subclass must implement mutate")
+
     def sample_mutation(self, window, t: int, x, gen: np.random.Generator):
-        """One draw from M_t(x_i, .) for each position in ``x``."""
-        raise NotImplementedError("subclass must implement sample_mutation")
+        """One draw from M_t(x_i, .) for each position in the 1-d ``x``."""
+        return self.mutate(window, t, x, self.noise(gen, len(x)))
 
 
 class FiniteFK(FKModel):
@@ -117,6 +131,8 @@ class FiniteFK(FKModel):
         self.trans = trans
         self.emit = emit
         self.log_trans = np.log(np.where(trans > 0, trans, 1e-300))
+        self.trans_cdf = np.cumsum(trans, axis=1)
+        self.trans_cdf[:, -1] = 1.0
         self.log_emit = np.log(emit)
         self.k = k
         self.n_symbols = emit.shape[1]
@@ -137,12 +153,9 @@ class FiniteFK(FKModel):
         cdf[-1] = 1.0
         return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
 
-    def sample_mutation(self, window, t: int, x, gen) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        rows = np.cumsum(self.trans[x], axis=1)
-        rows[:, -1] = 1.0
-        u = gen.random(x.shape[0])
-        return (rows < u[:, None]).sum(axis=1).astype(np.int64)
+    def mutate(self, window, t: int, x, noise) -> np.ndarray:
+        rows = self.trans_cdf[np.asarray(x, dtype=np.int64)]
+        return np.add.reduce(rows < noise[..., None], axis=-1).astype(np.int64)
 
 
 class ARGaussianFK(FKModel):
@@ -161,9 +174,11 @@ class ARGaussianFK(FKModel):
     def sample_initial(self, size: int, gen) -> np.ndarray:
         return self.mu0_mean + np.sqrt(self.mu0_var) * gen.standard_normal(size)
 
-    def sample_mutation(self, window, t: int, x, gen) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.a * x + np.sqrt(self.q) * gen.standard_normal(x.shape[0])
+    def noise(self, gen, size: int) -> np.ndarray:
+        return gen.standard_normal(size)
+
+    def mutate(self, window, t: int, x, noise) -> np.ndarray:
+        return self.a * np.asarray(x, dtype=float) + np.sqrt(self.q) * noise
 
 
 def q_apply(model: FiniteFK, window, t: int, phi) -> np.ndarray:
@@ -182,6 +197,29 @@ def q_apply_log(model: FiniteFK, window, t: int, log_phi) -> np.ndarray:
     log_phi = np.asarray(log_phi, dtype=float)
     lt = model.log_trans + log_phi[None, :]
     return model.log_g_grid(window, t) + logsumexp(lt, axis=1)
+
+
+def logsumexp(a, axis: int = -1) -> np.ndarray:
+    """``log(sum(exp(a)))`` along one axis, by ``scipy.special.logsumexp``'s
+    formula and with its results, without its array-API dispatch.
+
+    The maximal entries are taken out of the sum for precision:
+    ``log1p(s / m) + log(m) + amax`` with ``m`` the number of maximal entries
+    and ``s`` the sum of the shifted exponentials of the others. Where that is
+    not finite (all ``-inf``, an ``inf`` or a NaN) the direct formula decides.
+    """
+    a = np.asarray(a, dtype=float)
+    amax = a.max(axis=axis, keepdims=True)
+    is_max = a == amax
+    m = is_max.sum(axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_max, -np.inf, a) - amax).sum(axis=axis, keepdims=True)
+        # m >= 1 unless the max is NaN, whose result the fallback decides
+        out = np.log1p(s / m) + np.log(m) + amax
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)
 
 
 def phi_map(model: FKModel, window, t: int, dist: DistributionVector):

@@ -23,11 +23,10 @@ import numpy as np
 
 from . import __version__
 from .filters import (
-    apf_run,
-    bootstrap_run,
     default_test_functions,
+    replicate_blocks,
+    run_filter,
     sis_run,
-    twisted_run,
     write_runtrace_csv,
 )
 from .models import (
@@ -66,6 +65,9 @@ __all__ = [
 
 _FILTERS = ("bootstrap", "twisted", "apf", "sis")
 _MODEL_KINDS = ("lg", "finite", "sv")
+_FIELDS = ("model", "filter", "twist", "steps", "particles", "replicates", "seed",
+           "window", "workers", "name", "experiment", "ell_grid", "N_grid")
+_NESTED_FIELDS = {"twist": ("kind", "ell", "tol"), "window": ("length", "burn_in")}
 
 # margin, in steps, left and right of the study horizon when a run needs the
 # time-varying eigenfunction: wide enough that the sweeps converge well below
@@ -141,6 +143,24 @@ def _build_params(model_cfg: dict):
     raise ConfigError(f"config field 'model.kind' must be one of {_MODEL_KINDS}")
 
 
+def _reject_unknown_fields(cfg: dict) -> None:
+    unknown = sorted(set(cfg) - set(_FIELDS))
+    for field, allowed in _NESTED_FIELDS.items():
+        if field in cfg:
+            sub = _need(cfg, field, dict)
+            unknown += [f"{field}.{key}" for key in sorted(set(sub) - set(allowed))]
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
+
+
+def _need_replicates(config: ExperimentConfig, experiment: str) -> None:
+    if config.replicates < 2:
+        raise ConfigError(
+            f"config field 'replicates' must be >= 2 for {experiment}: "
+            "its spread needs at least two replicates"
+        )
+
+
 def load_config(source) -> ExperimentConfig:
     """Build a config from a dict or a path to a JSON document."""
     if isinstance(source, (str, os.PathLike)):
@@ -151,6 +171,7 @@ def load_config(source) -> ExperimentConfig:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     else:
         cfg = dict(source)
+    _reject_unknown_fields(cfg)
     params = _build_params(_need(cfg, "model", dict))
     filter_kind = cfg.get("filter", "bootstrap")
     if filter_kind not in _FILTERS:
@@ -301,30 +322,18 @@ def _context_from_payload(payload: dict):
     }
 
 
-def _run_replicate(ctx, r: int):
-    config = ctx["config"]
-    kind = ctx["filter"]
-    common = dict(
-        window=ctx["window"],
-        n_steps=ctx["steps"],
-        n_particles=ctx["particles"],
-        seed=config.seed,
-        replicate=r,
-        test_functions=ctx["test_functions"],
-    )
-    if kind == "bootstrap":
-        trace = bootstrap_run(ctx["model"], **common)
-    elif kind == "twisted":
-        if ctx["twist"] is None:
-            trace = bootstrap_run(ctx["model"], **common)
-        else:
-            trace = twisted_run(ctx["model"], ctx["twist"], **common)
-    elif kind == "apf":
-        trace = apf_run(ctx["model"], ctx["twist"], **common)
-    else:
-        raise ConfigError(f"filter '{kind}' cannot run replicate studies this way")
-    eta_final = {name: arr[ctx["steps"]] for name, arr in trace.eta.items()}
-    return trace.log_z, eta_final
+def _run_replicates(ctx, lo: int, hi: int):
+    """log_z rows and eta-at-n columns of replicates ``lo .. hi - 1``; each
+    block's clouds are dropped as soon as its rows are taken."""
+    log_z, eta_n = [], {}
+    for block in replicate_blocks(
+        ctx["filter"], ctx["model"], ctx["twist"], ctx["window"], ctx["steps"],
+        ctx["particles"], ctx["config"].seed, range(lo, hi), ctx["test_functions"],
+    ):
+        log_z.append(block.log_z)
+        for name, arr in block.eta.items():
+            eta_n.setdefault(name, []).append(arr[:, ctx["steps"]])
+    return np.concatenate(log_z), {name: np.concatenate(v) for name, v in eta_n.items()}
 
 
 def _worker_init(payload_json: str):
@@ -332,29 +341,33 @@ def _worker_init(payload_json: str):
     _CTX = _context_from_payload(json.loads(payload_json))
 
 
-def _worker_run(r: int):
-    return _run_replicate(_CTX, r)
+def _worker_run(span):
+    return _run_replicates(_CTX, *span)
 
 
 def _collect_replicates(payload: dict, replicates: int, workers: int):
-    """log_z matrix (R, steps+1) and eta-at-n dict of (R,) arrays, in replicate order."""
+    """log_z matrix (R, steps+1) and eta-at-n dict of (R,) arrays, in replicate order.
+
+    Each worker runs contiguous spans of replicates as blocks; neither the
+    spans nor the worker count change a byte of the result.
+    """
     if workers <= 1:
-        ctx = _context_from_payload(payload)
-        results = [_run_replicate(ctx, r) for r in range(replicates)]
+        results = [_run_replicates(_context_from_payload(payload), 0, replicates)]
     else:
         payload_json = json.dumps(payload)
         mp_ctx = multiprocessing.get_context("fork")
-        chunk = max(1, replicates // (workers * 8))
+        size = -(-replicates // workers)
+        spans = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=mp_ctx,
             initializer=_worker_init,
             initargs=(payload_json,),
         ) as pool:
-            results = list(pool.map(_worker_run, range(replicates), chunksize=chunk))
-    log_z = np.stack([res[0] for res in results])
-    names = sorted(results[0][1])
-    eta_n = {name: np.array([res[1][name] for res in results]) for name in names}
+            results = list(pool.map(_worker_run, spans))
+    log_z = np.concatenate([res[0] for res in results])
+    eta_n = {name: np.concatenate([res[1][name] for res in results])
+             for name in sorted(results[0][1])}
     return log_z, eta_n
 
 
@@ -501,6 +514,9 @@ def run_clt_check(source, out_dir: str) -> ExperimentResult:
     config = load_config(source)
     if config.model_kind != "finite":
         raise ConfigError("config field 'model.kind' must be 'finite' for clt-check")
+    if config.filter_kind == "sis":
+        raise ConfigError("config field 'filter' cannot be 'sis' for clt-check")
+    _need_replicates(config, "clt-check")
     _required_window_length(config)
     os.makedirs(out_dir, exist_ok=True)
     window = draw_window(config.params, config.window_length, config.burn_in, config.seed)
@@ -557,6 +573,7 @@ def run_unbiasedness(source, out_dir: str) -> ExperimentResult:
     value (finite, linear-Gaussian) or a bootstrap companion (stochastic
     volatility), with a 4-standard-error verdict per row."""
     config = load_config(source)
+    _need_replicates(config, "unbiasedness")
     _required_window_length(config)
     os.makedirs(out_dir, exist_ok=True)
     window = draw_window(config.params, config.window_length, config.burn_in, config.seed)
@@ -676,16 +693,8 @@ def run_single(source, out_dir: str) -> ExperimentResult:
         trace = sis_run(ctx["model"], ctx["window"], config.steps,
                         config.replicates, config.seed, proposal=ctx["twist"])
     else:
-        trace = None
-        if config.filter_kind == "bootstrap":
-            trace = bootstrap_run(ctx["model"], ctx["window"], config.steps,
-                                  config.particles, config.seed)
-        elif config.filter_kind == "twisted":
-            trace = twisted_run(ctx["model"], ctx["twist"], ctx["window"], config.steps,
-                                config.particles, config.seed)
-        elif config.filter_kind == "apf":
-            trace = apf_run(ctx["model"], ctx["twist"], ctx["window"], config.steps,
-                            config.particles, config.seed)
+        trace = run_filter(config.filter_kind, ctx["model"], ctx["twist"], ctx["window"],
+                           config.steps, config.particles, config.seed)
     stem = config.name if config.name != "run" else "runtrace"
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     write_runtrace_csv(trace, csv_path)

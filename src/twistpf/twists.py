@@ -11,7 +11,9 @@ The interface every twist implements:
 * ``log_q_psi(window, t, x)``: log of G_t(x) * integral M_t(x, dz) psi_{t+1}(z),
   carrying the same per-time constants as ``log_psi``.
 * ``sample_twisted_mutation(window, t, x, gen)``: one draw per position from
-  the reweighted kernel M_t(x, dz) psi_{t+1}(z) / integral.
+  the reweighted kernel M_t(x, dz) psi_{t+1}(z) / integral; split, as for
+  models, into ``noise(gen, size)`` (one uniform or standard normal per
+  position) and the elementwise transform ``twisted_mutate(window, t, x, noise)``.
 * ``lookahead``: largest future offset read, i.e. evaluating at time ``t``
   touches observation indices up to ``t + lookahead``.
 
@@ -38,9 +40,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .fkcore import q_apply_log
+from .fkcore import logsumexp, q_apply_log
 from .models import FiniteHMMParams, LinearGaussianParams, SVParams
 
 __all__ = [
@@ -73,8 +74,14 @@ class TwistFunction:
     def log_q_psi(self, window, t: int, x):
         raise NotImplementedError
 
-    def sample_twisted_mutation(self, window, t: int, x, gen):
+    def noise(self, gen, size: int):
+        return gen.random(size)
+
+    def twisted_mutate(self, window, t: int, x, noise):
         raise NotImplementedError
+
+    def sample_twisted_mutation(self, window, t: int, x, gen):
+        return self.twisted_mutate(window, t, x, self.noise(gen, len(x)))
 
     def log_mu0_psi(self, window) -> float:
         raise NotImplementedError(
@@ -96,13 +103,16 @@ class ConstantTwist(TwistFunction):
         self.model = model
 
     def log_psi(self, window, t, x):
-        return np.zeros(np.asarray(x).shape[0], dtype=float)
+        return np.zeros(np.shape(x), dtype=float)
 
     def log_q_psi(self, window, t, x):
         return self.model.log_g(window, t, x)
 
-    def sample_twisted_mutation(self, window, t, x, gen):
-        return self.model.sample_mutation(window, t, x, gen)
+    def noise(self, gen, size):
+        return self.model.noise(gen, size)
+
+    def twisted_mutate(self, window, t, x, noise):
+        return self.model.mutate(window, t, x, noise)
 
     def log_mu0_psi(self, window):
         return 0.0
@@ -111,15 +121,15 @@ class ConstantTwist(TwistFunction):
         return self.model.sample_initial(size, gen)
 
 
-def _categorical_rows(logits: np.ndarray, gen) -> np.ndarray:
-    """One categorical draw per row of a matrix of unnormalized log masses."""
-    z = logits - logits.max(axis=1, keepdims=True)
+def _categorical_rows(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One categorical draw per uniform in ``u``, from the unnormalized log
+    masses along the last axis of ``logits`` (shape ``u.shape + (k,)``)."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    cdf = np.cumsum(p, axis=1)
-    cdf /= cdf[:, -1:]
-    cdf[:, -1] = 1.0
-    u = gen.random(logits.shape[0])
-    return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    cdf[..., -1] = 1.0
+    return np.add.reduce(cdf < u[..., None], axis=-1).astype(np.int64)
 
 
 class FiniteLagTwist(TwistFunction):
@@ -163,10 +173,9 @@ class FiniteLagTwist(TwistFunction):
     def log_q_psi(self, window, t, x):
         return self._q_table(window, t)[np.asarray(x, dtype=np.int64)]
 
-    def sample_twisted_mutation(self, window, t, x, gen):
-        x = np.asarray(x, dtype=np.int64)
-        logits = self.fk.log_trans[x] + self._table(window, t + 1)[None, :]
-        return _categorical_rows(logits, gen)
+    def twisted_mutate(self, window, t, x, noise):
+        logits = self.fk.log_trans[np.asarray(x, dtype=np.int64)] + self._table(window, t + 1)
+        return _categorical_rows(logits, noise)
 
     def log_mu0_psi(self, window):
         return float(logsumexp(np.log(self.params.mu0) + self._table(window, 0)))
@@ -232,14 +241,17 @@ class _GaussianQuadTwist(TwistFunction):
         mid = self._integrate(*self._psi_quad(window, t + 1))
         return self.model.log_g(window, t, x) + self._eval(mid, x)
 
-    def sample_twisted_mutation(self, window, t, x, gen):
+    def noise(self, gen, size):
+        return gen.standard_normal(size)
+
+    def twisted_mutate(self, window, t, x, noise):
         c, d, _ = self._psi_quad(window, t + 1)
         a, q = self.model.a, self.model.q
         x = np.asarray(x, dtype=float)
         prec = c + 1.0 / q
         var = 1.0 / prec
         mean = (a * x / q + d) * var
-        return mean + np.sqrt(var) * gen.standard_normal(x.shape[0])
+        return mean + np.sqrt(var) * noise
 
     def log_mu0_psi(self, window):
         c, d, e = self._psi_quad(window, 0)
@@ -511,11 +523,10 @@ class EigenTwist(TwistFunction):
         grid = self.fk.log_g_grid(window, t) + np.log(self.fk.trans @ self.triple.h[row])
         return grid[np.asarray(x, dtype=np.int64)]
 
-    def sample_twisted_mutation(self, window, t, x, gen):
+    def twisted_mutate(self, window, t, x, noise):
         row = self.triple.row(self._abs_index(window, t) + 1)
-        x = np.asarray(x, dtype=np.int64)
-        logits = self.fk.log_trans[x] + self.triple.log_h[row][None, :]
-        return _categorical_rows(logits, gen)
+        logits = self.fk.log_trans[np.asarray(x, dtype=np.int64)] + self.triple.log_h[row]
+        return _categorical_rows(logits, noise)
 
     def log_mu0_psi(self, window):
         row = self.triple.row(self._abs_index(window, 0))
@@ -542,8 +553,11 @@ class _OffsetTwist(TwistFunction):
     def log_q_psi(self, window, t, x):
         return self.base.log_q_psi(window, t, x) + self.offset
 
-    def sample_twisted_mutation(self, window, t, x, gen):
-        return self.base.sample_twisted_mutation(window, t, x, gen)
+    def noise(self, gen, size):
+        return self.base.noise(gen, size)
+
+    def twisted_mutate(self, window, t, x, noise):
+        return self.base.twisted_mutate(window, t, x, noise)
 
     def log_mu0_psi(self, window):
         return self.base.log_mu0_psi(window) + self.offset

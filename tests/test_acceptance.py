@@ -13,7 +13,7 @@ import time
 import numpy as np
 from scipy.special import logsumexp
 
-from twistpf.filters import apf_run, bootstrap_run, sis_run, twisted_run
+from twistpf.filters import apf_run, bootstrap_run, replicate_blocks, sis_run, twisted_run
 from twistpf.harness import run_from_manifest, run_variance_growth
 from twistpf.models import (
     FiniteHMMParams,
@@ -230,16 +230,18 @@ def test_criterion_06_clt_variances():
     notes = []
     exact_store = {}
     for tw_name, tw in twists.items():
-        eta_n = {k: np.empty(reps) for k in phis}
-        lz = np.empty(reps)
-        for r in range(reps):
-            trace = twisted_run(
-                model, tw, w, n, n_particles, seed=11, replicate=r,
-                test_functions=tf,
-            )
-            lz[r] = trace.log_z[n]
+        # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+        blocks = replicate_blocks(
+            "twisted", model, tw, w, n, n_particles, seed=11, replicates=range(reps),
+            test_functions=tf,
+        )
+        lz, eta_n = [], {k: [] for k in phis}
+        for block in blocks:
+            lz.append(block.log_z[:, n])
             for k in phis:
-                eta_n[k][r] = trace.eta[k][n]
+                eta_n[k].append(block.eta[k][:, n])
+        lz = np.concatenate(lz)
+        eta_n = {k: np.concatenate(v) for k, v in eta_n.items()}
         rel = np.exp(lz - fwd.log_z[n])
         for k, phi in phis.items():
             cv = exact_clt_variances(params, tw, phi, w, n)
@@ -317,13 +319,12 @@ def test_criterion_08_lag_cuts_variance_growth():
         twist = (
             ConstantTwist(model) if ell == 0 else LinearGaussianLagTwist(params, ell)
         )
-        lz = np.empty(reps)
-        for r in range(reps):
-            trace = twisted_run(
-                model, twist, w, n, n_particles, seed=12, replicate=r,
-                test_functions={},
-            )
-            lz[r] = trace.log_z[n]
+        # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+        blocks = replicate_blocks(
+            "twisted", model, twist, w, n, n_particles, seed=12, replicates=range(reps),
+            test_functions={},
+        )
+        lz = np.concatenate([block.log_z[:, n] for block in blocks])
         r2 = np.exp(2.0 * (lz - exact))
         v_hat = float(r2.mean())
         rates[ell] = math.log(v_hat) / n

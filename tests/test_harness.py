@@ -1,4 +1,7 @@
+import glob
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +80,52 @@ def test_load_config_field_errors():
         load_config(finite_cfg(workers=0))
     with pytest.raises(ConfigError, match="kind"):
         load_config(finite_cfg(model={"kind": "tabular"}))
+
+
+def test_load_config_rejects_unknown_fields():
+    with pytest.raises(ConfigError, match="'bogus_key'"):
+        load_config(finite_cfg(bogus_key=3))
+    with pytest.raises(ConfigError, match="'twist.lag'"):
+        load_config(finite_cfg(twist={"kind": "lag", "lag": 2}))
+    with pytest.raises(ConfigError, match="'window.size'"):
+        load_config(finite_cfg(window={"length": 20, "size": 4}))
+    with pytest.raises(ConfigError, match="'window'"):
+        load_config(finite_cfg(window=[20, 0]))
+
+
+def test_shipped_and_written_configs_still_load(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = glob.glob(os.path.join(root, "demos", "configs", "*.json"))
+    assert configs
+    for path in configs:
+        load_config(path)
+    sys.path.insert(0, os.path.join(root, "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    for workload in WORKLOADS.values():
+        for _, cfg in workload.build(1).calls:
+            load_config(cfg)
+    written = [
+        run_variance_growth(finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1},
+                                       ell_grid=[0, 1]), str(tmp_path)),
+        run_clt_check(finite_cfg(filter="twisted", steps=3, N_grid=[8]), str(tmp_path)),
+        run_unbiasedness(finite_cfg(name="u"), str(tmp_path)),
+        run_single(finite_cfg(filter="apf", twist={"kind": "lag", "ell": 1}), str(tmp_path)),
+        run_oracle_check(finite_cfg(filter="twisted", steps=4), str(tmp_path)),
+        run_bound(finite_cfg(filter="twisted", steps=4), str(tmp_path)),
+        run_simulate(finite_cfg(), str(tmp_path)),
+    ]
+    for res in written:
+        load_config(json.load(open(res.manifest_path))["config"])
+
+
+@pytest.mark.parametrize("run", [run_clt_check, run_unbiasedness])
+def test_spread_studies_need_two_replicates(tmp_path, run):
+    cfg = finite_cfg(filter="twisted", steps=3, N_grid=[8], replicates=1)
+    with pytest.raises(ConfigError, match="'replicates' must be >= 2"):
+        run(cfg, str(tmp_path))
 
 
 def test_load_config_from_json_file(tmp_path):
