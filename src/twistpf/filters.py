@@ -195,17 +195,18 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
 
 def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, window,
                      n_steps: int, n_particles: int, seed: int, replicates,
-                     test_functions: dict | None = None):
+                     test_functions: dict | None = None, initial=None):
     """Yield one :class:`RunTrace` per block of ``BLOCK_ELEMENTS // n_particles``
     (at least one) of the given replicate indices, with a leading replicate
     axis on every array; row ``i`` equals the run of ``replicates[i]`` bit for
     bit. ``kind`` is ``bootstrap``, ``twisted`` or ``apf``; ``twist`` (the
-    twist or the auxiliary weight) is ignored by ``bootstrap``."""
+    twist or the auxiliary weight) is ignored by ``bootstrap``; ``initial``
+    (bootstrap and twisted runs) starts every replicate from the same cloud."""
     reps = list(replicates)
     size = max(1, BLOCK_ELEMENTS // n_particles)
     for lo in range(0, len(reps), size):
         yield _run_block(kind, model, twist, window, n_steps, n_particles, seed,
-                         reps[lo : lo + size], test_functions, None)
+                         reps[lo : lo + size], test_functions, initial)
 
 
 def run_filter(kind: str, model: FKModel, twist: TwistFunction | None, window,

@@ -154,8 +154,17 @@ class FiniteFK(FKModel):
         return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
 
     def mutate(self, window, t: int, x, noise) -> np.ndarray:
-        rows = self.trans_cdf[np.asarray(x, dtype=np.int64)]
-        return np.add.reduce(rows < noise[..., None], axis=-1).astype(np.int64)
+        return categorical_counts(self.trans_cdf, x, noise)
+
+
+def categorical_counts(cdf, x, u) -> np.ndarray:
+    """Categorical draws by table lookup: for each particle, the number of
+    entries of its state's row ``cdf[x]`` (a ``k x k`` table of row CDFs)
+    strictly below its uniform ``u``. Each column is gathered for all
+    particles and the k comparisons are summed over the leading axis, which
+    is much faster than reducing a short last axis of per-particle rows."""
+    x = np.asarray(x, dtype=np.int64)
+    return np.add.reduce(cdf.T.take(x, axis=1) < u, axis=0, dtype=np.int64)
 
 
 class ARGaussianFK(FKModel):

@@ -17,7 +17,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,7 +64,9 @@ __all__ = [
 ]
 
 _FILTERS = ("bootstrap", "twisted", "apf", "sis")
-_MODEL_KINDS = ("lg", "finite", "sv")
+_MODEL_FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in
+                 (("lg", LinearGaussianParams), ("finite", FiniteHMMParams), ("sv", SVParams))}
+_MODEL_KINDS = tuple(_MODEL_FIELDS)
 _FIELDS = ("model", "filter", "twist", "steps", "particles", "replicates", "seed",
            "window", "workers", "name", "experiment", "ell_grid", "N_grid")
 _NESTED_FIELDS = {"twist": ("kind", "ell", "tol"), "window": ("length", "burn_in")}
@@ -145,7 +147,11 @@ def _build_params(model_cfg: dict):
 
 def _reject_unknown_fields(cfg: dict) -> None:
     unknown = sorted(set(cfg) - set(_FIELDS))
-    for field, allowed in _NESTED_FIELDS.items():
+    nested = dict(_NESTED_FIELDS)
+    kind = cfg["model"].get("kind") if isinstance(cfg.get("model"), dict) else None
+    if kind in _MODEL_KINDS:  # an unknown kind is reported when the model is built
+        nested["model"] = ("kind", *_MODEL_FIELDS[kind])
+    for field, allowed in nested.items():
         if field in cfg:
             sub = _need(cfg, field, dict)
             unknown += [f"{field}.{key}" for key in sorted(set(sub) - set(allowed))]

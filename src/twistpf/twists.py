@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fkcore import logsumexp, q_apply_log
+from .fkcore import categorical_counts, logsumexp, q_apply_log
 from .models import FiniteHMMParams, LinearGaussianParams, SVParams
 
 __all__ = [
@@ -121,15 +121,16 @@ class ConstantTwist(TwistFunction):
         return self.model.sample_initial(size, gen)
 
 
-def _categorical_rows(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One categorical draw per uniform in ``u``, from the unnormalized log
-    masses along the last axis of ``logits`` (shape ``u.shape + (k,)``)."""
+def _categorical_rows(logits: np.ndarray, x, u) -> np.ndarray:
+    """One categorical draw per uniform in ``u`` for a particle in state
+    ``x``, from the unnormalized log masses in row ``x`` of the ``k x k``
+    table ``logits``. The CDF of each state's row is built once per call."""
     z = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp(z)
     cdf = np.cumsum(p, axis=-1)
     cdf /= cdf[..., -1:]
     cdf[..., -1] = 1.0
-    return np.add.reduce(cdf < u[..., None], axis=-1).astype(np.int64)
+    return categorical_counts(cdf, x, u)
 
 
 class FiniteLagTwist(TwistFunction):
@@ -174,8 +175,7 @@ class FiniteLagTwist(TwistFunction):
         return self._q_table(window, t)[np.asarray(x, dtype=np.int64)]
 
     def twisted_mutate(self, window, t, x, noise):
-        logits = self.fk.log_trans[np.asarray(x, dtype=np.int64)] + self._table(window, t + 1)
-        return _categorical_rows(logits, noise)
+        return _categorical_rows(self.fk.log_trans + self._table(window, t + 1), x, noise)
 
     def log_mu0_psi(self, window):
         return float(logsumexp(np.log(self.params.mu0) + self._table(window, 0)))
@@ -525,8 +525,7 @@ class EigenTwist(TwistFunction):
 
     def twisted_mutate(self, window, t, x, noise):
         row = self.triple.row(self._abs_index(window, t) + 1)
-        logits = self.fk.log_trans[np.asarray(x, dtype=np.int64)] + self.triple.log_h[row]
-        return _categorical_rows(logits, noise)
+        return _categorical_rows(self.fk.log_trans + self.triple.log_h[row], x, noise)
 
     def log_mu0_psi(self, window):
         row = self.triple.row(self._abs_index(window, 0))

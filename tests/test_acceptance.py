@@ -194,13 +194,13 @@ def test_criterion_05_twisted_kernel_total_variation():
     row = kern.m_tilde[np.flatnonzero((kern.states == start).all(axis=1))[0]]
     reps = 100_000
     counts = np.zeros(4)
-    for r in range(reps):
-        trace = twisted_run(
-            model, twist, w, 1, 2, seed=7, replicate=r, test_functions={},
-            initial=start,
-        )
-        fin = trace.aux["final_positions"]
-        counts[int(fin[0]) * 2 + int(fin[1])] += 1
+    # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+    for block in replicate_blocks(
+        "twisted", model, twist, w, 1, 2, seed=7, replicates=range(reps),
+        test_functions={}, initial=start,
+    ):
+        fin = block.aux["final_positions"]
+        counts += np.bincount(fin[:, 0] * 2 + fin[:, 1], minlength=4)
     tv = 0.5 * float(np.abs(counts / reps - row).sum())
     verdict(5, tv < 0.01, f"one-step kernel TV distance {tv:.4f} (tol 0.01)")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from twistpf import filters
+from twistpf import filters, resampling
 from twistpf.filters import (
     apf_run,
     bootstrap_run,
@@ -25,7 +25,7 @@ from twistpf.harness import run_clt_check, run_unbiasedness, run_variance_growth
 from twistpf.models import FiniteHMMParams, LinearGaussianParams, SVParams, simulate
 from twistpf.resampling import multinomial_resample, resample_rows
 from twistpf.rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
-from twistpf.twists import ConstantTwist, eigen_triple, make_twist
+from twistpf.twists import ConstantTwist, EigenTwist, eigen_triple, make_twist
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +298,74 @@ def test_logsumexp_matches_scipy_bit_for_bit():
         assert np.array_equal(logsumexp(a, axis=1), scipy_logsumexp(a, axis=1))
         for row in a:
             assert np.array_equal(logsumexp(row), scipy_logsumexp(row))
+
+
+# ---------------------------------------------------------------------------
+# the column-wise categorical transform against the gather-and-reduce formula
+
+
+def _gather_and_reduce(logits, u):
+    """Reference: the CDF row of each particle's unnormalized log masses,
+    compared with its uniform and reduced over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    cdf = np.cumsum(np.exp(z), axis=-1)
+    cdf /= cdf[..., -1:]
+    cdf[..., -1] = 1.0
+    return np.add.reduce(cdf < u[..., None], axis=-1).astype(np.int64)
+
+
+def _row_logits(tw, window, t, x):
+    """Each particle's log masses under the twisted kernel, gathered per particle."""
+    if isinstance(tw, EigenTwist):
+        log_h = tw.triple.log_h[tw.triple.row(tw._abs_index(window, t) + 1)]
+    else:
+        log_h = tw._table(window, t + 1)
+    return tw.fk.log_trans[x] + log_h
+
+
+FINITE_CASES = [c for c in CASES if c[0].startswith("finite")]
+
+
+@pytest.mark.parametrize("case", FINITE_CASES, ids=[c[0] for c in FINITE_CASES])
+def test_categorical_transform_matches_gather_and_reduce(case, monkeypatch):
+    _, params, w, tw = case
+    model = params.fk()
+    rng = np.random.default_rng(6)
+    x = rng.integers(0, params.k, (7, 300))
+    u = rng.random(x.shape)
+    # uniforms equal to a CDF entry: the strict comparison decides the state
+    u[:, ::3] = model.trans_cdf[x[:, ::3], rng.integers(0, params.k, (7, 100))]
+    u[u >= 1.0] = 0.5
+    want = np.add.reduce(model.trans_cdf[x] < u[..., None], axis=-1).astype(np.int64)
+    assert np.array_equal(model.mutate(w, 0, x, u), want)
+    for t in range(6):
+        got = tw.twisted_mutate(w, t, x, u)
+        assert np.array_equal(got, _gather_and_reduce(_row_logits(tw, w, t, x), u)), t
+    # auxiliary runs move the whole cloud by the twisted kernel: the same
+    # runs, bit for bit, with the reference transform patched in
+    runs = [apf_run(model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
+    monkeypatch.setattr(tw, "twisted_mutate", lambda window, t, x, noise: _gather_and_reduce(
+        _row_logits(tw, window, t, np.asarray(x, dtype=np.int64)), noise))
+    refs = [apf_run(model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
+    for tr, ref in zip(runs, refs):
+        assert _same((tr.log_z, tr.eta, tr.aux), (ref.log_z, ref.eta, ref.aux))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_guide_table_changes_no_run(case, monkeypatch):
+    # the same blocks with every resampling through the guide table and with
+    # every row searched on its own by searchsorted
+    _, params, w, tw = case
+    model = params.fk()
+
+    def per_row_search(cdf, uniforms):
+        return np.array([c.searchsorted(u, side="right") for c, u in zip(cdf, uniforms)])
+
+    traces = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(resampling, "_guide_table_search", per_row_search)
+        traces.append([next(replicate_blocks(kind, model, tw, w, 15, 40, 3, range(6)))
+                       for kind in ("bootstrap", "twisted", "apf")])
+    for a, b in zip(*traces):
+        assert _same((a.log_z, a.log_phi, a.eta, a.aux), (b.log_z, b.log_phi, b.eta, b.aux))

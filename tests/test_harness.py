@@ -91,6 +91,19 @@ def test_load_config_rejects_unknown_fields():
         load_config(finite_cfg(window={"length": 20, "size": 4}))
     with pytest.raises(ConfigError, match="'window'"):
         load_config(finite_cfg(window=[20, 0]))
+    models = {
+        "lg": {"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0, "mu0_var": 2.0},
+        "finite": finite_cfg()["model"],
+        "sv": {"kind": "sv", "persistence": 0.9},
+    }
+    for kind, model in models.items():
+        load_config(finite_cfg(model=model))
+        # a key of another kind is unknown to this one
+        stray = "persistence" if kind != "sv" else "mu0"
+        with pytest.raises(ConfigError, match=f"'model.{stray}'"):
+            load_config(finite_cfg(model=dict(model, **{stray: 0.5})))
+    with pytest.raises(ConfigError, match="'model.persistance'"):
+        load_config(finite_cfg(model={"kind": "sv", "persistance": 0.9}))
 
 
 def test_shipped_and_written_configs_still_load(tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twistpf.filters import bootstrap_run, twisted_run
+from twistpf.filters import bootstrap_run, replicate_blocks
 from twistpf.models import FiniteHMMParams, finite_forward, simulate
 from twistpf.oracle import (
     build_bold_kernels,
@@ -151,21 +151,23 @@ def test_exact_second_moment_matches_monte_carlo():
     n, reps = 4, 20_000
     exact = finite_forward(params, w, n).log_z[n]
 
+    def ratios(kind, twist):
+        # the replicate engine: row r of each block is the run of replicate r
+        blocks = replicate_blocks(kind, model, twist, w, n, 2, seed=5,
+                                  replicates=range(reps), test_functions={})
+        lz = np.concatenate([block.log_z[:, n] for block in blocks])
+        return np.array([math.exp(2.0 * (v - exact)) for v in lz.tolist()])
+
     rep_const = exact_moments(params, ConstantTwist(model), 2, w, n)
-    ratios = np.empty(reps)
-    for r in range(reps):
-        trace = bootstrap_run(model, w, n, 2, seed=5, replicate=r, test_functions={})
-        ratios[r] = math.exp(2.0 * (trace.log_z[n] - exact))
-    se = ratios.std(ddof=1) / math.sqrt(reps)
-    assert abs(ratios.mean() - rep_const.v_tilde[n]) < 4 * se
+    r2 = ratios("bootstrap", None)
+    se = r2.std(ddof=1) / math.sqrt(reps)
+    assert abs(r2.mean() - rep_const.v_tilde[n]) < 4 * se
 
     tw = FiniteLagTwist(params, 1)
     rep_tw = exact_moments(params, tw, 2, w, n)
-    for r in range(reps):
-        trace = twisted_run(model, tw, w, n, 2, seed=5, replicate=r, test_functions={})
-        ratios[r] = math.exp(2.0 * (trace.log_z[n] - exact))
-    se = ratios.std(ddof=1) / math.sqrt(reps)
-    assert abs(ratios.mean() - rep_tw.v_tilde[n]) < 4 * se
+    r2 = ratios("twisted", tw)
+    se = r2.std(ddof=1) / math.sqrt(reps)
+    assert abs(r2.mean() - rep_tw.v_tilde[n]) < 4 * se
 
 
 def test_constant_potential_has_unit_relative_second_moment():
