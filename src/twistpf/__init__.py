@@ -15,12 +15,14 @@ The library is organized in layers:
   importance-sampling runs, all returning a :class:`RunTrace`.
 - :mod:`twistpf.oracle` -- exact cloud-chain moments, asymptotic variances
   and the growth-rate bound, for validating the samplers.
-- :mod:`twistpf.harness` -- replicate experiments, CSV artifacts, manifests.
+- :mod:`twistpf.config` -- experiment configs: schema, checks, defaults.
+- :mod:`twistpf.harness` -- the experiment registry and its one runner:
+  replicate studies, CSV artifacts, manifests.
 """
 
 __version__ = "0.1.0"
 
-from .fkcore import DistributionVector, FiniteFK, FKModel, phi_map, q_apply, q_apply_log
+from .fkcore import FiniteFK, FKModel, q_apply_log
 from .filters import (
     RunTrace,
     apf_run,
@@ -30,13 +32,10 @@ from .filters import (
     run_filter,
     sis_run,
     twisted_run,
-    write_runtrace_csv,
 )
+from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (
-    ConfigError,
-    ExperimentConfig,
     draw_window,
-    load_config,
     run_bound,
     run_clt_check,
     run_from_manifest,
@@ -53,7 +52,6 @@ from .models import (
     finite_forward,
     kalman_run,
     simulate,
-    write_path_csv,
 )
 from .oracle import (
     BoundReport,
@@ -66,8 +64,6 @@ from .oracle import (
     fit_slope,
     upsilon_bound,
     upsilon_slope,
-    write_oracle_csv,
-    write_oracle_summary_csv,
 )
 from .resampling import multinomial_resample
 from .rng import RngStream
@@ -82,7 +78,6 @@ from .twists import (
     TwistFunction,
     eigen_triple,
     make_twist,
-    with_log_offset,
 )
 from .windows import LookaheadError, ObservationWindow
 
@@ -94,17 +89,13 @@ __all__ = [
     "multinomial_resample",
     "FKModel",
     "FiniteFK",
-    "DistributionVector",
-    "q_apply",
     "q_apply_log",
-    "phi_map",
     "LinearGaussianParams",
     "FiniteHMMParams",
     "SVParams",
     "simulate",
     "kalman_run",
     "finite_forward",
-    "write_path_csv",
     "TwistFunction",
     "ConstantTwist",
     "FiniteLagTwist",
@@ -114,7 +105,6 @@ __all__ = [
     "EigenTwist",
     "eigen_triple",
     "make_twist",
-    "with_log_offset",
     "ConvergenceError",
     "RunTrace",
     "bootstrap_run",
@@ -124,7 +114,6 @@ __all__ = [
     "replicate_blocks",
     "run_filter",
     "default_test_functions",
-    "write_runtrace_csv",
     "build_bold_kernels",
     "exact_moments",
     "OracleReport",
@@ -135,8 +124,6 @@ __all__ = [
     "BoundReport",
     "SlopeFit",
     "fit_slope",
-    "write_oracle_csv",
-    "write_oracle_summary_csv",
     "ConfigError",
     "ExperimentConfig",
     "load_config",

@@ -1,38 +1,19 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the harness experiments. Every run writes its
-CSV artifact plus a manifest JSON; ``--config`` names a JSON file, and the
-remaining flags override individual fields of it. Errors exit nonzero with a
-single ``error: ...`` line on stderr.
+Subcommands are the entries of the harness's experiment registry, plus
+``reproduce``. Every run writes its CSV artifacts plus a manifest JSON;
+``--config`` names a JSON file, and the remaining flags override individual
+fields of it. Errors exit nonzero with a single ``error: ...`` line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .harness import (
-    ConfigError,
-    run_bound,
-    run_clt_check,
-    run_from_manifest,
-    run_oracle_check,
-    run_simulate,
-    run_single,
-    run_unbiasedness,
-    run_variance_growth,
-)
-
-_COMMANDS = {
-    "simulate": run_simulate,
-    "run": run_single,
-    "variance-growth": run_variance_growth,
-    "clt-check": run_clt_check,
-    "unbiasedness": run_unbiasedness,
-    "oracle-check": run_oracle_check,
-    "bound": run_bound,
-}
+from .config import ConfigError, read_config
+from .harness import _EXPERIMENTS, run_from_manifest
 
 _MODEL_PRESETS = {
     "lg": {"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0},
@@ -68,18 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Particle-filter experiments with twisted proposals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "simulate a path and write t,x,y",
-        "run": "one filter run; per-step trace CSV",
-        "variance-growth": "relative second moment of the normalizer vs horizon",
-        "clt-check": "empirical vs exact asymptotic variances (finite models)",
-        "unbiasedness": "replicate-mean of the normalizer vs the exact value",
-        "oracle-check": "exact cloud-chain variance growth (finite models)",
-        "bound": "twist discrepancy and growth-rate bound (finite models)",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
-        _add_common(p)
+    for name, experiment in _EXPERIMENTS.items():
+        _add_common(sub.add_parser(name, help=experiment.help))
     rp = sub.add_parser("reproduce", help="re-run the experiment in a manifest")
     rp.add_argument("manifest", help="manifest JSON written by a previous run")
     rp.add_argument("--out", default="out")
@@ -87,16 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-    else:
-        cfg = {}
+    cfg = read_config(args.config) if args.config else {}
     if args.model:
         cfg["model"] = dict(_MODEL_PRESETS[args.model])
     if "model" not in cfg:
@@ -122,7 +84,7 @@ def main(argv=None) -> int:
             result = run_from_manifest(args.manifest, args.out)
         else:
             cfg = _merge_config(args)
-            result = _COMMANDS[args.command](cfg, args.out)
+            result = _EXPERIMENTS[args.command](cfg, args.out)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ likelihood for any strictly positive bounded psi.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +46,6 @@ __all__ = [
     "run_filter",
     "replicate_blocks",
     "default_test_functions",
-    "write_runtrace_csv",
 ]
 
 
@@ -307,19 +305,3 @@ def sis_run(
         aux[f"selfnorm_{name}"] = selfnorm[name]
     return RunTrace(n_steps, n_chains, log_z, np.zeros(n_steps + 1), eta={}, aux=aux)
 
-
-def write_runtrace_csv(trace: RunTrace, path) -> None:
-    """Columns: ``n, log_Z, log_phi, eta_phi_<name>, gamma_phi_<name>``."""
-    names = sorted(trace.eta)
-    header = ["n", "log_Z", "log_phi"]
-    header += [f"eta_phi_{n}" for n in names]
-    header += [f"gamma_phi_{n}" for n in names]
-    gam = {n: trace.gamma(n) for n in names}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for p in range(trace.n_steps + 1):
-            row = [p, repr(float(trace.log_z[p])), repr(float(trace.log_phi[p]))]
-            row += [repr(float(trace.eta[n][p])) for n in names]
-            row += [repr(float(gam[n][p])) for n in names]
-            w.writerow(row)

@@ -4,16 +4,12 @@ A model couples an initial law ``mu0``, a mutation kernel ``M`` and a strictly
 positive potential ``G``, all indexed by absolute time through an observation
 window. The one-step unnormalized operator is
 
-    Q_t(phi)(x) = G_t(x) * integral M_t(x, dz) phi(z),
+    Q_t(phi)(x) = G_t(x) * integral M_t(x, dz) phi(z).
 
-and ``phi_map`` is the associated normalized map on laws: it propagates a
-prediction law one step and returns the log normalizer ``log mu(G_t)``.
-Composing the normalizers over ``n`` steps yields the marginal likelihood of
-the first ``n`` observations.
-
-Exact operator evaluations are available for finite-state models (dense
-matrices) and, through ``phi_map``, for linear-Gaussian models (closed-form
-Gaussian propagation).
+For finite-state models it is evaluated exactly, in log domain, by
+``q_apply_log``; the exact references built on it (forward recursion, Kalman
+filter, eigenfunction sweeps) live in :mod:`twistpf.models` and
+:mod:`twistpf.twists`.
 """
 
 from __future__ import annotations
@@ -21,54 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "DistributionVector",
     "FKModel",
     "FiniteFK",
     "ARGaussianFK",
-    "q_apply",
     "q_apply_log",
-    "phi_map",
     "logsumexp",
 ]
 
 _PROB_TOL = 1e-12
-
-
-class DistributionVector:
-    """A validated law on the state space: finite probability vector or Gaussian."""
-
-    __slots__ = ("kind", "probs", "mean", "var")
-
-    def __init__(self, kind, probs=None, mean=None, var=None):
-        self.kind = kind
-        self.probs = probs
-        self.mean = mean
-        self.var = var
-
-    @classmethod
-    def finite(cls, probs) -> "DistributionVector":
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1:
-            raise ValueError("probability vector must be one-dimensional")
-        if (p < 0).any():
-            raise ValueError("probability vector has negative entries")
-        s = p.sum()
-        if abs(s - 1.0) > _PROB_TOL:
-            raise ValueError(f"probability vector sums to {s!r}, not 1")
-        p = p / s
-        p.flags.writeable = False
-        return cls("finite", probs=p)
-
-    @classmethod
-    def gaussian(cls, mean: float, var: float) -> "DistributionVector":
-        if not var > 0:
-            raise ValueError(f"gaussian law needs variance > 0, got {var!r}")
-        return cls("gaussian", mean=float(mean), var=float(var))
-
-    def __repr__(self):
-        if self.kind == "finite":
-            return f"DistributionVector(finite, k={self.probs.shape[0]})"
-        return f"DistributionVector(gaussian, mean={self.mean}, var={self.var})"
 
 
 class FKModel:
@@ -137,9 +93,6 @@ class FiniteFK(FKModel):
         self.k = k
         self.n_symbols = emit.shape[1]
 
-    def trans_matrix(self, window, t: int) -> np.ndarray:
-        return self.trans
-
     def log_g_grid(self, window, t: int) -> np.ndarray:
         """log G_t over the full state grid ``0..k-1``."""
         y = int(window.y(t, context="potential evaluation"))
@@ -190,17 +143,9 @@ class ARGaussianFK(FKModel):
         return self.a * np.asarray(x, dtype=float) + np.sqrt(self.q) * noise
 
 
-def q_apply(model: FiniteFK, window, t: int, phi) -> np.ndarray:
-    """Exact one-step operator on a finite grid: ``G_t * (M_t @ phi)``."""
-    if not isinstance(model, FiniteFK):
-        raise TypeError("q_apply is exact only for finite-state models")
-    phi = np.asarray(phi, dtype=float)
-    g = np.exp(model.log_g_grid(window, t))
-    return g * (model.trans_matrix(window, t) @ phi)
-
-
 def q_apply_log(model: FiniteFK, window, t: int, log_phi) -> np.ndarray:
-    """Log-domain version of :func:`q_apply` for long compositions."""
+    """``log Q_t(exp(log_phi))`` on a finite grid, ``log G_t + log(M_t @ phi)``,
+    safe for long compositions."""
     if not isinstance(model, FiniteFK):
         raise TypeError("q_apply_log is exact only for finite-state models")
     log_phi = np.asarray(log_phi, dtype=float)
@@ -230,35 +175,3 @@ def logsumexp(a, axis: int = -1) -> np.ndarray:
             out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
     return np.squeeze(out, axis=axis)
 
-
-def phi_map(model: FKModel, window, t: int, dist: DistributionVector):
-    """Propagate a prediction law one step: returns ``(new law, log normalizer)``.
-
-    The normalizer is ``log mu(G_t)``; summed over steps it reproduces the
-    log marginal likelihood. Exact for finite-state models and for
-    linear-Gaussian models (where it is one filter recursion step).
-    """
-    if isinstance(model, FiniteFK):
-        if dist.kind != "finite":
-            raise TypeError("finite model needs a finite law")
-        g = np.exp(model.log_g_grid(window, t))
-        weighted = dist.probs * g
-        norm = weighted.sum()
-        if not norm > 0:
-            raise ValueError("potential annihilated the law")
-        nxt = weighted @ model.trans_matrix(window, t) / norm
-        return DistributionVector.finite(nxt / nxt.sum()), float(np.log(norm))
-    if hasattr(model, "r_obs"):
-        if dist.kind != "gaussian":
-            raise TypeError("linear-Gaussian model needs a gaussian law")
-        a, q, r = model.a, model.q, model.r_obs
-        y = float(window.y(t, context="filter recursion"))
-        s = dist.var + r
-        log_norm = -0.5 * (np.log(2.0 * np.pi * s) + (y - dist.mean) ** 2 / s)
-        gain = dist.var / s
-        m_post = dist.mean + gain * (y - dist.mean)
-        v_post = dist.var * (1.0 - gain)
-        return DistributionVector.gaussian(a * m_post, a * a * v_post + q), float(log_norm)
-    raise TypeError(
-        "phi_map is exact only for finite-state or linear-Gaussian models"
-    )

@@ -11,7 +11,6 @@ they can serve as oracles for it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "finite_forward",
     "KalmanResult",
     "ForwardResult",
-    "write_path_csv",
 ]
 
 
@@ -256,13 +254,3 @@ def finite_forward(params: FiniteHMMParams, window, n: int) -> ForwardResult:
     pred[n] = alpha
     return ForwardResult(pred, log_z)
 
-
-def write_path_csv(path, x, window) -> None:
-    """Write a simulated path as CSV with columns ``t, x, y``."""
-    x = np.asarray(x)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "y"])
-        for i in range(x.shape[0]):
-            t = window.origin + i
-            w.writerow([t, x[i], window.values[i]])

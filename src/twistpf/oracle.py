@@ -23,7 +23,6 @@ Conventions: kernels built at time ``t`` map clouds at ``t`` to clouds at
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,8 +47,6 @@ __all__ = [
     "exact_clt_variances",
     "BoundReport",
     "upsilon_bound",
-    "write_oracle_csv",
-    "write_oracle_summary_csv",
 ]
 
 _BYTE_BUDGET = 256 * 2**20
@@ -396,21 +393,3 @@ def upsilon_bound(triple, twist: TwistFunction, window, ts, n_particles: int) ->
         per_t=per_t,
     )
 
-
-def write_oracle_csv(report: OracleReport, path) -> None:
-    """Columns: ``n, V_tilde, log_V_over_n``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "V_tilde", "log_V_over_n"])
-        for i, p in enumerate(report.n):
-            ratio = report.log_v[i] / p if p > 0 else 0.0
-            w.writerow([int(p), repr(float(np.exp(report.log_v[i]))), repr(float(ratio))])
-
-
-def write_oracle_summary_csv(path, slope: SlopeFit, bound: float | None) -> None:
-    """Columns: ``slope, slope_stderr, bound``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slope", "slope_stderr", "bound"])
-        w.writerow([repr(float(slope.slope)), repr(float(slope.stderr)),
-                    "" if bound is None else repr(float(bound))])

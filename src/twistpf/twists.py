@@ -54,7 +54,6 @@ __all__ = [
     "EigenTwist",
     "eigen_triple",
     "ConvergenceError",
-    "with_log_offset",
     "make_twist",
 ]
 
@@ -538,37 +537,6 @@ class EigenTwist(TwistFunction):
         cdf /= cdf[-1]
         cdf[-1] = 1.0
         return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
-
-
-class _OffsetTwist(TwistFunction):
-    def __init__(self, base: TwistFunction, offset: float):
-        self.base = base
-        self.offset = float(offset)
-        self.lookahead = base.lookahead
-
-    def log_psi(self, window, t, x):
-        return self.base.log_psi(window, t, x) + self.offset
-
-    def log_q_psi(self, window, t, x):
-        return self.base.log_q_psi(window, t, x) + self.offset
-
-    def noise(self, gen, size):
-        return self.base.noise(gen, size)
-
-    def twisted_mutate(self, window, t, x, noise):
-        return self.base.twisted_mutate(window, t, x, noise)
-
-    def log_mu0_psi(self, window):
-        return self.base.log_mu0_psi(window) + self.offset
-
-    def sample_twisted_initial(self, window, size, gen):
-        return self.base.sample_twisted_initial(window, size, gen)
-
-
-def with_log_offset(twist: TwistFunction, offset: float) -> TwistFunction:
-    """The same twist with ``log_psi`` shifted by a constant (for testing
-    that consumers are invariant to the constant)."""
-    return _OffsetTwist(twist, offset)
 
 
 def make_twist(params, spec: dict, window=None, model=None) -> TwistFunction:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twistpf.filters import apf_run, bootstrap_run, sis_run, twisted_run, write_runtrace_csv
+from twistpf.filters import apf_run, bootstrap_run, replicate_blocks, sis_run, twisted_run
+from twistpf.harness import run_single
 from twistpf.models import FiniteHMMParams, finite_forward, simulate
 from twistpf.oracle import build_bold_kernels
 from twistpf.twists import (
@@ -11,7 +12,6 @@ from twistpf.twists import (
     FiniteLagTwist,
     eigen_triple,
     make_twist,
-    with_log_offset,
 )
 
 
@@ -21,6 +21,23 @@ def finite_params():
         trans=np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]),
         emit=np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]),
     )
+
+
+class OffsetLagTwist(FiniteLagTwist):
+    """A lag twist with log psi shifted by a constant."""
+
+    def __init__(self, params, ell, offset):
+        super().__init__(params, ell)
+        self.offset = offset
+
+    def log_psi(self, window, t, x):
+        return super().log_psi(window, t, x) + self.offset
+
+    def log_q_psi(self, window, t, x):
+        return super().log_q_psi(window, t, x) + self.offset
+
+    def log_mu0_psi(self, window):
+        return super().log_mu0_psi(window) + self.offset
 
 
 def flat_emission_params():
@@ -69,10 +86,10 @@ def test_bootstrap_unbiased_for_marginal_likelihood():
     _, w = simulate(params, 12, seed=1)
     exact = finite_forward(params, w, 12).log_z[12]
     reps = 4000
-    ratios = np.empty(reps)
-    for r in range(reps):
-        trace = bootstrap_run(model, w, 12, 32, seed=1, replicate=r, test_functions={})
-        ratios[r] = math.exp(trace.log_z[12] - exact)
+    # the replicate engine: row r of each block is bootstrap_run(..., replicate=r)
+    blocks = replicate_blocks("bootstrap", model, None, w, 12, 32, seed=1,
+                              replicates=range(reps), test_functions={})
+    ratios = np.array([math.exp(v - exact) for b in blocks for v in b.log_z[:, 12].tolist()])
     se = ratios.std(ddof=1) / math.sqrt(reps)
     assert abs(ratios.mean() - 1.0) < 4 * se
 
@@ -105,10 +122,10 @@ def test_twisted_unbiased_for_marginal_likelihood():
     exact = finite_forward(params, w, 10).log_z[10]
     tw = FiniteLagTwist(params, 2)
     reps = 3000
-    ratios = np.empty(reps)
-    for r in range(reps):
-        trace = twisted_run(model, tw, w, 10, 8, seed=2, replicate=r, test_functions={})
-        ratios[r] = math.exp(trace.log_z[10] - exact)
+    # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+    blocks = replicate_blocks("twisted", model, tw, w, 10, 8, seed=2,
+                              replicates=range(reps), test_functions={})
+    ratios = np.array([math.exp(v - exact) for b in blocks for v in b.log_z[:, 10].tolist()])
     se = ratios.std(ddof=1) / math.sqrt(reps)
     assert abs(ratios.mean() - 1.0) < 4 * se
 
@@ -117,9 +134,8 @@ def test_twist_constant_offset_leaves_estimates_unchanged():
     params = finite_params()
     model = params.fk()
     _, w = simulate(params, 15, seed=5)
-    base = FiniteLagTwist(params, 2)
-    t1 = twisted_run(model, base, w, 12, 8, seed=6)
-    t2 = twisted_run(model, with_log_offset(base, 4.2), w, 12, 8, seed=6)
+    t1 = twisted_run(model, FiniteLagTwist(params, 2), w, 12, 8, seed=6)
+    t2 = twisted_run(model, OffsetLagTwist(params, 2, 4.2), w, 12, 8, seed=6)
     assert np.allclose(t1.log_z, t2.log_z, atol=1e-9)
     assert np.allclose(t1.log_phi, t2.log_phi, atol=1e-9)
 
@@ -193,10 +209,10 @@ def test_apf_fully_adapted_unbiased():
     exact = finite_forward(params, w, 10).log_z[10]
     weight = FiniteLagTwist(params, 1)
     reps = 3000
-    ratios = np.empty(reps)
-    for r in range(reps):
-        trace = apf_run(model, weight, w, 10, 16, seed=3, replicate=r, test_functions={})
-        ratios[r] = math.exp(trace.log_z[10] - exact)
+    # the replicate engine: row r of each block is apf_run(..., replicate=r)
+    blocks = replicate_blocks("apf", model, weight, w, 10, 16, seed=3,
+                              replicates=range(reps), test_functions={})
+    ratios = np.array([math.exp(v - exact) for b in blocks for v in b.log_z[:, 10].tolist()])
     se = ratios.std(ddof=1) / math.sqrt(reps)
     assert abs(ratios.mean() - 1.0) < 4 * se
 
@@ -273,13 +289,14 @@ def test_window_too_short_raises_lookahead_error():
 
 
 def test_runtrace_csv_layout(tmp_path):
+    # the run trace CSV is written by the harness's single-run experiment
     params = finite_params()
-    model = params.fk()
-    _, w = simulate(params, 5, seed=17)
-    trace = bootstrap_run(model, w, 5, 16, seed=15)
-    out = tmp_path / "trace.csv"
-    write_runtrace_csv(trace, out)
-    lines = out.read_text().strip().split("\n")
+    cfg = {"model": {"kind": "finite", "mu0": params.mu0.tolist(),
+                     "trans": params.trans.tolist(), "emit": params.emit.tolist()},
+           "filter": "bootstrap", "steps": 5, "particles": 16, "seed": 15}
+    res = run_single(cfg, str(tmp_path))
+    trace = res.extra["trace"]
+    lines = open(res.csv_path).read().strip().split("\n")
     names = sorted(trace.eta)
     assert lines[0] == ",".join(
         ["n", "log_Z", "log_phi"]
@@ -289,3 +306,9 @@ def test_runtrace_csv_layout(tmp_path):
     assert len(lines) == 7
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+    for p, line in enumerate(lines[1:]):
+        row = line.split(",")
+        want = [trace.log_z[p], trace.log_phi[p], *(trace.eta[n][p] for n in names),
+                *(trace.gamma(n)[p] for n in names)]
+        assert int(row[0]) == p
+        assert [float(v) for v in row[1:]] == [float(v) for v in want]

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from twistpf.fkcore import (
-    ARGaussianFK,
-    DistributionVector,
-    FiniteFK,
-    phi_map,
-    q_apply,
-    q_apply_log,
-)
+from twistpf.fkcore import ARGaussianFK, FiniteFK, q_apply_log
 from twistpf.rng import INIT, MUTATE, RngStream
 from twistpf.windows import ObservationWindow
+
+
+def q_apply(model, window, t, phi):
+    """The linear-scale operator ``G_t * (M_t @ phi)`` through ``q_apply_log``."""
+    with np.errstate(divide="ignore"):
+        return np.exp(q_apply_log(model, window, t, np.log(phi)))
 
 
 def two_state_model():
@@ -69,7 +68,7 @@ def test_q_apply_log_consistent_with_linear():
     model = two_state_model()
     w = ObservationWindow(0, np.array([1, 0]))
     phi = np.array([0.3, 1.7])
-    lin = q_apply(model, w, 1, phi)
+    lin = model.emit[:, 0] * (model.trans @ phi)
     logv = q_apply_log(model, w, 1, np.log(phi))
     assert np.allclose(np.exp(logv), lin, rtol=1e-13)
 
@@ -83,40 +82,6 @@ def test_q_apply_log_underflow_safe():
     # shifting log phi by a constant shifts the output by the same constant
     out2 = q_apply_log(model, w, 0, log_phi + 1500.0)
     assert np.allclose(out2, out + 1500.0, atol=1e-9)
-
-
-def test_phi_map_finite_matches_direct_bayes():
-    model = two_state_model()
-    w = ObservationWindow(0, np.array([1]))
-    dist = DistributionVector.finite([0.25, 0.75])
-    nxt, log_norm = phi_map(model, w, 0, dist)
-    g = model.emit[:, 1]
-    weighted = np.array([0.25, 0.75]) * g
-    expect_norm = weighted.sum()
-    expect = (weighted / expect_norm) @ model.trans
-    assert np.allclose(nxt.probs, expect, rtol=1e-14)
-    assert np.isclose(log_norm, np.log(expect_norm), rtol=1e-14)
-
-
-def test_phi_map_gaussian_matches_kalman_algebra():
-    class LG(ARGaussianFK):
-        r_obs = 1.5
-
-        def log_g(self, window, t, x):
-            y = window.y(t)
-            return -0.5 * (np.log(2 * np.pi * self.r_obs) + (y - x) ** 2 / self.r_obs)
-
-    model = LG(a=0.8, q=0.5, mu0_mean=0.0, mu0_var=1.0)
-    w = ObservationWindow(0, np.array([0.7]))
-    dist = DistributionVector.gaussian(0.2, 2.0)
-    nxt, log_norm = phi_map(model, w, 0, dist)
-    s = 2.0 + 1.5
-    assert np.isclose(log_norm, -0.5 * (np.log(2 * np.pi * s) + (0.7 - 0.2) ** 2 / s))
-    gain = 2.0 / s
-    m_post = 0.2 + gain * (0.7 - 0.2)
-    v_post = 2.0 * (1 - gain)
-    assert np.isclose(nxt.mean, 0.8 * m_post)
-    assert np.isclose(nxt.var, 0.64 * v_post + 0.5)
 
 
 def test_finite_samplers_match_law():
@@ -142,11 +107,3 @@ def test_ar_mutation_moments():
     assert abs(nxt.mean() - 1.8) < 0.005
     assert abs(nxt.var() - 0.25) < 0.005
 
-
-def test_distribution_vector_validation():
-    with pytest.raises(ValueError):
-        DistributionVector.finite([0.5, 0.6])
-    with pytest.raises(ValueError):
-        DistributionVector.finite([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        DistributionVector.gaussian(0.0, 0.0)

@@ -20,6 +20,7 @@ from twistpf.harness import (
     run_unbiasedness,
     run_variance_growth,
 )
+from twistpf.models import simulate
 from twistpf.twists import ConvergenceError
 
 
@@ -134,11 +135,55 @@ def test_shipped_and_written_configs_still_load(tmp_path):
         load_config(json.load(open(res.manifest_path))["config"])
 
 
-@pytest.mark.parametrize("run", [run_clt_check, run_unbiasedness])
+@pytest.mark.parametrize("run", [run_clt_check, run_unbiasedness],
+                         ids=["run_clt_check", "run_unbiasedness"])
 def test_spread_studies_need_two_replicates(tmp_path, run):
     cfg = finite_cfg(filter="twisted", steps=3, N_grid=[8], replicates=1)
     with pytest.raises(ConfigError, match="'replicates' must be >= 2"):
         run(cfg, str(tmp_path))
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (finite_cfg(twist={"kind": "lagg"}), "'twist.kind'"),
+    (finite_cfg(twist={"kind": "lag", "ell": "abc"}), "'twist.ell'"),
+    (finite_cfg(steps="x"), "'steps'"),
+    (finite_cfg(twist={"kind": "lag", "ell": -1}), "'twist.ell' must be >= 0"),
+    (finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1}, ell_grid=3), "'ell_grid'"),
+    ([1, 2], "JSON object"),
+    (finite_cfg(particles=2.7), "'particles'"),
+    (finite_cfg(twist={"kind": "lag", "ell": True}), "'twist.ell'"),
+    (finite_cfg(name="../evil"), "'name'"),
+    (finite_cfg(model={"kind": "lg", "a": "0.9", "q": 1.0, "r_obs": 1.0}), "'model.a'"),
+], ids=["twist-kind", "ell-str", "steps-str", "ell-negative", "ell-grid-int", "json-list",
+        "particles-float", "ell-bool", "name-path", "model-str"])
+def test_config_value_types_fail_naming_the_field(tmp_path, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=field):
+        load_config(path)
+    out = tmp_path / "out" / "deep"
+    assert main(["variance-growth", "--config", str(path), "--out", str(out)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_runner_draws_one_window_and_one_eigen_triple(tmp_path, monkeypatch):
+    calls = {"draw_window": 0, "eigen_triple": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    run_variance_growth(finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1},
+                                   ell_grid=[0, 1]), str(tmp_path))
+    run_unbiasedness(finite_cfg(filter="sis"), str(tmp_path))
+    assert calls == {"draw_window": 2, "eigen_triple": 0}
+    run_clt_check(finite_cfg(filter="twisted", twist={"kind": "exact_h"}, steps=3,
+                             N_grid=[8, 16]), str(tmp_path))
+    run_bound(finite_cfg(filter="twisted", twist={"kind": "exact_h"}, steps=4), str(tmp_path))
+    assert calls == {"draw_window": 4, "eigen_triple": 2}
 
 
 def test_load_config_from_json_file(tmp_path):
@@ -292,6 +337,32 @@ def test_manifest_reproduces_run(tmp_path):
     assert open(first.csv_path, "rb").read() == open(again.csv_path, "rb").read()
 
 
+LAG1 = {"filter": "twisted", "twist": {"kind": "lag", "ell": 1}}
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_variance_growth, finite_cfg(filter="sis", replicates=20)),
+    (run_variance_growth, finite_cfg(filter="apf", twist={"kind": "lag", "ell": 1})),
+    (run_single, finite_cfg(**LAG1)),
+    (run_simulate, finite_cfg()),
+    (run_bound, finite_cfg(steps=5, **LAG1)),
+    (run_clt_check, finite_cfg(steps=3, N_grid=[8], **LAG1)),
+    (run_unbiasedness, finite_cfg()),
+    (run_oracle_check, finite_cfg(steps=5, **LAG1)),
+], ids=["sis", "apf", "run", "simulate", "bound", "clt-check", "unbiasedness", "oracle-check"])
+def test_manifest_reproduces_every_experiment(tmp_path, run, cfg):
+    first = run(cfg, str(tmp_path / "a"))
+    manifest = json.load(open(first.manifest_path))
+    again = run_from_manifest(first.manifest_path, str(tmp_path / "b"))
+    assert os.path.basename(again.manifest_path) == os.path.basename(first.manifest_path)
+    names = manifest["artifacts"] + [os.path.basename(first.manifest_path)]
+    if run is run_oracle_check:
+        assert manifest["artifacts"] == ["oracle_check.csv", "oracle_check_summary.csv"]
+    for name in names:
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_lg_model_and_exact_reference(tmp_path):
     cfg = {
         "model": {"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0},
@@ -375,6 +446,9 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     # missing required pieces -> 2
     assert main(["run", "--out", str(tmp_path / "y")]) == 2
+    # a bad override -> 2
+    assert main(["run", "--model", "finite", "--steps", "3", "--lag", "-1",
+                 "--out", str(tmp_path / "z")]) == 2
 
 
 def test_cli_overrides_take_effect(tmp_path):

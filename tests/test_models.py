@@ -11,8 +11,8 @@ from twistpf.models import (
     finite_forward,
     kalman_run,
     simulate,
-    write_path_csv,
 )
+from twistpf.harness import run_simulate
 from twistpf.windows import ObservationWindow
 
 
@@ -159,11 +159,14 @@ def test_simulate_sv_observation_scale():
 
 
 def test_write_path_csv_round_trip(tmp_path):
+    # the path CSV is written by the harness's simulate experiment
     params = small_finite()
+    cfg = {"model": {"kind": "finite", "mu0": params.mu0.tolist(),
+                     "trans": params.trans.tolist(), "emit": params.emit.tolist()},
+           "steps": 6, "seed": 4}
+    res = run_simulate(cfg, str(tmp_path))
     x, w = simulate(params, 6, seed=4)
-    out = tmp_path / "path.csv"
-    write_path_csv(out, x, w)
-    lines = out.read_text().strip().split("\n")
+    lines = open(res.csv_path).read().strip().split("\n")
     assert lines[0] == "t,x,y"
     assert len(lines) == 7
     for t, line in enumerate(lines[1:]):

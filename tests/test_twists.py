@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from twistpf.fkcore import q_apply
 from twistpf.models import (
     FiniteHMMParams,
     LinearGaussianParams,
@@ -21,7 +20,6 @@ from twistpf.twists import (
     StochasticVolatilityTwist,
     eigen_triple,
     make_twist,
-    with_log_offset,
 )
 
 
@@ -78,7 +76,7 @@ def test_finite_lag_matches_operator_chain():
         for t in range(4):
             vec = np.ones(3)
             for s in range(t + ell - 1, t - 1, -1):
-                vec = q_apply(fk, w, s, vec)
+                vec = np.exp(fk.log_g_grid(w, s)) * (fk.trans @ vec)
             want = centered(np.log(vec)) if ell else np.zeros(3)
             got = centered(tw.log_psi(w, t, np.arange(3)))
             assert np.allclose(got, want, atol=1e-12)
@@ -302,25 +300,6 @@ def test_lag_twist_approaches_eigenfunction():
         gaps.append(worst)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[4] < 0.05 * gaps[0]
-
-
-def test_with_log_offset_shifts_only_logs():
-    params = finite_params()
-    _, w = simulate(params, 10, seed=17)
-    base = FiniteLagTwist(params, 2)
-    off = with_log_offset(base, 3.7)
-    grid = np.arange(3)
-    assert np.allclose(
-        off.log_psi(w, 1, grid), base.log_psi(w, 1, grid) + 3.7, atol=1e-15
-    )
-    assert np.allclose(
-        off.log_q_psi(w, 1, grid), base.log_q_psi(w, 1, grid) + 3.7, atol=1e-15
-    )
-    assert math.isclose(off.log_mu0_psi(w), base.log_mu0_psi(w) + 3.7, rel_tol=1e-15)
-    g1, g2 = np.random.default_rng(3), np.random.default_rng(3)
-    a = base.sample_twisted_mutation(w, 1, np.array([0, 1, 2]), g1)
-    b = off.sample_twisted_mutation(w, 1, np.array([0, 1, 2]), g2)
-    assert np.array_equal(a, b)
 
 
 def test_sv_twist_is_bounded_and_positive():
