@@ -14,7 +14,9 @@ Bootstrap, twisted and auxiliary runs share one step loop over a block of
 replicates, an ``(R, N)`` cloud (:func:`replicate_blocks`): all array work runs
 once per step for the block, and only the draws are made per replicate, the
 same calls in the same order as a run on its own, so no trace depends on its
-block. Test functions must act elementwise.
+block. A twisted block may run a grid of twists of one class, ``(L * R, N)``
+clouds: each replicate's draws are made once and shared by its ``L`` rows.
+Test functions must act elementwise.
 
 The twisted run follows the product-space construction: at each step one
 uniformly chosen slot is replaced by a draw whose ancestor is selected
@@ -59,7 +61,8 @@ class RunTrace:
     registered test function. ``gamma(name)`` returns the unnormalized-measure
     estimate ``eta * exp(log_z)``; for long horizons read it in log domain
     instead (it underflows deliberately rather than silently rescaling).
-    The traces of :func:`replicate_blocks` carry a leading replicate axis.
+    The traces of :func:`replicate_blocks` carry a leading row axis, one row
+    per replicate (per twist and replicate for a grid of twists).
     """
 
     n_steps: int
@@ -118,33 +121,59 @@ def _step_draws(stream, p: int, n: int, proposal, twist):
     return draws
 
 
+def _grid(kind, twist) -> list:
+    """The twists of a block: a list as given, else ``[twist]``. More than one
+    only for a twisted run and of one class, since the rows of a replicate
+    share its TWIST draws, the class's ``noise`` among them."""
+    grid = list(twist) if isinstance(twist, (list, tuple)) else [twist]
+    if len(grid) > 1:
+        if kind != "twisted":
+            raise ValueError(f"a grid of twists needs filter kind 'twisted', got {kind!r}")
+        if len({type(tw) for tw in grid}) > 1:
+            raise ValueError("the twists of a grid must be of one class, got "
+                             + ", ".join(sorted({type(tw).__name__ for tw in grid})))
+    return grid
+
+
 def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicates,
                test_functions, initial) -> RunTrace:
     """The step loop for one block of replicates; every array of the returned
-    trace has a leading replicate axis."""
+    trace has a leading row axis. ``twist`` may be a grid (see :func:`_grid`)
+    of ``L`` twists: row ``l * R + r`` is twist ``l`` on replicate ``r``."""
     if kind not in _KINDS:
         raise ValueError(f"filter kind must be one of {_KINDS}, got {kind!r}")
     twisted, auxiliary = kind == "twisted", kind == "apf"
+    grid = _grid(kind, twist)
     if kind == "bootstrap":
-        twist = ConstantTwist(model)
+        grid = [ConstantTwist(model)]
+    twist = grid[0]
     if n_steps > 0 or not twisted:
-        window.require(0, n_steps - 1 + twist.lookahead, context=f"{kind}_run")
+        window.require(0, n_steps - 1 + max(tw.lookahead for tw in grid), context=f"{kind}_run")
     tf = default_test_functions(model) if test_functions is None else test_functions
     streams = [RngStream(seed, r).session() for r in replicates]
-    n_rep, n = len(streams), n_particles
+    n_grid, n = len(grid), n_particles
+    n_rows = n_grid * len(streams)
+    spans = [slice(i * len(streams), (i + 1) * len(streams)) for i in range(n_grid)]
+
+    def each(method, t, *arrays):
+        # a twist method of every twist of the grid on its own rows
+        parts = [getattr(tw, method)(window, t, *(a[span] for a in arrays))
+                 for tw, span in zip(grid, spans)]
+        return parts[0] if n_grid == 1 else np.concatenate(parts)
+
     # the cloud starts from mu0 and moves by M_t, both reweighted by psi in an
     # auxiliary run (psi = 1 is the model's own law, draw for draw)
     proposal = twist if auxiliary else ConstantTwist(model)
     if initial is not None:
-        pos = np.tile(np.array(initial), (n_rep, 1))
+        pos = np.tile(np.array(initial), (n_rows, 1))
     else:
         pos = np.array([proposal.sample_twisted_initial(window, n, s.generator(0, INIT))
-                        for s in streams])
+                        for s in streams] * n_grid)
     aux = {} if auxiliary else {"initial_positions": pos}
     # per-step log increments of the weights and of the estimator proper
-    inc_w, inc = np.zeros((2, n_rep, n_steps + 1))
-    eta = {name: np.zeros((n_rep, n_steps + 1)) for name in tf}
-    est = {name: np.zeros((n_rep, n_steps + 1)) for name in tf}
+    inc_w, inc = np.zeros((2, n_rows, n_steps + 1))
+    eta = {name: np.zeros((n_rows, n_steps + 1)) for name in tf}
+    est = {name: np.zeros((n_rows, n_steps + 1)) for name in tf}
 
     def record(p, pos, lr):
         # eta, and in an auxiliary run the 1/psi-weighted estimates
@@ -157,21 +186,21 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
 
     lr = twist.log_psi(window, 0, pos) if auxiliary else None
     record(0, pos, lr)
-    rows = np.arange(n_rep)[:, None]
+    rows = np.arange(n_rows)[:, None]
     for p in range(1, n_steps + 1):
         t = p - 1
         lw = twist.log_q_psi(window, t, pos) - lr if auxiliary else model.log_g(window, t, pos)
         inc_w[:, p] = _logmeanexp(lw)
         draws = [_step_draws(s, p, n, proposal, twist if twisted else None) for s in streams]
-        u, noise, *slot_draws = (np.array(c) for c in zip(*draws))
+        u, noise, *slot_draws = (np.array(c * n_grid) for c in zip(*draws))
         new = proposal.twisted_mutate(window, t, pos[rows, resample_rows(lw, u)], noise)
         if twisted:
             # per cloud: a slot, its ancestor drawn by Q_t(psi_{t+1}), a twisted move
             slots, u_anc, z_move = slot_draws
-            lq = twist.log_q_psi(window, t, pos)
+            lq = each("log_q_psi", t, pos)
             parent = pos[rows, resample_rows(lq, u_anc)]
-            new[rows, slots[:, None]] = twist.twisted_mutate(window, t, parent, z_move)
-            inc[:, p] = _logmeanexp(lq) - _logmeanexp(twist.log_psi(window, p, new))
+            new[rows, slots[:, None]] = each("twisted_mutate", t, parent, z_move)
+            inc[:, p] = _logmeanexp(lq) - _logmeanexp(each("log_psi", p, new))
         elif auxiliary:
             lr = twist.log_psi(window, p, new)
             inc[:, p] = _logmeanexp(-lr)  # the terminal correction, at every p
@@ -179,7 +208,7 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
         record(p, pos, lr)
     aux["final_positions"] = pos
     log_z = log_w = np.cumsum(inc_w, axis=1)
-    log_phi = inc - inc_w if twisted else np.zeros((n_rep, n_steps + 1))
+    log_phi = inc - inc_w if twisted else np.zeros((n_rows, n_steps + 1))
     if twisted:
         log_z = np.cumsum(inc, axis=1)
         aux["log_z_standard"] = log_w
@@ -199,9 +228,16 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
     axis on every array; row ``i`` equals the run of ``replicates[i]`` bit for
     bit. ``kind`` is ``bootstrap``, ``twisted`` or ``apf``; ``twist`` (the
     twist or the auxiliary weight) is ignored by ``bootstrap``; ``initial``
-    (bootstrap and twisted runs) starts every replicate from the same cloud."""
+    (bootstrap and twisted runs) starts every replicate from the same cloud.
+
+    For ``twisted``, ``twist`` may be a list of ``L`` twists of one class, a
+    grid: a block then holds ``BLOCK_ELEMENTS // (L * n_particles)`` (at
+    least one) replicates, twist-major, and its row ``l * R + i`` equals the
+    run of twist ``l`` on the block's ``i``-th replicate bit for bit. Each
+    replicate's draws are made once and shared by its ``L`` rows."""
     reps = list(replicates)
-    size = max(1, BLOCK_ELEMENTS // n_particles)
+    n_grid = len(_grid(kind, twist))
+    size = max(1, BLOCK_ELEMENTS // (n_grid * n_particles))
     for lo in range(0, len(reps), size):
         yield _run_block(kind, model, twist, window, n_steps, n_particles, seed,
                          reps[lo : lo + size], test_functions, initial)

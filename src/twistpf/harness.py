@@ -75,6 +75,14 @@ def _build_twist(config: ExperimentConfig, window, spec: dict, filter_kind="twis
     return make_twist(config.params, spec, window=window)
 
 
+def _lag_grid(config: ExperimentConfig):
+    """The ``ell_grid`` of a twisted run with a lag twist, else None: the lags
+    variance-growth runs in place of the twist's own."""
+    if config.filter_kind == "twisted" and config.twist_spec["kind"] in ("lag", "sv_approx"):
+        return config.raw.get("ell_grid")
+    return None
+
+
 def _growth_bound(config: ExperimentConfig, window, twist):
     """Twist discrepancy and growth-rate bound over ``t = 1 .. steps``."""
     triple = (twist.triple if isinstance(twist, EigenTwist)
@@ -89,64 +97,71 @@ _CTX = None
 
 
 def _run_span(ctx, lo: int, hi: int):
-    """log_z rows and eta-at-n columns of replicates ``lo .. hi - 1``; each
-    block's clouds are dropped as soon as its rows are taken."""
-    config, window, filter_kind, twist, particles, test_functions = ctx
-    log_z, eta_n = [], {}
+    """Per twist of the grid, the log_z rows and eta-at-n columns of
+    replicates ``lo .. hi - 1``; each block's clouds are dropped as soon as its
+    rows are taken."""
+    config, window, filter_kind, twists, particles, test_functions = ctx
+    log_z, eta_n = [[] for _ in twists], [{} for _ in twists]
     for block in replicate_blocks(
-        filter_kind, config.params.fk(), twist, window, config.steps, particles,
+        filter_kind, config.params.fk(), twists, window, config.steps, particles,
         config.seed, range(lo, hi), test_functions,
     ):
-        log_z.append(block.log_z)
-        for name, arr in block.eta.items():
-            eta_n.setdefault(name, []).append(arr[:, config.steps])
-    return np.concatenate(log_z), {name: np.concatenate(v) for name, v in eta_n.items()}
+        size = len(block.log_z) // len(twists)  # the rows are twist-major
+        for i in range(len(twists)):
+            rows = slice(i * size, (i + 1) * size)
+            log_z[i].append(block.log_z[rows])
+            for name, arr in block.eta.items():
+                eta_n[i].setdefault(name, []).append(arr[rows, config.steps])
+    return [(np.concatenate(z), {name: np.concatenate(v) for name, v in e.items()})
+            for z, e in zip(log_z, eta_n)]
 
 
 def _worker_init(payload_json: str):
     global _CTX
     p = json.loads(payload_json)
     config, window = _setup(p["config"])
-    twist = _build_twist(config, window, p["twist"], p["filter"])
-    _CTX = (config, window, p["filter"], twist, p["particles"], None if p["eta"] else {})
+    twists = [_build_twist(config, window, spec, p["filter"]) for spec in p["twists"]]
+    _CTX = (config, window, p["filter"], twists, p["particles"], None if p["eta"] else {})
 
 
 def _worker_run(span):
     return _run_span(_CTX, *span)
 
 
-def _replicates(config: ExperimentConfig, window, filter_kind: str, spec=None, twist=None,
+def _replicates(config: ExperimentConfig, window, filter_kind: str, specs=None, twists=None,
                 particles=None, eta=False):
-    """log_z matrix (R, steps+1) and, with ``eta``, the eta-at-n dict of (R,)
-    arrays of ``config.replicates`` replicates of one filter, in replicate order.
+    """Per twist spec of ``specs`` (default: the config's twist), the log_z
+    matrix (R, steps+1) and, with ``eta``, the eta-at-n dict of (R,) arrays of
+    ``config.replicates`` replicates of one filter, in replicate order.
 
-    A serial run uses ``twist`` when the caller has built it. Each pool worker
-    rebuilds window and twist from the resolved config and runs a contiguous
-    span of replicates; no span or worker count changes a byte of the result.
+    The specs run as one grid: one engine pass, whose rows share each
+    replicate's draws. A serial run uses ``twists`` when the caller has built
+    them. Each pool worker rebuilds window and twists from the resolved config
+    and runs a contiguous span of replicates; no span or worker count changes
+    a byte of the result.
     """
-    spec = config.twist_spec if spec is None else spec
+    specs = [config.twist_spec] if specs is None else specs
     particles = config.particles if particles is None else particles
     replicates, workers = config.replicates, config.workers
-    if twist is None and (filter_kind == "sis" or workers <= 1):
-        twist = _build_twist(config, window, spec, filter_kind)
+    if twists is None and (filter_kind == "sis" or workers <= 1):
+        twists = [_build_twist(config, window, spec, filter_kind) for spec in specs]
     if filter_kind == "sis":
-        trace = sis_run(config.params.fk(), window, config.steps, replicates, config.seed,
-                        proposal=twist)
-        return trace.aux["chain_log_weights"].T, {}
+        return [(sis_run(config.params.fk(), window, config.steps, replicates, config.seed,
+                         proposal=twist).aux["chain_log_weights"].T, {}) for twist in twists]
     if workers <= 1:
-        return _run_span((config, window, filter_kind, twist, particles, None if eta else {}),
+        return _run_span((config, window, filter_kind, twists, particles, None if eta else {}),
                          0, replicates)
-    payload = json.dumps({"config": config.raw, "filter": filter_kind, "twist": spec,
+    payload = json.dumps({"config": config.raw, "filter": filter_kind, "twists": specs,
                           "particles": particles, "eta": eta})
     size = -(-replicates // workers)
     spans = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_worker_init, initargs=(payload,)) as pool:
         results = list(pool.map(_worker_run, spans))
-    log_z = np.concatenate([res[0] for res in results])
-    eta_n = {name: np.concatenate([res[1][name] for res in results])
-             for name in sorted(results[0][1])}
-    return log_z, eta_n
+    return [(np.concatenate([res[i][0] for res in results]),
+             {name: np.concatenate([res[i][1][name] for res in results])
+              for name in sorted(results[0][i][1])})
+            for i in range(len(specs))]
 
 
 def _logmeanexp_rows(mat: np.ndarray) -> np.ndarray:
@@ -234,6 +249,11 @@ def _setup(source, experiment: Experiment | None = None):
     if config.window_length < need:
         raise ConfigError(f"config field 'window.length' = {config.window_length} is too short: "
                           f"steps + lookahead needs at least {need} observations")
+    grid = _lag_grid(config)
+    if grid and config.window_length < config.steps + 1 + max(grid):
+        raise ConfigError(f"config field 'ell_grid' = {grid} outruns the window: lag {max(grid)} "
+                          f"needs window.length >= {config.steps + 1 + max(grid)}, "
+                          f"got {config.window_length}")
     return config, draw_window(config.params, config.window_length, config.burn_in, config.seed)
 
 
@@ -302,11 +322,9 @@ def _variance_growth(config: ExperimentConfig, window) -> _Output:
     """V_hat_n = mean(Z_hat_n^2) / Z_n^2 per horizon n and lag; without an exact
     Z_n (stochastic volatility) the mean estimate pooled over the lags stands in."""
     spec = config.twist_spec
-    ells = [spec["ell"]]
-    if config.filter_kind == "twisted" and spec["kind"] in ("lag", "sv_approx"):
-        ells = config.raw.get("ell_grid", ells)
-    log_zs = [_replicates(config, window, config.filter_kind, dict(spec, ell=e))[0]
-              for e in ells]
+    ells = _lag_grid(config) or [spec["ell"]]
+    log_zs = [log_z for log_z, _ in
+              _replicates(config, window, config.filter_kind, [dict(spec, ell=e) for e in ells])]
     log_ref = _exact_log_z(config, window)
     if log_ref is None:
         log_ref = _logmeanexp_rows(np.concatenate(log_zs, axis=0))
@@ -338,8 +356,8 @@ def _clt_check(config: ExperimentConfig, window) -> _Output:
     log_z = float(fwd.log_z[n])
     rows = []
     for n_particles in config.raw.get("N_grid", [config.particles]):
-        log_z_mat, eta_n = _replicates(config, window, config.filter_kind, twist=twist,
-                                       particles=n_particles, eta=True)
+        ((log_z_mat, eta_n),) = _replicates(config, window, config.filter_kind, twists=[twist],
+                                            particles=n_particles, eta=True)
         rel_z = np.exp(log_z_mat[:, n] - log_z)
         for name, vec in phi_vecs.items():
             eta_exact = float(fwd.pred[n] @ vec)
@@ -358,12 +376,14 @@ def _unbiasedness(config: ExperimentConfig, window) -> _Output:
     """Replicate-mean of Z_hat_n against the exact Z_n, or against a bootstrap
     companion (stochastic volatility), with a 4-standard-error verdict."""
     n = config.steps
-    log_z_col = _replicates(config, window, config.filter_kind)[0][:, n]
+    ((log_z, _),) = _replicates(config, window, config.filter_kind)
+    log_z_col = log_z[:, n]
     exact = _exact_log_z(config, window)
     if exact is not None:
         mean, se = _mean_ratio_stats(log_z_col, float(exact[n]))
     else:
-        ref = _replicates(config, window, "bootstrap")[0][:, n]
+        ((ref, _),) = _replicates(config, window, "bootstrap")
+        ref = ref[:, n]
         anchor = float(_logmeanexp_rows(ref[:, None])[0])
         mean_a, se_a = _mean_ratio_stats(log_z_col, anchor)
         mean_b, se_b = _mean_ratio_stats(ref, anchor)

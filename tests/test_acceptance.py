@@ -301,35 +301,56 @@ def test_criterion_07_growth_rate_bound():
     verdict(7, ok, "; ".join(notes))
 
 
+def _criterion_08_window():
+    params = LinearGaussianParams(a=0.9, q=1.0, r_obs=1.0)
+    _, w0 = simulate(params, 140, seed=12)
+    return params, w0.shift(20)
+
+
+def test_criterion_08_lag_zero_twist_is_the_constant_twist():
+    # with q = 1 the lag-0 twist's moves are the model's own, bit for bit, so
+    # criterion 8 may run lag 0 in the same one-class grid as the other lags
+    params, w = _criterion_08_window()
+    model = params.fk()
+    runs = [list(replicate_blocks("twisted", model, twist, w, 100, 100, seed=12,
+                                  replicates=range(200)))
+            for twist in (ConstantTwist(model), LinearGaussianLagTwist(params, 0))]
+    assert sum(len(block.log_z) for block in runs[0]) == 200
+    for const, lag0 in zip(*runs):
+        assert set(const.eta) == set(lag0.eta) and set(const.aux) == set(lag0.aux)
+        for a, b in ((const.log_z, lag0.log_z), (const.log_phi, lag0.log_phi),
+                     *((const.eta[k], lag0.eta[k]) for k in const.eta),
+                     *((const.aux[k], lag0.aux[k]) for k in const.aux)):
+            assert np.array_equal(a, b)
+
+
 def test_criterion_08_lag_cuts_variance_growth():
     # linear-Gaussian model, 100 steps, 100 particles, 1e4 replicates per
     # lag: the fitted per-step growth (1/n) log V_hat of the relative second
     # moment decreases strictly in the lag over {0, 1, 2, 5}, each drop
     # bigger than 2 pooled s.e., inside a 10 minute budget
     t0 = time.perf_counter()
-    params = LinearGaussianParams(a=0.9, q=1.0, r_obs=1.0)
-    _, w0 = simulate(params, 140, seed=12)
-    w = w0.shift(20)
+    params, w = _criterion_08_window()
     n, n_particles, reps = 100, 100, 10_000
     model = params.fk()
     exact = kalman_run(params, w, n).log_z[n]
+    lags = [0, 1, 2, 5]
+    # the replicate engine, the lags as one grid: row l * R + r of each block
+    # of R replicates is twisted_run(..., replicate=r) under lag l's twist
+    # (lag 0 is the constant twist, see the test above)
+    blocks = replicate_blocks(
+        "twisted", model, [LinearGaussianLagTwist(params, ell) for ell in lags], w, n,
+        n_particles, seed=12, replicates=range(reps), test_functions={},
+    )
+    parts = [np.split(block.log_z[:, n], len(lags)) for block in blocks]
     rates = {}
     ses = {}
-    for ell in (0, 1, 2, 5):
-        twist = (
-            ConstantTwist(model) if ell == 0 else LinearGaussianLagTwist(params, ell)
-        )
-        # the replicate engine: row r of each block is twisted_run(..., replicate=r)
-        blocks = replicate_blocks(
-            "twisted", model, twist, w, n, n_particles, seed=12, replicates=range(reps),
-            test_functions={},
-        )
-        lz = np.concatenate([block.log_z[:, n] for block in blocks])
+    for i, ell in enumerate(lags):
+        lz = np.concatenate([part[i] for part in parts])
         r2 = np.exp(2.0 * (lz - exact))
         v_hat = float(r2.mean())
         rates[ell] = math.log(v_hat) / n
         ses[ell] = float(r2.std(ddof=1) / (v_hat * math.sqrt(reps))) / n
-    lags = [0, 1, 2, 5]
     ok = True
     notes = []
     for a, b in zip(lags, lags[1:]):

@@ -213,6 +213,75 @@ def test_block_size_never_changes_a_row(monkeypatch):
             assert np.array_equal(np.concatenate([b.eta[name] for b in blocks]), whole.eta[name])
 
 
+# ---------------------------------------------------------------------------
+# twist grids: one block, L twists of one class, each replicate's draws shared
+
+
+def _grid_cases():
+    out = []
+    for name, params, w, _ in CASES[:3]:
+        out.append((f"{name}-lag-grid", params, w,
+                    [make_twist(params, {"kind": "sv_approx" if name == "sv" else "lag", "ell": e})
+                     for e in (0, 2, 1, 2)]))
+    return out
+
+
+GRID_CASES = _grid_cases()
+
+
+@pytest.mark.parametrize("case", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+def test_twist_grid_rows_equal_single_twist_runs(case):
+    # row l * R + i of a grid block is twist l on the block's i-th replicate
+    _, params, w, grid = case
+    model = params.fk()
+    n_steps, seed, reps = 12, 8, [0, 5, 2, 7]
+    start = np.asarray(scalar_bootstrap(model, w, 0, 9, seed)[3]["initial_positions"])
+    for n, initial in ((1, None), (9, None), (9, start), (64, None)):
+        (block,) = replicate_blocks("twisted", model, grid, w, n_steps, n, seed, reps,
+                                    initial=initial)
+        assert block.log_z.shape == (len(grid) * len(reps), n_steps + 1)
+        for lag, tw in enumerate(grid):
+            for i, r in enumerate(reps):
+                tr = twisted_run(model, tw, w, n_steps, n, seed, r, initial=initial)
+                assert _same(_row(block, lag * len(reps) + i),
+                             (tr.log_z, tr.log_phi, tr.eta, tr.aux)), (n, lag, r)
+
+
+def test_twist_grid_rows_do_not_depend_on_the_block_budget(monkeypatch):
+    _, params, w, grid = GRID_CASES[1]
+    model = params.fk()
+
+    def by_twist(blocks):
+        # per twist, its rows of every block in replicate order
+        parts = [np.split(b.log_z, len(grid)) for b in blocks]
+        return [np.concatenate([p[lag] for p in parts]) for lag in range(len(grid))]
+
+    whole = list(replicate_blocks("twisted", model, grid, w, 20, 16, 3, range(11)))
+    assert len(whole) == 1
+    for budget in (16, 3 * 4 * 16, 2 * 4 * 16 + 7):
+        monkeypatch.setattr(filters, "BLOCK_ELEMENTS", budget)
+        blocks = list(replicate_blocks("twisted", model, grid, w, 20, 16, 3, range(11)))
+        assert len(blocks) == math.ceil(11 / max(1, budget // (len(grid) * 16)))
+        for got, want in zip(by_twist(blocks), by_twist(whole)):
+            assert np.array_equal(got, want)
+
+
+def test_twist_grid_guards():
+    _, params, w, grid = GRID_CASES[1]
+    model = params.fk()
+    for kind in ("bootstrap", "apf"):
+        with pytest.raises(ValueError, match="'twisted'"):
+            list(replicate_blocks(kind, model, grid, w, 5, 8, 1, range(3)))
+    with pytest.raises(ValueError, match="one class"):
+        list(replicate_blocks("twisted", model, [grid[0], ConstantTwist(model)], w, 5, 8, 1,
+                              range(3)))
+    # a grid of one is a single twist, for every kind
+    for kind in ("bootstrap", "twisted", "apf"):
+        (a,) = replicate_blocks(kind, model, grid[1:2], w, 5, 8, 1, range(3))
+        (b,) = replicate_blocks(kind, model, grid[1], w, 5, 8, 1, range(3))
+        assert _same((a.log_z, a.log_phi, a.eta, a.aux), (b.log_z, b.log_phi, b.eta, b.aux))
+
+
 def _digest(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

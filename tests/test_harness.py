@@ -166,6 +166,24 @@ def test_config_value_types_fail_naming_the_field(tmp_path, cfg, field):
     assert not (tmp_path / "out").exists()
 
 
+def test_ell_grid_beyond_the_window_fails_naming_the_field(tmp_path):
+    # the implicit window is sized by twist.ell; lag 2 of the grid would read
+    # observation 9 of a 9-observation window
+    cfg = {"model": {"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0}, "filter": "twisted",
+           "twist": {"kind": "lag", "ell": 0}, "ell_grid": [0, 2], "steps": 8,
+           "particles": 8, "replicates": 4}
+    assert load_config(cfg).window_length == 9
+    with pytest.raises(ConfigError, match="'ell_grid'"):
+        run_variance_growth(cfg, str(tmp_path / "a"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["variance-growth", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    res = run_variance_growth(dict(cfg, window={"length": 11, "burn_in": 0}), str(out))
+    assert {r[5] for r in read_csv(res.csv_path)[1]} == {"0", "2"}
+
+
 def test_runner_draws_one_window_and_one_eigen_triple(tmp_path, monkeypatch):
     calls = {"draw_window": 0, "eigen_triple": 0}
     for name in calls:
