@@ -58,7 +58,6 @@ from .oracle import (
     CltVariances,
     OracleReport,
     SlopeFit,
-    build_bold_kernels,
     exact_clt_variances,
     exact_moments,
     fit_slope,
@@ -114,7 +113,6 @@ __all__ = [
     "replicate_blocks",
     "run_filter",
     "default_test_functions",
-    "build_bold_kernels",
     "exact_moments",
     "OracleReport",
     "exact_clt_variances",

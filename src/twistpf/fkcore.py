@@ -145,12 +145,13 @@ class ARGaussianFK(FKModel):
 
 def q_apply_log(model: FiniteFK, window, t: int, log_phi) -> np.ndarray:
     """``log Q_t(exp(log_phi))`` on a finite grid, ``log G_t + log(M_t @ phi)``,
-    safe for long compositions."""
+    safe for long compositions. ``log_phi`` may hold several functions as
+    rows, shape (m, k); each row gives the same bits it would on its own."""
     if not isinstance(model, FiniteFK):
         raise TypeError("q_apply_log is exact only for finite-state models")
     log_phi = np.asarray(log_phi, dtype=float)
-    lt = model.log_trans + log_phi[None, :]
-    return model.log_g_grid(window, t) + logsumexp(lt, axis=1)
+    lt = model.log_trans + log_phi[..., None, :]
+    return model.log_g_grid(window, t) + logsumexp(lt, axis=-1)
 
 
 def logsumexp(a, axis: int = -1) -> np.ndarray:

@@ -234,9 +234,10 @@ def _setup(source, experiment: Experiment | None = None):
     if experiment is not None:
         if experiment.finite_only and config.model_kind != "finite":
             raise ConfigError(f"config field 'model.kind' must be 'finite' for {experiment.name}")
-        if experiment.spread and config.replicates < 2:
-            raise ConfigError(f"config field 'replicates' must be >= 2 for {experiment.name}: "
-                              "its spread needs at least two replicates")
+        for field, low, why in experiment.at_least:
+            if getattr(config, field) < low:
+                raise ConfigError(f"config field '{field}' must be >= {low} for "
+                                  f"{experiment.name}: {why}")
         if experiment.eigen_margins and "window" not in cfg:
             # widen an implicit window so the eigenfunction sweeps can converge
             window = eigen_window(config.steps)
@@ -261,9 +262,11 @@ def _setup(source, experiment: Experiment | None = None):
 class Experiment:
     """A registered experiment; calling it with ``(source, out_dir)`` runs it.
 
-    ``body(config, window)`` returns the CSV tables; the flags are its
-    preconditions: finite models only, ``replicates >= 2`` (``spread``), the
-    eigen margins around an implicit window, and whether it needs a window.
+    ``body(config, window)`` returns the CSV tables; the other fields are its
+    preconditions: finite models only, lower bounds on config fields
+    (``at_least``, ``(field, bound, reason)`` triples, checked before any
+    window is drawn), the eigen margins around an implicit window, and
+    whether it needs a window.
     """
 
     name: str
@@ -271,7 +274,7 @@ class Experiment:
     help: str
     body: Callable
     finite_only: bool = False
-    spread: bool = False
+    at_least: tuple = ()
     eigen_margins: bool = False
     windowed: bool = True
 
@@ -434,6 +437,8 @@ def _bound(config: ExperimentConfig, window) -> _Output:
     return _Output({"": (["d_sup", "bound", "N", "twist", "ell"], [row])}, {"bound": rep})
 
 
+_SPREAD = ("replicates", 2, "its spread needs at least two replicates")
+
 run_simulate = Experiment("simulate", "path", "simulate a path and write t,x,y", _simulate,
                           windowed=False)
 run_single = Experiment("run", "runtrace", "one filter run; per-step trace CSV", _single)
@@ -442,16 +447,18 @@ run_variance_growth = Experiment(
     "relative second moment of the normalizer vs horizon", _variance_growth)
 run_clt_check = Experiment(
     "clt-check", "clt_check", "empirical vs exact asymptotic variances (finite models)",
-    _clt_check, finite_only=True, spread=True)
+    _clt_check, finite_only=True, at_least=(_SPREAD,))
 run_unbiasedness = Experiment(
     "unbiasedness", "unbiasedness", "replicate-mean of the normalizer vs the exact value",
-    _unbiasedness, spread=True)
+    _unbiasedness, at_least=(_SPREAD,))
 run_oracle_check = Experiment(
     "oracle-check", "oracle_check", "exact cloud-chain variance growth (finite models)",
-    _oracle_check, finite_only=True, eigen_margins=True)
+    _oracle_check, finite_only=True, eigen_margins=True,
+    at_least=(("steps", 3, "its slope fit needs at least three horizons"),))
 run_bound = Experiment(
     "bound", "bound", "twist discrepancy and growth-rate bound (finite models)", _bound,
-    finite_only=True, eigen_margins=True)
+    finite_only=True, eigen_margins=True,
+    at_least=(("particles", 2, "the bound log(1 + d_sup / (N - 1)) is undefined at N = 1"),))
 
 _EXPERIMENTS = {e.name: e for e in (run_simulate, run_single, run_variance_growth,
                                     run_clt_check, run_unbiasedness, run_oracle_check,

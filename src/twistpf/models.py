@@ -162,19 +162,24 @@ def simulate(params, n: int, seed: int, replicate: int = 0):
     """
     gen = RngStream(seed, replicate).generator(0, SIMULATE)
     if isinstance(params, FiniteHMMParams):
-        x = np.empty(n, dtype=np.int64)
-        y = np.empty(n, dtype=np.int64)
         cdf_mu = np.cumsum(params.mu0)
         cdf_trans = np.cumsum(params.trans, axis=1)
         cdf_emit = np.cumsum(params.emit, axis=1)
         for c in (cdf_mu, cdf_trans.T, cdf_emit.T):
             c[-1] = 1.0
-        state = int(np.searchsorted(cdf_mu, gen.random(), side="right"))
+        # the draws in stream order: the initial state, then per step one for
+        # the emission and one for the transition; every state's outcome of
+        # each draw is looked up at once, and the loop only follows the path
+        u = gen.random(1 + 2 * n)
+        emit = [np.searchsorted(c, u[1::2], side="right").tolist() for c in cdf_emit]
+        move = [np.searchsorted(c, u[2::2], side="right").tolist() for c in cdf_trans]
+        state = int(np.searchsorted(cdf_mu, u[0], side="right"))
+        x, y = [], []
         for t in range(n):
-            x[t] = state
-            y[t] = np.searchsorted(cdf_emit[state], gen.random(), side="right")
-            state = int(np.searchsorted(cdf_trans[state], gen.random(), side="right"))
-        return x, ObservationWindow(0, y)
+            x.append(state)
+            y.append(emit[state][t])
+            state = move[state][t]
+        return np.array(x, dtype=np.int64), ObservationWindow(0, np.array(y, dtype=np.int64))
     if isinstance(params, LinearGaussianParams):
         x = np.empty(n, dtype=float)
         state = params.mu0_mean + np.sqrt(params.init_var) * gen.standard_normal()

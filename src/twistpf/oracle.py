@@ -6,16 +6,22 @@ potential and twist, the uniformly chosen twisted slot) is symmetric in the
 particles. So it lumps exactly onto occupation counts ``c``, ``sum(c) = N``,
 with multinomial transitions ``m_bold(c, c') = N! / prod_j c'_j! * prod_j
 mix(c)_j ** c'_j`` where ``mix(c) = (c * g) @ trans / (c . g)``: C(N + k - 1,
-k - 1) states instead of k^N, e.g. 36 instead of 2187 at k = 3, N = 7. Dense
-kernels there give the exact first and second moments of the estimators, and
-hence variance-growth rates, without sampling; they are the reference the
-sampling algorithms are tested against.
+k - 1) states instead of k^N, e.g. 36 instead of 2187 at k = 3, N = 7. The
+chain gives the exact first and second moments of the estimators, and hence
+variance-growth rates, without sampling; it is the reference the sampling
+algorithms are tested against.
 
-:func:`build_bold_kernels` is the ordered product-space view of the same
-formula (each tuple's counts, unit multiplicity), kept so tests can index
-kernel rows by particle tuple. Both spaces are checked against one byte
-budget, ``_BYTE_BUDGET``, before anything is allocated; past it a
-``ValueError`` names N, k, the state count and the bytes needed.
+No step holds a dense S x S kernel. Under one multinomial(N, mix(c)) step the
+expected cloud twist is ``mix(c) . psi``, and the twisted kernel, its
+importance ratio and the second-moment kernel all collapse onto ``m_bold``:
+``g phi m_tilde = g m_bold`` and ``g^2 phi^2 m_tilde = g^2 (mix . psi) m_bold /
+psi_bold``. So both moment recursions are one ``(2, S) @ m_bold`` product per
+step, built in row chunks of ``exp(log mix @ counts.T + log coef)`` that each
+fit ``_CHUNK_BYTES``. A step costs time in S^2; chains over ``_MAX_STATES``
+states are refused with a ``ValueError`` naming N, k, the state count and the
+bytes a dense kernel would take, before anything is allocated. The ordered
+product-space view of the same kernels (k^N particle tuples) lives only in
+the tests, as the reference the count space is checked against.
 
 Conventions: kernels built at time ``t`` map clouds at ``t`` to clouds at
 ``t + 1``; the twist enters through psi at ``t + 1``.
@@ -34,10 +40,7 @@ from .models import FiniteHMMParams, finite_forward
 from .twists import TwistFunction
 
 __all__ = [
-    "product_states",
     "occupation_states",
-    "BoldKernelSet",
-    "build_bold_kernels",
     "OracleReport",
     "exact_moments",
     "SlopeFit",
@@ -49,27 +52,20 @@ __all__ = [
     "upsilon_bound",
 ]
 
-_BYTE_BUDGET = 256 * 2**20
-_DENSE_ARRAYS = 8  # S x S float64 arrays live while one step is built (6 measured)
+_CHUNK_BYTES = 4 * 2**20  # one row chunk of m_bold; a few MiB stay cache-friendly
+_MAX_STATES = 2**14       # a step costs time in S^2: about 1 s per step at this ceiling
 
 
 def _check_size(k: int, n_particles: int, n_states: int) -> None:
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    need = _DENSE_ARRAYS * 8 * n_states**2
-    if need > _BYTE_BUDGET:
+    if n_states > _MAX_STATES:
         raise ValueError(
             f"the cloud chain of N={n_particles} particles on k={k} states has "
-            f"{n_states} states; its dense kernels need {need} bytes, over the "
-            f"budget of {_BYTE_BUDGET}"
+            f"{n_states} states, over the ceiling of {_MAX_STATES}: each step "
+            f"evaluates all {n_states}^2 kernel entries, {8 * n_states**2} bytes "
+            f"if held at once (they are built in chunks of {_CHUNK_BYTES} bytes)"
         )
-
-
-def product_states(k: int, n_particles: int) -> np.ndarray:
-    """All clouds of ``n_particles`` points on a ``k``-state grid, shape (k^N, N)."""
-    _check_size(k, n_particles, int(k) ** n_particles)
-    digits = itertools.product(range(k), repeat=n_particles)
-    return np.array(list(digits), dtype=np.int64).reshape(-1, n_particles)
 
 
 def occupation_states(k: int, n_particles: int) -> np.ndarray:
@@ -90,63 +86,21 @@ def _log0(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.full(x.shape, -1e300), where=x > 0)
 
 
-@dataclass
-class BoldKernelSet:
-    """Dense one-step kernels of the N-particle cloud chain at one time index.
-
-    ``m_bold`` is the resample-mutate kernel, ``g_bold`` the cloud potential
-    (mean of per-particle potentials), ``q_bold = diag(g_bold) m_bold``.
-    ``m_tilde`` is the psi-twisted cloud kernel, ``phi`` the importance ratio
-    ``d m_bold / d m_tilde``, and ``r_tilde = g_bold^2 phi^2 m_tilde`` the
-    second-moment kernel of the twisted run. ``states`` holds the occupation
-    counts, or the ordered tuples when built by :func:`build_bold_kernels`.
-    """
-
-    t: int
-    states: np.ndarray
-    g_bold: np.ndarray
-    psi_bold: np.ndarray      # at time t + 1, up to the twist's constant
-    m_bold: np.ndarray
-    m_tilde: np.ndarray
-    q_bold: np.ndarray
-    phi: np.ndarray
-    r_tilde: np.ndarray
-
-
-def _cloud_kernels(params, twist, window, t, counts, log_coef) -> BoldKernelSet:
-    """One-step kernels of the cloud chain on states given by their float
-    occupation counts; ``log_coef`` is each state's log multiplicity as a
-    successor (multinomial on the count space, zero on the ordered grid)."""
-    fk = params.fk()
-    n_particles = counts[0].sum()
-    cg = counts * np.exp(fk.log_g_grid(window, t))                # (S, k)
-    g_bold = cg.sum(axis=1) / n_particles
-    mix = cg @ fk.trans / cg.sum(axis=1, keepdims=True)           # (S, k)
-    m_bold = np.exp(_log0(mix) @ counts.T + log_coef[None, :])    # (S, S)
-
-    lp = twist.log_psi(window, t + 1, np.arange(params.k))
-    psi_bold = counts @ np.exp(lp - lp.max()) / n_particles       # (S,)
-    mb_psi = m_bold @ psi_bold
-    m_tilde = m_bold * psi_bold[None, :] / mb_psi[:, None]
-    phi = mb_psi[:, None] / psi_bold[None, :]
-    r_tilde = (g_bold**2)[:, None] * phi**2 * m_tilde
-    q_bold = g_bold[:, None] * m_bold
-    return BoldKernelSet(t, counts, g_bold, psi_bold, m_bold, m_tilde, q_bold, phi, r_tilde)
-
-
-def build_bold_kernels(
-    params: FiniteHMMParams,
-    twist: TwistFunction,
-    n_particles: int,
-    window,
-    t: int,
-) -> BoldKernelSet:
-    """The cloud kernels on the ordered product grid, ``states`` row by row."""
-    states = product_states(params.k, n_particles)
-    counts = (states[:, :, None] == np.arange(params.k)).sum(axis=1).astype(float)
-    kern = _cloud_kernels(params, twist, window, t, counts, np.zeros(len(states)))
-    kern.states = states
-    return kern
+def _times_m_bold(w: np.ndarray, mix: np.ndarray, counts_t: np.ndarray,
+                  log_coef: np.ndarray) -> np.ndarray:
+    """``w @ m_bold`` for the rows of ``w``, building m_bold in row chunks
+    in one reused buffer."""
+    log_mix = _log0(mix)
+    n_states = len(log_coef)
+    buf = np.empty((min(n_states, max(1, _CHUNK_BYTES // (8 * n_states))), n_states))
+    out = np.zeros((len(w), n_states))
+    for lo in range(0, n_states, len(buf)):
+        hi = min(lo + len(buf), n_states)
+        block = np.matmul(log_mix[lo:hi], counts_t, out=buf[:hi - lo])
+        block += log_coef
+        np.exp(block, out=block)
+        out += w[:, lo:hi] @ block
+    return out
 
 
 @dataclass
@@ -154,10 +108,12 @@ class OracleReport:
     """Exact moments of the twisted estimator per horizon.
 
     ``log_first[p]`` and ``log_second[p]`` are the log first and second
-    moments of the estimator after ``p`` steps, assembled from the twisted
-    kernels (so any indexing error in the twist breaks the first moment);
-    ``log_z`` is the exact log marginal likelihood; ``log_v`` the log relative
-    second moment ``log E[Z_hat^2] - 2 log Z``.
+    moments of the estimator after ``p`` steps of the cloud chain; ``log_z``
+    is the exact log marginal likelihood from :func:`finite_forward`, an
+    independent recursion, so ``log_first == log_z`` checks the cloud chain
+    itself. The twist cancels from the first moment (the kernel and the
+    importance ratio use the same psi) and enters only the second; ``log_v``
+    is the log relative second moment ``log E[Z_hat^2] - 2 log Z``.
     """
 
     n_particles: int
@@ -188,34 +144,38 @@ def exact_moments(
     """
     window.require(0, n_steps - 1 + twist.lookahead, context="exact_moments")
     counts = occupation_states(params.k, n_particles).astype(float)
+    counts_t = np.ascontiguousarray(counts.T)
     log_coef = gammaln(n_particles + 1.0) - gammaln(counts + 1.0).sum(axis=1)
     init = params.mu0 if mu0 is None else np.asarray(mu0, dtype=float)
     if init.shape != (params.k,) or abs(init.sum() - 1.0) > 1e-9 or (init < 0).any():
         raise ValueError("mu0 override must be a probability vector on the grid")
-    alpha1 = np.exp(log_coef + counts @ _log0(init))
-    alpha2 = alpha1.copy()
-    log_m1 = np.zeros(n_steps + 1)
-    log_m2 = np.zeros(n_steps + 1)
+    fk = params.fk()
+    grid = np.arange(params.k)
+    alpha = np.exp(log_coef + counts @ _log0(init))
+    alpha = np.stack([alpha, alpha])  # first- and second-moment laws
+    log_m = np.zeros((2, n_steps + 1))
     for p in range(1, n_steps + 1):
-        kern = _cloud_kernels(params, twist, window, p - 1, counts, log_coef)
-        step1 = kern.g_bold[:, None] * kern.phi * kern.m_tilde
-        v1 = alpha1 @ step1
-        s1 = v1.sum()
-        log_m1[p] = log_m1[p - 1] + np.log(s1)
-        alpha1 = v1 / s1
-        v2 = alpha2 @ kern.r_tilde
-        s2 = v2.sum()
-        log_m2[p] = log_m2[p - 1] + np.log(s2)
-        alpha2 = v2 / s2
-        del kern, step1  # free this step's S x S arrays before the next build
+        cg = counts * np.exp(fk.log_g_grid(window, p - 1))         # (S, k)
+        cg_sum = cg.sum(axis=1)
+        g_bold = cg_sum / n_particles
+        mix = cg @ fk.trans / cg_sum[:, None]                      # (S, k)
+        lp = twist.log_psi(window, p, grid)
+        psi = np.exp(lp - lp.max())
+        alpha[0] *= g_bold
+        alpha[1] *= g_bold**2 * (mix @ psi)
+        v = _times_m_bold(alpha, mix, counts_t, log_coef)
+        v[1] /= counts @ psi / n_particles                         # psi_bold at p
+        s = v.sum(axis=1)
+        log_m[:, p] = log_m[:, p - 1] + np.log(s)
+        alpha = v / s[:, None]
     log_z = finite_forward(params, window, n_steps).log_z
     return OracleReport(
         n_particles=n_particles,
         n=np.arange(n_steps + 1),
-        log_first=log_m1,
-        log_second=log_m2,
+        log_first=log_m[0],
+        log_second=log_m[1],
         log_z=log_z,
-        log_v=log_m2 - 2.0 * log_z,
+        log_v=log_m[1] - 2.0 * log_z,
     )
 
 

@@ -37,7 +37,7 @@ Families provided here:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,6 +120,20 @@ class ConstantTwist(TwistFunction):
         return self.model.sample_initial(size, gen)
 
 
+class _WindowMemo:
+    """Per-time tables of one window at a time: a twist reused over many
+    windows drops the tables of the last one when it meets the next, instead
+    of keeping every window and its tables alive."""
+
+    def __init__(self):
+        self.window, self.tables = None, {}
+
+    def of(self, window) -> dict:
+        if window is not self.window:
+            self.window, self.tables = window, {}
+        return self.tables
+
+
 def _categorical_rows(logits: np.ndarray, x, u) -> np.ndarray:
     """One categorical draw per uniform in ``u`` for a particle in state
     ``x``, from the unnormalized log masses in row ``x`` of the ``k x k``
@@ -144,27 +158,27 @@ class FiniteLagTwist(TwistFunction):
         self.ell = int(ell)
         self.lookahead = self.ell
         self.fk = params.fk()
-        self._memo: dict = {}
+        self._memo = _WindowMemo()
 
     # tables are max-centered per (window, t); the constant is shared by
     # log_psi and log_q_psi so it cancels in every consumer
     def _table(self, window, t: int) -> np.ndarray:
-        key = (window, t)
-        tab = self._memo.get(key)
+        memo = self._memo.of(window)
+        tab = memo.get(t)
         if tab is None:
             tab = np.zeros(self.params.k)
             for s in range(t + self.ell - 1, t - 1, -1):
                 tab = q_apply_log(self.fk, window, s, tab)
                 tab = tab - tab.max()
-            self._memo[key] = tab
+            memo[t] = tab
         return tab
 
     def _q_table(self, window, t: int) -> np.ndarray:
-        key = ("q", window, t)
-        tab = self._memo.get(key)
+        memo = self._memo.of(window)
+        tab = memo.get(("q", t))
         if tab is None:
             tab = q_apply_log(self.fk, window, t, self._table(window, t + 1))
-            self._memo[key] = tab
+            memo[("q", t)] = tab
         return tab
 
     def log_psi(self, window, t, x):
@@ -198,7 +212,7 @@ class _GaussianQuadTwist(TwistFunction):
             raise ValueError("lag must be >= 0")
         self.ell = int(ell)
         self.lookahead = self.ell
-        self._memo: dict = {}
+        self._memo = _WindowMemo()
 
     # subclasses set self.model (ARGaussianFK) and implement _obs_quad
     def _obs_quad(self, window, t: int):
@@ -215,8 +229,8 @@ class _GaussianQuadTwist(TwistFunction):
         )
 
     def _psi_quad(self, window, t: int):
-        key = (window, t)
-        quad = self._memo.get(key)
+        memo = self._memo.of(window)
+        quad = memo.get(t)
         if quad is None:
             c, d, e = 0.0, 0.0, 0.0
             for s in range(t + self.ell - 1, t - 1, -1):
@@ -224,7 +238,7 @@ class _GaussianQuadTwist(TwistFunction):
                 cg, dg, eg = self._obs_quad(window, s)
                 c, d, e = c + cg, d + dg, e + eg
             quad = (c, d, e)
-            self._memo[key] = quad
+            memo[t] = quad
         return quad
 
     @staticmethod
@@ -326,7 +340,8 @@ class EigenTriple:
     (eigenmeasure, a probability vector) and ``lam[t] = eta_t(G_t)``, linked by
     Q_t(h_{t+1}) = lam_t h_t and eta_t Q_t = lam_t eta_{t+1}.
     ``lambda_hat`` is the average of ``log lam`` over the range, an estimate of
-    the asymptotic growth rate of the marginal likelihood.
+    the asymptotic growth rate of the marginal likelihood. ``log_h`` is
+    ``log(h)``, computed once for the twist and bound lookups.
     """
 
     params: FiniteHMMParams
@@ -339,10 +354,10 @@ class EigenTriple:
     lambda_hat: float
     residuals: dict
     tol: float
+    log_h: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def log_h(self) -> np.ndarray:
-        return np.log(self.h)
+    def __post_init__(self):
+        self.log_h = np.log(self.h)
 
     def row(self, t: int) -> int:
         if t < self.t_lo or t > self.t_hi:
@@ -357,9 +372,10 @@ class EigenTriple:
 
 
 def _centered_gap(u: np.ndarray, v: np.ndarray) -> float:
-    """Sup-norm of u - v after removing the best common additive constant."""
+    """Largest over rows of the sup-norm of u - v after removing the row's
+    best common additive constant."""
     g = u - v
-    return float(g.max() - g.min())
+    return float((g.max(axis=-1) - g.min(axis=-1)).max())
 
 
 def eigen_triple(
@@ -375,9 +391,10 @@ def eigen_triple(
     started from the window's right edge (renormalized each step); the
     eigenmeasure from the forward normalized recursion started at the left
     edge. Both are certified converged by comparing two sweeps with different
-    starting points; the certificate must beat ``tol`` in the centered
-    sup-norm of logs, otherwise a :class:`ConvergenceError` asks for a longer
-    window.
+    starting points, run side by side as the two rows of one block (each row
+    gets the bits it would get alone); the certificate must beat ``tol`` in
+    the centered sup-norm of logs, otherwise a :class:`ConvergenceError` asks
+    for a longer window.
     """
     if not params.is_mixing:
         warnings.warn(
@@ -397,23 +414,22 @@ def eigen_triple(
             f"evaluation range [{t_lo}, {t_hi}] must sit inside [{o}, {e_idx - 1}]"
         )
     k = params.k
-    n_rows = e_idx - o + 1  # log u_t for t in [o, e_idx]
+    n_rows = e_idx - o + 1  # log u_t and eta_t for t in [o, e_idx]
+    inner = slice(t_lo - o, t_hi - o + 1)
 
-    def backward(start: int) -> np.ndarray:
-        logs = np.full((n_rows, k), np.nan)
-        u = np.zeros(k)
-        logs[start - o] = u
-        for t in range(start - 1, o - 1, -1):
-            u = q_apply_log(fk, window, t, u)
-            u = u - u.max()
-            logs[t - o] = u
-        return logs
-
-    back_a = backward(e_idx)
-    back_b = backward(e_idx - 1)
-    gap_h = max(
-        _centered_gap(back_a[t - o], back_b[t - o]) for t in range(t_lo, t_hi + 1)
-    )
+    # two backward sweeps as one (2, k) block: row 0 starts from the right
+    # edge, row 1 one step earlier; row 1 is undefined at the edge itself
+    back = np.full((2, n_rows, k), np.nan)
+    u = np.zeros((2, k))
+    back[0, -1] = u[0]
+    u[0] = q_apply_log(fk, window, e_idx - 1, u[0])
+    u[0] -= u[0].max()
+    back[:, -2] = u
+    for t in range(e_idx - 2, o - 1, -1):
+        u = q_apply_log(fk, window, t, u)
+        u = u - u.max(axis=1, keepdims=True)
+        back[:, t - o] = u
+    gap_h = _centered_gap(back[0, inner], back[1, inner])
     if gap_h > tol:
         raise ConvergenceError(
             f"eigenfunction not converged on [{t_lo}, {t_hi}]: certificate "
@@ -421,26 +437,20 @@ def eigen_triple(
             f"index {e_idx - 1}"
         )
 
-    def forward(init: np.ndarray) -> np.ndarray:
-        probs = np.empty((n_rows, k))
-        p = init
-        probs[0] = p
-        for t in range(o, e_idx):
-            g = np.exp(fk.log_g_grid(window, t))
-            w = p * g
-            p = w @ fk.trans
-            p = p / p.sum()
-            probs[t + 1 - o] = p
-        return probs
-
-    fwd_a = forward(np.full(k, 1.0 / k))
+    # two forward sweeps as one (2, k) block: row 0 from the uniform law,
+    # row 1 from a law nearly all on state 0
+    log_g = np.stack([fk.log_g_grid(window, t) for t in range(o, e_idx)])
     init_b = np.full(k, 1e-12)
     init_b[0] = 1.0
-    fwd_b = forward(init_b / init_b.sum())
-    gap_eta = max(
-        _centered_gap(np.log(fwd_a[t - o]), np.log(fwd_b[t - o]))
-        for t in range(t_lo, t_hi + 1)
-    )
+    fwd = np.empty((2, n_rows, k))
+    p = np.stack([np.full(k, 1.0 / k), init_b / init_b.sum()])
+    fwd[:, 0] = p
+    for i in range(n_rows - 1):
+        w = p * np.exp(log_g[i])
+        p = (w[:, None, :] @ fk.trans)[:, 0]  # one vector-matrix product per row
+        p = p / p.sum(axis=1, keepdims=True)
+        fwd[:, i + 1] = p
+    gap_eta = _centered_gap(np.log(fwd[0, inner]), np.log(fwd[1, inner]))
     if gap_eta > tol:
         raise ConvergenceError(
             f"eigenmeasure not converged on [{t_lo}, {t_hi}]: certificate "
@@ -448,29 +458,19 @@ def eigen_triple(
             f"index {o}"
         )
 
-    rows = t_hi - t_lo + 1
-    h = np.empty((rows, k))
-    eta = np.empty((rows, k))
-    lam = np.empty(rows)
-    for t in range(t_lo, t_hi + 1):
-        eta_t = fwd_a[t - o]
-        h_lin = np.exp(back_a[t - o] - back_a[t - o].max())
-        h_t = h_lin / float(eta_t @ h_lin)
-        g_t = np.exp(fk.log_g_grid(window, t))
-        h[t - t_lo] = h_t
-        eta[t - t_lo] = eta_t
-        lam[t - t_lo] = float(eta_t @ g_t)
+    # per-row dot products as stacked (1, k) @ (k, 1) products, so every row
+    # is the same vector product it would be on its own
+    eta = fwd[0, inner].copy()
+    h_lin = np.exp(back[0, inner] - back[0, inner].max(axis=1, keepdims=True))
+    h = h_lin / (eta[:, None, :] @ h_lin[:, :, None])[:, 0]
+    g = np.exp(log_g[inner])
+    lam = (eta[:, None, :] @ g[:, :, None])[:, 0, 0]
 
     # residuals of the defining identities, measured on the interior
-    res_func = 0.0
-    res_meas = 0.0
-    for t in range(t_lo, t_hi):
-        i = t - t_lo
-        g_t = np.exp(fk.log_g_grid(window, t))
-        qh = g_t * (fk.trans @ h[i + 1])
-        res_func = max(res_func, float(np.abs(qh - lam[i] * h[i]).max()))
-        flow = (eta[i] * g_t) @ fk.trans
-        res_meas = max(res_meas, float(np.abs(flow - lam[i] * eta[i + 1]).max()))
+    qh = g[:-1] * (fk.trans @ h[1:, :, None])[:, :, 0]
+    flow = ((eta[:-1] * g[:-1])[:, None, :] @ fk.trans)[:, 0]
+    res_func = float(np.abs(qh - lam[:-1, None] * h[:-1]).max(initial=0.0))
+    res_meas = float(np.abs(flow - lam[:-1, None] * eta[1:]).max(initial=0.0))
     res_norm = float(np.abs((eta * h).sum(axis=1) - 1.0).max())
     residuals = {
         "eigenfunction": res_func,

@@ -23,7 +23,6 @@ from twistpf.models import (
     simulate,
 )
 from twistpf.oracle import (
-    build_bold_kernels,
     exact_clt_variances,
     exact_moments,
     fit_slope,
@@ -36,6 +35,8 @@ from twistpf.twists import (
     LinearGaussianLagTwist,
     eigen_triple,
 )
+
+from product_space import product_kernels
 
 
 def acceptance_params():
@@ -189,7 +190,7 @@ def test_criterion_05_twisted_kernel_total_variation():
     model = params.fk()
     _, w = simulate(params, 6, seed=6)
     twist = FiniteLagTwist(params, 1)
-    kern = build_bold_kernels(params, twist, 2, w, 0)
+    kern = product_kernels(params, twist, 2, w, 0)
     start = np.array([0, 1], dtype=np.int64)
     row = kern.m_tilde[np.flatnonzero((kern.states == start).all(axis=1))[0]]
     reps = 100_000

@@ -6,13 +6,14 @@ import pytest
 from twistpf.filters import apf_run, bootstrap_run, replicate_blocks, sis_run, twisted_run
 from twistpf.harness import run_single
 from twistpf.models import FiniteHMMParams, finite_forward, simulate
-from twistpf.oracle import build_bold_kernels
 from twistpf.twists import (
     ConstantTwist,
     FiniteLagTwist,
     eigen_triple,
     make_twist,
 )
+
+from product_space import product_kernels
 
 
 def finite_params():
@@ -151,7 +152,7 @@ def test_one_step_twisted_kernel_matches_enumeration():
     model = params.fk()
     _, w = simulate(params, 6, seed=6)
     tw = FiniteLagTwist(params, 1)
-    kern = build_bold_kernels(params, tw, 2, w, 0)
+    kern = product_kernels(params, tw, 2, w, 0)
     start = np.array([0, 1], dtype=np.int64)
     row = kern.m_tilde[np.flatnonzero((kern.states == start).all(axis=1))[0]]
     reps = 30_000

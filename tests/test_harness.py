@@ -143,26 +143,40 @@ def test_spread_studies_need_two_replicates(tmp_path, run):
         run(cfg, str(tmp_path))
 
 
-@pytest.mark.parametrize("cfg, field", [
-    (finite_cfg(twist={"kind": "lagg"}), "'twist.kind'"),
-    (finite_cfg(twist={"kind": "lag", "ell": "abc"}), "'twist.ell'"),
-    (finite_cfg(steps="x"), "'steps'"),
-    (finite_cfg(twist={"kind": "lag", "ell": -1}), "'twist.ell' must be >= 0"),
-    (finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1}, ell_grid=3), "'ell_grid'"),
-    ([1, 2], "JSON object"),
-    (finite_cfg(particles=2.7), "'particles'"),
-    (finite_cfg(twist={"kind": "lag", "ell": True}), "'twist.ell'"),
-    (finite_cfg(name="../evil"), "'name'"),
-    (finite_cfg(model={"kind": "lg", "a": "0.9", "q": 1.0, "r_obs": 1.0}), "'model.a'"),
+@pytest.mark.parametrize("cfg, field, run", [
+    (finite_cfg(twist={"kind": "lagg"}), "'twist.kind'", run_variance_growth),
+    (finite_cfg(twist={"kind": "lag", "ell": "abc"}), "'twist.ell'", run_variance_growth),
+    (finite_cfg(steps="x"), "'steps'", run_variance_growth),
+    (finite_cfg(twist={"kind": "lag", "ell": -1}), "'twist.ell' must be >= 0",
+     run_variance_growth),
+    (finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1}, ell_grid=3), "'ell_grid'",
+     run_variance_growth),
+    ([1, 2], "JSON object", run_variance_growth),
+    (finite_cfg(particles=2.7), "'particles'", run_variance_growth),
+    (finite_cfg(twist={"kind": "lag", "ell": True}), "'twist.ell'", run_variance_growth),
+    (finite_cfg(name="../evil"), "'name'", run_variance_growth),
+    (finite_cfg(model={"kind": "lg", "a": "0.9", "q": 1.0, "r_obs": 1.0}), "'model.a'",
+     run_variance_growth),
+    (finite_cfg(steps=2), "'steps' must be >= 3 for oracle-check", run_oracle_check),
+    (finite_cfg(particles=1), "'particles' must be >= 2 for bound", run_bound),
 ], ids=["twist-kind", "ell-str", "steps-str", "ell-negative", "ell-grid-int", "json-list",
-        "particles-float", "ell-bool", "name-path", "model-str"])
-def test_config_value_types_fail_naming_the_field(tmp_path, cfg, field):
+        "particles-float", "ell-bool", "name-path", "model-str", "oracle-check-steps",
+        "bound-particles"])
+def test_config_value_types_fail_naming_the_field(tmp_path, monkeypatch, cfg, field, run):
+    def no_window(*args):
+        raise AssertionError("a window was drawn for a refused config")
+
+    monkeypatch.setattr(harness, "draw_window", no_window)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(ConfigError, match=field):
-        load_config(path)
     out = tmp_path / "out" / "deep"
-    assert main(["variance-growth", "--config", str(path), "--out", str(out)]) == 2
+    if run is run_variance_growth:  # a bad value of the config itself
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
+    else:  # a value the experiment cannot run with, refused before any window
+        with pytest.raises(ConfigError, match=field):
+            run(path, str(out))
+    assert main([run.name, "--config", str(path), "--out", str(out)]) == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -13,6 +13,7 @@ from twistpf.models import (
     simulate,
 )
 from twistpf.harness import run_simulate
+from twistpf.rng import SIMULATE, RngStream
 from twistpf.windows import ObservationWindow
 
 
@@ -112,6 +113,41 @@ def test_simulate_is_deterministic():
     assert np.array_equal(w1.segment(0, 19), w2.segment(0, 19))
     x3, w3 = simulate(params, 20, seed=9, replicate=1)
     assert not np.array_equal(w1.segment(0, 19), w3.segment(0, 19))
+
+
+def scalar_simulate_finite(params, n, seed, replicate=0):
+    # one scalar draw at a time, in stream order: the reference for the
+    # batched lookups of simulate
+    gen = RngStream(seed, replicate).generator(0, SIMULATE)
+    x = np.empty(n, dtype=np.int64)
+    y = np.empty(n, dtype=np.int64)
+    cdf_mu = np.cumsum(params.mu0)
+    cdf_trans = np.cumsum(params.trans, axis=1)
+    cdf_emit = np.cumsum(params.emit, axis=1)
+    for c in (cdf_mu, cdf_trans.T, cdf_emit.T):
+        c[-1] = 1.0
+    state = int(np.searchsorted(cdf_mu, gen.random(), side="right"))
+    for t in range(n):
+        x[t] = state
+        y[t] = np.searchsorted(cdf_emit[state], gen.random(), side="right")
+        state = int(np.searchsorted(cdf_trans[state], gen.random(), side="right"))
+    return x, y
+
+
+def test_finite_simulate_equals_scalar_draws():
+    sparse = FiniteHMMParams(
+        mu0=np.array([0.0, 0.5, 0.5]),
+        trans=np.array([[0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.5, 0.5, 0.0]]),
+        emit=np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8], [0.3, 0.6, 0.1]]),
+    )
+    for params in (small_finite(), sparse):
+        for seed in range(30):
+            for n in (0, 1, 2, 5, 134, 500):
+                want_x, want_y = scalar_simulate_finite(params, n, seed, replicate=seed % 3)
+                x, w = simulate(params, n, seed, replicate=seed % 3)
+                assert x.dtype == want_x.dtype and w.values.dtype == want_y.dtype
+                assert np.array_equal(x, want_x) and np.array_equal(w.values, want_y)
+                assert w.origin == 0 and len(w) == n
 
 
 def test_simulate_finite_marginals():

@@ -4,19 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twistpf import oracle
 from twistpf.filters import bootstrap_run, replicate_blocks
 from twistpf.models import FiniteHMMParams, finite_forward, simulate
 from twistpf.oracle import (
-    build_bold_kernels,
     exact_clt_variances,
     exact_moments,
     fit_slope,
     occupation_states,
-    product_states,
     upsilon_bound,
     upsilon_slope,
 )
 from twistpf.twists import ConstantTwist, FiniteLagTwist, eigen_triple
+
+from product_space import product_kernels, product_states
 
 
 def two_state_params():
@@ -57,7 +58,7 @@ def test_single_particle_bold_kernels_reduce_to_base():
     params = two_state_params()
     _, w = simulate(params, 8, seed=0)
     fk = params.fk()
-    kern = build_bold_kernels(params, ConstantTwist(fk), 1, w, 2)
+    kern = product_kernels(params, ConstantTwist(fk), 1, w, 2)
     g = np.exp(fk.log_g_grid(w, 2))
     assert np.allclose(kern.g_bold, g, atol=1e-14)
     assert np.allclose(kern.m_bold, params.trans, atol=1e-14)
@@ -68,7 +69,7 @@ def test_single_particle_bold_kernels_reduce_to_base():
 def test_constant_twist_leaves_bold_kernel_untwisted():
     params = two_state_params()
     _, w = simulate(params, 8, seed=1)
-    kern = build_bold_kernels(params, ConstantTwist(params.fk()), 3, w, 1)
+    kern = product_kernels(params, ConstantTwist(params.fk()), 3, w, 1)
     assert np.allclose(kern.m_tilde, kern.m_bold, atol=1e-14)
     assert np.allclose(kern.phi, 1.0, atol=1e-14)
     assert np.allclose(kern.m_bold.sum(axis=1), 1.0, atol=1e-12)
@@ -85,7 +86,7 @@ def test_pair_system_kernel_by_scalar_enumeration():
     t = 1
     g = np.exp(fk.log_g_grid(w, t))
     states = product_states(2, 2)
-    kern = build_bold_kernels(params, ConstantTwist(fk), 2, w, t)
+    kern = product_kernels(params, ConstantTwist(fk), 2, w, t)
     for i, (a, b) in enumerate(states):
         wa = g[a] / (g[a] + g[b])
         for j, (za, zb) in enumerate(states):
@@ -100,7 +101,7 @@ def test_twisted_pair_kernel_by_scalar_enumeration():
     tw = FiniteLagTwist(params, 1)
     t = 1
     states = product_states(2, 2)
-    kern = build_bold_kernels(params, tw, 2, w, t)
+    kern = product_kernels(params, tw, 2, w, t)
     psi = np.exp(tw.log_psi(w, t + 1, np.arange(2)))
     psi = psi / psi.max()
     for i in range(4):
@@ -115,7 +116,7 @@ def test_r_tilde_is_second_moment_kernel():
     params = two_state_params()
     _, w = simulate(params, 8, seed=4)
     tw = FiniteLagTwist(params, 1)
-    kern = build_bold_kernels(params, tw, 2, w, 0)
+    kern = product_kernels(params, tw, 2, w, 0)
     want = (kern.g_bold**2)[:, None] * kern.phi**2 * kern.m_tilde
     assert np.allclose(kern.r_tilde, want, atol=1e-14)
     # dividing one power of the correction back out recovers the plain
@@ -125,8 +126,9 @@ def test_r_tilde_is_second_moment_kernel():
 
 
 def test_exact_first_moment_equals_marginal_likelihood():
-    # unbiasedness of the twisted estimator, assembled entirely from the
-    # whole-system kernels; any index slip in the twist breaks this
+    # unbiasedness of the twisted estimator: the cloud chain's first moment
+    # against the independent forward recursion, for every twist (the twist
+    # cancels from the first moment; it enters only the second)
     params = three_state_params()
     _, w0 = simulate(params, 140, seed=5)
     w = w0.shift(60)
@@ -315,7 +317,7 @@ def product_chain_moments(params, twist, n_particles, w, n_steps, mu0=None):
     log_m1 = np.zeros(n_steps + 1)
     log_m2 = np.zeros(n_steps + 1)
     for p in range(1, n_steps + 1):
-        kern = build_bold_kernels(params, twist, n_particles, w, p - 1)
+        kern = product_kernels(params, twist, n_particles, w, p - 1)
         v1 = alpha1 @ (kern.g_bold[:, None] * kern.phi * kern.m_tilde)
         log_m1[p] = log_m1[p - 1] + np.log(v1.sum())
         alpha1 = v1 / v1.sum()
@@ -387,6 +389,30 @@ def test_relative_variance_approaches_clt_variance_without_sampling():
     assert gaps[40] <= 0.6 * gaps[20], gaps
 
 
+def test_clt_limit_at_a_hundred_particles_without_sampling():
+    # N (V_tilde_10 - 1) -> varsigma^2_rel at N = 100 (5151 count states, a
+    # dense kernel of 212 MB): the 1/N gap keeps shrinking, and the run holds
+    # about one row chunk of the kernel at a time
+    params = acceptance_params()
+    _, w0 = simulate(params, 200, seed=11)
+    w = w0.shift(80)
+    n = 10
+    tw = FiniteLagTwist(params, 2)
+    target = exact_clt_variances(params, tw, np.ones(params.k), w, n).varsigma2_rel
+    gaps = {}
+    for n_particles in (40, 100):
+        tracemalloc.start()
+        try:
+            rep = exact_moments(params, tw, n_particles, w, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * oracle._CHUNK_BYTES, (n_particles, peak)
+        gaps[n_particles] = abs(n_particles * math.expm1(rep.log_v[n]) - target) / target
+    assert gaps[100] < 2e-4, gaps
+    assert gaps[100] <= 0.45 * gaps[40], gaps
+
+
 def test_byte_budget_refuses_large_chains_before_allocating():
     params = three_state_params()
     _, w = simulate(params, 8, seed=17)
@@ -399,5 +425,3 @@ def test_byte_budget_refuses_large_chains_before_allocating():
         tracemalloc.stop()
     assert "bytes" in str(err.value)
     assert peak < 2**20
-    with pytest.raises(ValueError, match=r"N=12 .* k=3 .* 531441 states"):
-        build_bold_kernels(params, ConstantTwist(params.fk()), 12, w, 0)

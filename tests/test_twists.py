@@ -1,8 +1,14 @@
+import gc
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
+
+from twistpf.filters import twisted_run
+from twistpf.fkcore import q_apply_log
 
 from twistpf.models import (
     FiniteHMMParams,
@@ -21,6 +27,7 @@ from twistpf.twists import (
     eigen_triple,
     make_twist,
 )
+from twistpf.windows import ObservationWindow
 
 
 def finite_params():
@@ -259,6 +266,155 @@ def test_eigen_triple_short_window_raises():
         eigen_triple(params, w, t_lo=0, t_hi=10, tol=1e-12)
 
 
+def two_sweep_eigen_triple(params, window, tol=1e-9, t_lo=None, t_hi=None):
+    # the eigen elements by one sweep at a time and one time index at a
+    # time: the reference the batched sweeps must equal bit for bit
+    fk = params.fk()
+    o, e_idx = window.origin, window.end
+    length = window.length
+    t_lo = o + max(1, length // 4) if t_lo is None else t_lo
+    t_hi = e_idx - 1 - max(1, length // 4) if t_hi is None else t_hi
+    k = params.k
+    n_rows = e_idx - o + 1
+
+    def gap(u, v):
+        g = u - v
+        return float(g.max() - g.min())
+
+    def backward(start):
+        logs = np.full((n_rows, k), np.nan)
+        u = np.zeros(k)
+        logs[start - o] = u
+        for t in range(start - 1, o - 1, -1):
+            u = q_apply_log(fk, window, t, u)
+            u = u - u.max()
+            logs[t - o] = u
+        return logs
+
+    back_a, back_b = backward(e_idx), backward(e_idx - 1)
+    gap_h = max(gap(back_a[t - o], back_b[t - o]) for t in range(t_lo, t_hi + 1))
+    if gap_h > tol:
+        raise ConvergenceError(
+            f"eigenfunction not converged on [{t_lo}, {t_hi}]: certificate "
+            f"{gap_h:.3e} > tol {tol:.3e}; extend the window right edge beyond "
+            f"index {e_idx - 1}"
+        )
+
+    def forward(init):
+        probs = np.empty((n_rows, k))
+        p = init
+        probs[0] = p
+        for t in range(o, e_idx):
+            w = p * np.exp(fk.log_g_grid(window, t))
+            p = w @ fk.trans
+            p = p / p.sum()
+            probs[t + 1 - o] = p
+        return probs
+
+    fwd_a = forward(np.full(k, 1.0 / k))
+    init_b = np.full(k, 1e-12)
+    init_b[0] = 1.0
+    fwd_b = forward(init_b / init_b.sum())
+    gap_eta = max(gap(np.log(fwd_a[t - o]), np.log(fwd_b[t - o]))
+                  for t in range(t_lo, t_hi + 1))
+    if gap_eta > tol:
+        raise ConvergenceError(
+            f"eigenmeasure not converged on [{t_lo}, {t_hi}]: certificate "
+            f"{gap_eta:.3e} > tol {tol:.3e}; extend the window left edge below "
+            f"index {o}"
+        )
+    rows = t_hi - t_lo + 1
+    h, eta, lam = np.empty((rows, k)), np.empty((rows, k)), np.empty(rows)
+    for t in range(t_lo, t_hi + 1):
+        eta_t = fwd_a[t - o]
+        h_lin = np.exp(back_a[t - o] - back_a[t - o].max())
+        h[t - t_lo] = h_lin / float(eta_t @ h_lin)
+        eta[t - t_lo] = eta_t
+        lam[t - t_lo] = float(eta_t @ np.exp(fk.log_g_grid(window, t)))
+    res_func = res_meas = 0.0
+    for t in range(t_lo, t_hi):
+        i = t - t_lo
+        g_t = np.exp(fk.log_g_grid(window, t))
+        qh = g_t * (fk.trans @ h[i + 1])
+        res_func = max(res_func, float(np.abs(qh - lam[i] * h[i]).max()))
+        flow = (eta[i] * g_t) @ fk.trans
+        res_meas = max(res_meas, float(np.abs(flow - lam[i] * eta[i + 1]).max()))
+    residuals = {
+        "eigenfunction": res_func,
+        "eigenmeasure": res_meas,
+        "normalization": float(np.abs((eta * h).sum(axis=1) - 1.0).max()),
+        "certificate_h": gap_h,
+        "certificate_eta": gap_eta,
+    }
+    return h, eta, lam, float(np.mean(np.log(lam))), residuals
+
+
+def acceptance_params():
+    return FiniteHMMParams(
+        mu0=np.array([0.5, 0.3, 0.2]),
+        trans=np.array([[0.55, 0.25, 0.20], [0.20, 0.55, 0.25], [0.20, 0.30, 0.50]]),
+        emit=np.array([[0.40, 0.32, 0.28], [0.29, 0.42, 0.29], [0.30, 0.28, 0.42]]),
+    )
+
+
+def sharp_params():
+    return FiniteHMMParams(
+        mu0=np.array([0.5, 0.3, 0.2]),
+        trans=np.array([[0.55, 0.25, 0.20], [0.20, 0.55, 0.25], [0.20, 0.30, 0.50]]),
+        emit=np.array([[0.70, 0.20, 0.10], [0.15, 0.70, 0.15], [0.10, 0.20, 0.70]]),
+    )
+
+
+def five_state_params():
+    # k >= 4, where a 2-row matrix product and two vector products differ in
+    # their last bits, and a transition matrix with zero entries
+    rng = np.random.default_rng(3)
+    trans = rng.random((5, 5)) * (np.eye(5, k=2) == 0)
+    return FiniteHMMParams(
+        mu0=np.full(5, 0.2),
+        trans=trans / trans.sum(axis=1, keepdims=True),
+        emit=rng.uniform(0.2, 1.0, (5, 3)) / 1.8,
+    )
+
+
+@pytest.mark.parametrize("make_params", [acceptance_params, sharp_params, finite_params,
+                                         five_state_params])
+def test_eigen_triple_matches_two_sweep_reference_bit_for_bit(make_params):
+    params = make_params()
+    _, w0 = simulate(params, 300, seed=21)
+    cases = [(w0.shift(80), {}), (w0.shift(80), {"t_lo": 0, "t_hi": 61}),
+             (w0.shift(80), {"t_lo": -20, "t_hi": 100, "tol": 1e-8}),
+             (w0.shift(150).shift(-7), {"t_lo": -40, "t_hi": 40}), (w0, {})]
+    for window, kw in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # five_state_params is not mixing
+            tri = eigen_triple(params, window, **kw)
+        h, eta, lam, lambda_hat, residuals = two_sweep_eigen_triple(params, window, **kw)
+        assert np.array_equal(tri.h, h) and np.array_equal(tri.eta, eta), kw
+        assert np.array_equal(tri.lam, lam) and tri.lambda_hat == lambda_hat, kw
+        assert tri.residuals == residuals, kw
+        assert np.array_equal(tri.log_h, np.log(h))
+
+
+def test_eigen_triple_convergence_errors_match_two_sweep_reference():
+    params = acceptance_params()
+    _, w = simulate(params, 200, seed=22)
+    w = w.shift(60)
+    # right edge in range: the eigenfunction certificate fails; left edge in
+    # range: the eigenmeasure certificate fails
+    messages = []
+    for kw in ({"t_lo": 0, "t_hi": w.end - 1}, {"t_lo": 0, "t_hi": w.end - 4, "tol": 1e-12},
+               {"t_lo": w.origin, "t_hi": 10}):
+        with pytest.raises(ConvergenceError) as want:
+            two_sweep_eigen_triple(params, w, **kw)
+        with pytest.raises(ConvergenceError) as got:
+            eigen_triple(params, w, **kw)
+        assert str(got.value) == str(want.value), kw
+        messages.append(str(got.value))
+    assert [m.split(" not converged")[0] for m in messages] == [
+        "eigenfunction", "eigenfunction", "eigenmeasure"]
+
+
 def test_lambda_hat_tracks_likelihood_growth():
     params = finite_params()
     _, w = simulate(params, 400, seed=14)
@@ -362,3 +518,36 @@ def test_eigen_twist_out_of_range_raises():
     tw = tri.as_twist()
     with pytest.raises(ValueError):
         tw.log_psi(w.shift(60), 31, np.arange(3))
+
+
+def test_twist_memos_hold_one_window_at_a_time():
+    # one lag twist reused over 10^3 windows: what it allocates after the
+    # 100th window and still holds after the last is one window's tables,
+    # and a twist that has seen other windows gives every trace bit for bit
+    # what a fresh twist gives
+    lg = LinearGaussianParams(0.9, 1.0, 1.0)
+    for params, make in ((finite_params(), FiniteLagTwist), (lg, LinearGaussianLagTwist)):
+        model, twist = params.fk(), make(params, 2)
+        _, w = simulate(params, 16, seed=0)
+        grid = np.arange(3)
+        try:
+            for i in range(1000):
+                if i == 100:
+                    gc.collect()
+                    tracemalloc.start()
+                window = ObservationWindow(0, np.roll(w.values, i % 7))
+                for t in range(3):
+                    twist.log_psi(window, t, grid)
+                    twist.log_q_psi(window, t, grid)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 32 * 1024, (make.__name__, held)
+        windows = [simulate(params, 16, seed=s)[1] for s in range(3)]
+        for window in windows + windows[::-1]:  # every window met again later
+            got = twisted_run(model, twist, window, 12, 32, seed=5)
+            want = twisted_run(model, make(params, 2), window, 12, 32, seed=5)
+            assert np.array_equal(got.log_z, want.log_z)
+            assert np.array_equal(got.log_phi, want.log_phi)
+            assert all(np.array_equal(got.eta[n], want.eta[n]) for n in want.eta)
