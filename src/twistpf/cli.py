@@ -3,8 +3,8 @@
 Subcommands are the entries of the harness's experiment registry, plus
 ``reproduce``. Every run writes its CSV artifacts plus a manifest JSON;
 ``--config`` names a JSON file, and the remaining flags override individual
-fields of it. Errors exit nonzero with a single ``error: ...`` line on
-stderr.
+fields of it. Config and missing-file errors exit 2 with a single
+``error: ...`` line on stderr; any other error propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     print(result.csv_path)
     print(result.manifest_path)
     return 0

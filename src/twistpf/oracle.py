@@ -17,11 +17,13 @@ importance ratio and the second-moment kernel all collapse onto ``m_bold``:
 ``g phi m_tilde = g m_bold`` and ``g^2 phi^2 m_tilde = g^2 (mix . psi) m_bold /
 psi_bold``. So both moment recursions are one ``(2, S) @ m_bold`` product per
 step, built in row chunks of ``exp(log mix @ counts.T + log coef)`` that each
-fit ``_CHUNK_BYTES``. A step costs time in S^2; chains over ``_MAX_STATES``
-states are refused with a ``ValueError`` naming N, k, the state count and the
-bytes a dense kernel would take, before anything is allocated. The ordered
-product-space view of the same kernels (k^N particle tuples) lives only in
-the tests, as the reference the count space is checked against.
+fit ``_CHUNK_BYTES``; ``log coef`` is read from a log-factorial table, ``log
+i!`` for ``i = 0..N``, made once per call. A step costs time in S^2; chains
+over ``_MAX_STATES`` states are refused with a ``ValueError`` naming N, k, the
+state count and the bytes a dense kernel would take, before anything is
+allocated. The ordered product-space view of the same kernels (k^N particle
+tuples) lives only in the tests, as the reference the count space is checked
+against.
 
 Conventions: kernels built at time ``t`` map clouds at ``t`` to clouds at
 ``t + 1``; the twist enters through psi at ``t + 1``.
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .models import FiniteHMMParams, finite_forward
 from .twists import TwistFunction
@@ -78,6 +79,14 @@ def occupation_states(k: int, n_particles: int) -> np.ndarray:
     ).reshape(size, k - 1)
     edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, n_particles + k - 1))
     return np.diff(edges, axis=1) - 1
+
+
+def _log_multinomial(states: np.ndarray, n_particles: int) -> np.ndarray:
+    """``log(N! / prod_j c_j!)`` for each row ``c`` of the integer count array
+    ``states`` (rows summing to N), from a table of ``log i!``, ``i = 0..N``,
+    indexed by the counts."""
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n_particles + 1)])
+    return log_fact[n_particles] - log_fact[states].sum(axis=1)
 
 
 def _log0(x: np.ndarray) -> np.ndarray:
@@ -143,9 +152,10 @@ def exact_moments(
     from its N-fold product either way).
     """
     window.require(0, n_steps - 1 + twist.lookahead, context="exact_moments")
-    counts = occupation_states(params.k, n_particles).astype(float)
+    states = occupation_states(params.k, n_particles)
+    log_coef = _log_multinomial(states, n_particles)
+    counts = states.astype(float)
     counts_t = np.ascontiguousarray(counts.T)
-    log_coef = gammaln(n_particles + 1.0) - gammaln(counts + 1.0).sum(axis=1)
     init = params.mu0 if mu0 is None else np.asarray(mu0, dtype=float)
     if init.shape != (params.k,) or abs(init.sum() - 1.0) > 1e-9 or (init < 0).any():
         raise ValueError("mu0 override must be a probability vector on the grid")

@@ -68,14 +68,15 @@ class _SessionStream:
         )
         self._gen = np.random.Generator(self._bit)
         # template state: fresh counter and empty buffer, matching a newly
-        # constructed bit generator exactly
+        # constructed bit generator exactly; Python ints make the state setter
+        # cheaper than numpy arrays and give the same bits
         self._state = {
             "bit_generator": "Philox",
             "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self.root_seed, self.replicate], dtype=np.uint64),
+                "counter": [0, 0, 0, 0],
+                "key": [self.root_seed, self.replicate],
             },
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -1,6 +1,8 @@
+import dataclasses
 import glob
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -363,6 +365,40 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert open(serial.csv_path, "rb").read() == open(pooled.csv_path, "rb").read()
 
 
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports twistpf from the same
+    sources as this test session; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout
+
+
+def test_import_loads_no_scipy():
+    out = _fresh_python(
+        "import sys, twistpf\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_worker_pool_leaves_no_process_behind(tmp_path):
+    # a fork pool in a with block: its workers are joined on exit, and it
+    # starts neither a forkserver nor a resource tracker that would outlive
+    # the run; a fresh interpreter keeps other tests' pools out of the count
+    cfg = finite_cfg(replicates=6, workers=2)
+    out = _fresh_python(
+        "import json, multiprocessing\n"
+        "from multiprocessing import forkserver, resource_tracker\n"
+        "from twistpf.harness import run_variance_growth\n"
+        f"run_variance_growth(json.loads({json.dumps(json.dumps(cfg))}), {str(tmp_path)!r})\n"
+        "print(json.dumps([[p.pid for p in multiprocessing.active_children()],\n"
+        "                  forkserver._forkserver._forkserver_pid,\n"
+        "                  resource_tracker._resource_tracker._pid]))")
+    assert json.loads(out) == [[], None, None]
+
+
 def test_manifest_reproduces_run(tmp_path):
     first = run_variance_growth(finite_cfg(), str(tmp_path / "a"))
     again = run_from_manifest(first.manifest_path, str(tmp_path / "b"))
@@ -481,6 +517,16 @@ def test_cli_error_exit_codes(tmp_path):
     # a bad override -> 2
     assert main(["run", "--model", "finite", "--steps", "3", "--lag", "-1",
                  "--out", str(tmp_path / "z")]) == 2
+
+
+def test_cli_lets_unexpected_errors_propagate(tmp_path, monkeypatch):
+    def boom(config, window):
+        raise RuntimeError("boom inside the experiment")
+
+    monkeypatch.setitem(harness._EXPERIMENTS, "simulate",
+                        dataclasses.replace(harness.run_simulate, body=boom))
+    with pytest.raises(RuntimeError, match="boom inside the experiment"):
+        main(["simulate", "--model", "finite", "--steps", "3", "--out", str(tmp_path / "b")])
 
 
 def test_cli_overrides_take_effect(tmp_path):

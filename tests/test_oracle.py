@@ -339,6 +339,29 @@ def test_occupation_states_are_the_compositions_of_n():
         assert len(lumped) == counts.shape[0]
 
 
+def test_log_multinomial_coefficient_matches_exact_integers():
+    # log(N! / prod c_j!) is a difference of log-factorial table entries, each
+    # at most log N!, so its rounding error scales with log N!, not with the
+    # (possibly small) result: the tolerance is 4 ulp of log N!
+    k = 3
+    rng = np.random.default_rng(5)
+    for n_particles in (1, 2, 7, 40, 100, 179):
+        states = occupation_states(k, n_particles)
+        if n_particles >= 100:
+            # the corners, where the result is 0 or log N, and a random sample
+            pick = rng.choice(len(states), size=300, replace=False)
+            states = np.concatenate([states[:2], states[-2:], states[pick]])
+        got = oracle._log_multinomial(states, n_particles)
+        want = np.array([
+            math.log(math.factorial(n_particles)
+                     // math.prod(math.factorial(int(c)) for c in row))
+            for row in states
+        ])
+        tol = 4 * np.finfo(float).eps * math.lgamma(n_particles + 1.0)
+        assert np.abs(got - want).max() <= tol, n_particles
+        assert (got[want == 0.0] == 0.0).all()
+
+
 def test_count_space_moments_match_product_chain():
     for params in (two_state_params(), three_state_params()):
         _, w0 = simulate(params, 140, seed=15)
