@@ -15,8 +15,8 @@ from twistpf import (
     ConstantTwist,
     FiniteHMMParams,
     FiniteLagTwist,
-    apf_run,
     finite_forward,
+    run_filter,
     simulate,
 )
 
@@ -37,8 +37,8 @@ weights = {
 for name, weight in weights.items():
     ratios = np.empty(reps)
     for r in range(reps):
-        trace = apf_run(
-            params.fk(), weight, window, n_steps, n_particles,
+        trace = run_filter(
+            "apf", params.fk(), weight, window, n_steps, n_particles,
             seed=3, replicate=r, test_functions={},
         )
         ratios[r] = np.exp(trace.log_z[n_steps] - exact.log_z[n_steps])
@@ -52,7 +52,8 @@ print()
 print("all three cover 1 (unbiasedness); the lookahead weights cut the spread")
 
 # the 1/r-weighted cloud averages estimate the prediction filter
-trace = apf_run(params.fk(), FiniteLagTwist(params, 1), window, n_steps, 20_000, seed=3)
+trace = run_filter("apf", params.fk(), FiniteLagTwist(params, 1), window, n_steps, 20_000,
+                   seed=3)
 est = trace.aux["filter_est_id"][n_steps]
 want = float(exact.pred[n_steps] @ np.arange(3))
 print(f"weighted state mean {est:.4f} vs exact prediction mean {want:.4f}")

@@ -11,7 +11,7 @@ recursion.
 
 import numpy as np
 
-from twistpf import LinearGaussianParams, bootstrap_run, kalman_run, simulate
+from twistpf import LinearGaussianParams, kalman_run, run_filter, simulate
 
 params = LinearGaussianParams(a=0.9, q=1.0, r_obs=1.0)
 n_steps = 50
@@ -25,7 +25,8 @@ print(f"exact log Z_{n_steps} = {exact.log_z[n_steps]:.6f}")
 n_particles, reps = 200, 400
 estimates = np.empty(reps)
 for r in range(reps):
-    trace = bootstrap_run(params.fk(), window, n_steps, n_particles, seed=1, replicate=r)
+    trace = run_filter("bootstrap", params.fk(), None, window, n_steps, n_particles, seed=1,
+                       replicate=r)
     estimates[r] = trace.log_z[n_steps]
 
 err = estimates - exact.log_z[n_steps]
@@ -38,8 +39,8 @@ se = ratio.std(ddof=1) / np.sqrt(reps)
 print(f"mean Z_hat / Z = {ratio.mean():.4f} +- {se:.4f}  (should cover 1)")
 
 # the per-step state estimates track the Kalman prediction means
-trace = bootstrap_run(
-    params.fk(), window, n_steps, 5000, seed=1,
+trace = run_filter(
+    "bootstrap", params.fk(), None, window, n_steps, 5000, seed=1,
     test_functions={"x": lambda v: np.asarray(v, dtype=float)},
 )
 worst = np.max(np.abs(trace.eta["x"] - exact.mean))

@@ -17,8 +17,8 @@ from twistpf import (
     eigen_triple,
     exact_clt_variances,
     finite_forward,
+    run_filter,
     simulate,
-    twisted_run,
 )
 
 params = FiniteHMMParams(
@@ -41,8 +41,8 @@ for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.a
     eta = np.empty(reps)
     gam = np.empty(reps)
     for r in range(reps):
-        trace = twisted_run(
-            params.fk(), twist, window, n_steps, n_particles,
+        trace = run_filter(
+            "twisted", params.fk(), twist, window, n_steps, n_particles,
             seed=11, replicate=r, test_functions=tf,
         )
         scale = np.sqrt(n_particles)

@@ -17,8 +17,8 @@ from twistpf import (
     eigen_triple,
     exact_moments,
     finite_forward,
+    run_filter,
     simulate,
-    twisted_run,
     upsilon_slope,
 )
 
@@ -55,7 +55,7 @@ for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.a
 # 3. with the eigenfunction the estimator is a deterministic function of the
 #    first and last particle cloud: log Z_tilde = sum log lambda
 #    + log mean h(start) - log mean h(end), run by run
-trace = twisted_run(params.fk(), triple.as_twist(), window, n_steps, 8, seed=11)
+trace = run_filter("twisted", params.fk(), triple.as_twist(), window, n_steps, 8, seed=11)
 lam = float(np.sum(np.log(triple.lam[triple.row(0): triple.row(n_steps)])))
 h0 = np.log(triple.h[triple.row(0)][trace.aux["initial_positions"]].mean())
 hn = np.log(triple.h[triple.row(n_steps)][trace.aux["final_positions"]].mean())

@@ -17,8 +17,8 @@ from twistpf import (
     LinearGaussianParams,
     fit_slope,
     kalman_run,
+    run_filter,
     simulate,
-    twisted_run,
 )
 
 params = LinearGaussianParams(a=0.9, q=1.0, r_obs=1.0)
@@ -31,8 +31,8 @@ for ell in (0, 1, 2, 5):
     twist = LinearGaussianLagTwist(params, ell)
     log_z = np.empty((reps, n_steps + 1))
     for r in range(reps):
-        trace = twisted_run(
-            params.fk(), twist, window, n_steps, n_particles,
+        trace = run_filter(
+            "twisted", params.fk(), twist, window, n_steps, n_particles,
             seed=12, replicate=r, test_functions={},
         )
         log_z[r] = trace.log_z

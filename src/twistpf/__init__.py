@@ -12,7 +12,8 @@ The library is organized in layers:
   Gaussian and volatility approximations, and the time-varying
   eigenfunction with its convergence certificate.
 - :mod:`twistpf.filters` -- bootstrap, twisted, auxiliary and
-  importance-sampling runs, all returning a :class:`RunTrace`.
+  importance-sampling runs, four kinds of one step loop, all returning a
+  :class:`RunTrace`.
 - :mod:`twistpf.oracle` -- exact cloud-chain moments, asymptotic variances
   and the growth-rate bound, for validating the samplers.
 - :mod:`twistpf.config` -- experiment configs: schema, checks, defaults.
@@ -23,16 +24,7 @@ The library is organized in layers:
 __version__ = "0.1.0"
 
 from .fkcore import FiniteFK, FKModel, q_apply_log
-from .filters import (
-    RunTrace,
-    apf_run,
-    bootstrap_run,
-    default_test_functions,
-    replicate_blocks,
-    run_filter,
-    sis_run,
-    twisted_run,
-)
+from .filters import RunTrace, default_test_functions, replicate_blocks, run_filter
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (
     draw_window,
@@ -64,7 +56,6 @@ from .oracle import (
     upsilon_bound,
     upsilon_slope,
 )
-from .resampling import multinomial_resample
 from .rng import RngStream
 from .twists import (
     ConstantTwist,
@@ -85,7 +76,6 @@ __all__ = [
     "ObservationWindow",
     "LookaheadError",
     "RngStream",
-    "multinomial_resample",
     "FKModel",
     "FiniteFK",
     "q_apply_log",
@@ -106,10 +96,6 @@ __all__ = [
     "make_twist",
     "ConvergenceError",
     "RunTrace",
-    "bootstrap_run",
-    "twisted_run",
-    "apf_run",
-    "sis_run",
     "replicate_blocks",
     "run_filter",
     "default_test_functions",

@@ -13,11 +13,11 @@ import os
 from dataclasses import MISSING, dataclass, fields
 
 from .models import FiniteHMMParams, LinearGaussianParams, SVParams
+from .twists import TWIST_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "EIGEN_MARGIN", "load_config", "read_config"]
 
 _FILTERS = ("bootstrap", "twisted", "apf", "sis")
-_TWISTS = ("constant", "lag", "exact_h", "sv_approx")
 _PARAMS = {"lg": LinearGaussianParams, "finite": FiniteHMMParams, "sv": SVParams}
 _FIELDS = ("model", "filter", "twist", "steps", "particles", "replicates", "seed",
            "window", "workers", "name", "experiment", "ell_grid", "N_grid")
@@ -111,9 +111,10 @@ def _check_fields(cfg: dict) -> None:
             _check_int(value, field, low)
     if cfg.get("filter", "bootstrap") not in _FILTERS:
         raise ConfigError(f"config field 'filter' must be one of {_FILTERS}")
-    twist = cfg.get("twist", {})
-    if twist.get("kind", "constant") not in _TWISTS:
-        raise ConfigError(f"config field 'twist.kind' must be one of {_TWISTS}")
+    twist, twist_kinds = cfg.get("twist", {}), TWIST_KINDS[_PARAMS[kind]]
+    if twist.get("kind", "constant") not in twist_kinds:
+        raise ConfigError(f"config field 'twist.kind' must be one of {twist_kinds} for "
+                          f"model kind {kind!r}")
     tol = twist.get("tol", 1.0)
     _check_number(tol, "twist.tol")
     if not tol > 0:
@@ -133,7 +134,10 @@ def _build_params(cfg: dict):
         return cls(**{key: value if cls is FiniteHMMParams or value is None else float(value)
                       for key, value in model.items() if key != "kind"})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'model': {exc}") from exc
+        # the model checks name the parameter they reject as their first word
+        key = str(exc).split(" ", 1)[0]
+        field = f"model.{key}" if key in model and key != "kind" else "model"
+        raise ConfigError(f"config field '{field}': {exc}") from exc
 
 
 def read_config(source) -> dict:

@@ -1,29 +1,35 @@
-"""Particle algorithms: bootstrap, twisted, auxiliary, sequential importance sampling.
+"""Particle algorithms: bootstrap, twisted, auxiliary and sequential importance
+sampling (SIS), four kinds of one step loop (:func:`run_filter`).
 
 All runs share conventions:
 
-* Multinomial resampling at every step, fixed particle count.
+* Multinomial resampling at every step, fixed particle count; SIS chains
+  never resample.
 * Log-domain estimators. The normalizing-constant increment at step ``p``
   uses the potential at observation index ``p - 1``; ``log_z[0] = 0``.
 * Random draws come from counter-based streams (see :mod:`twistpf.rng`);
   within a step the consumption order is resample indices, mutation draws in
-  particle order, then twist-specific draws. Identical ``(seed, replicate)``
-  reproduces a bitwise-identical :class:`RunTrace`.
+  particle order, then twist-specific draws; SIS draws only the initial
+  positions and the mutations. Identical ``(seed, replicate)`` reproduces a
+  bitwise-identical :class:`RunTrace`.
 
-Bootstrap, twisted and auxiliary runs share one step loop over a block of
-replicates, an ``(R, N)`` cloud (:func:`replicate_blocks`): all array work runs
-once per step for the block, and only the draws are made per replicate, the
-same calls in the same order as a run on its own, so no trace depends on its
-block. A twisted block may run a grid of twists of one class, ``(L * R, N)``
-clouds: each replicate's draws are made once and shared by its ``L`` rows.
-Test functions must act elementwise.
+Every kind runs on one step loop over a block of replicates, an ``(R, N)``
+cloud (:func:`replicate_blocks`): all array work runs once per step for the
+block, and only the draws are made per replicate, the same calls in the same
+order as a run on its own, so no trace depends on its block. A twisted block
+may run a grid of twists of one class, ``(L * R, N)`` clouds: each
+replicate's draws are made once and shared by its ``L`` rows. Test functions
+must act elementwise.
 
-The twisted run follows the product-space construction: at each step one
-uniformly chosen slot is replaced by a draw whose ancestor is selected
-proportionally to Q_t(psi_{t+1}) and mutated from the psi-reweighted kernel;
-the reported estimator multiplies the standard one by the per-step ratio
-``phi_p`` (recorded in ``log_phi``), keeping it unbiased for the marginal
-likelihood for any strictly positive bounded psi.
+The kinds differ in a few lines per step: the weights (the potential, or
+``Q_t(psi_{t+1}) / psi_t`` in an auxiliary run), the kernel that moves the
+cloud (``M_t`` or its psi-reweighted form), identity ancestors for SIS, and
+the twisted run's extra slot. That slot follows the product-space
+construction: at each step one uniformly chosen slot is replaced by a draw
+whose ancestor is selected proportionally to Q_t(psi_{t+1}) and mutated from
+the psi-reweighted kernel; the reported estimator multiplies the standard one
+by the per-step ratio ``phi_p`` (recorded in ``log_phi``), keeping it
+unbiased for the marginal likelihood for any strictly positive bounded psi.
 """
 
 from __future__ import annotations
@@ -41,10 +47,6 @@ from .twists import ConstantTwist, TwistFunction
 
 __all__ = [
     "RunTrace",
-    "bootstrap_run",
-    "twisted_run",
-    "apf_run",
-    "sis_run",
     "run_filter",
     "replicate_blocks",
     "default_test_functions",
@@ -97,7 +99,7 @@ def default_test_functions(model: FKModel) -> dict:
 # particles x replicates per block: small clouds share each step's array calls
 # among many replicates, a cloud of over 2**13 particles runs alone
 BLOCK_ELEMENTS = 1 << 14
-_KINDS = ("bootstrap", "twisted", "apf")
+_KINDS = ("bootstrap", "twisted", "apf", "sis")
 
 
 def _logmeanexp(v: np.ndarray) -> np.ndarray:
@@ -110,12 +112,13 @@ def _logmeanexp(v: np.ndarray) -> np.ndarray:
     return np.array([mi + math.log(si / n) for mi, si in zip(m.tolist(), s.tolist())])
 
 
-def _step_draws(stream, p: int, n: int, proposal, twist):
-    """One replicate's draws at step ``p``: resampling uniforms, mutation noise
-    and, with a ``twist``, the slot, its ancestor's uniform and its move."""
-    draws = [stream.generator(p, RESAMPLE).random(n),
-             proposal.noise(stream.generator(p, MUTATE), n)]
-    if twist is not None:
+def _step_draws(stream, p: int, n: int, kind: str, move, twist):
+    """One replicate's draws at step ``p``: resampling uniforms (None for SIS,
+    which makes no RESAMPLE draw), mutation noise and, in a twisted run, the
+    slot, its ancestor's uniform and its move."""
+    draws = [None if kind == "sis" else stream.generator(p, RESAMPLE).random(n),
+             move.noise(stream.generator(p, MUTATE), n)]
+    if kind == "twisted":
         gen = stream.generator(p, TWIST)
         draws += [gen.integers(n), gen.random(1), twist.noise(gen, 1)]
     return draws
@@ -142,13 +145,13 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     of ``L`` twists: row ``l * R + r`` is twist ``l`` on replicate ``r``."""
     if kind not in _KINDS:
         raise ValueError(f"filter kind must be one of {_KINDS}, got {kind!r}")
-    twisted, auxiliary = kind == "twisted", kind == "apf"
+    twisted, auxiliary, sis = kind == "twisted", kind == "apf", kind == "sis"
     grid = _grid(kind, twist)
-    if kind == "bootstrap":
+    if kind == "bootstrap" or grid == [None]:
         grid = [ConstantTwist(model)]
     twist = grid[0]
-    if n_steps > 0 or not twisted:
-        window.require(0, n_steps - 1 + max(tw.lookahead for tw in grid), context=f"{kind}_run")
+    if n_steps > 0 or auxiliary:
+        window.require(0, n_steps - 1 + max(tw.lookahead for tw in grid), context=f"{kind} run")
     tf = default_test_functions(model) if test_functions is None else test_functions
     streams = [RngStream(seed, r).session() for r in replicates]
     n_grid, n = len(grid), n_particles
@@ -161,39 +164,54 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
                  for tw, span in zip(grid, spans)]
         return parts[0] if n_grid == 1 else np.concatenate(parts)
 
-    # the cloud starts from mu0 and moves by M_t, both reweighted by psi in an
-    # auxiliary run (psi = 1 is the model's own law, draw for draw)
-    proposal = twist if auxiliary else ConstantTwist(model)
+    # the cloud starts from mu0 and moves by M_t; an auxiliary run reweights
+    # both by psi and SIS chains only the moves (psi = 1 is the model's own
+    # law, draw for draw)
+    start = twist if auxiliary else ConstantTwist(model)
+    move = twist if auxiliary or sis else start
     if initial is not None:
         pos = np.tile(np.array(initial), (n_rows, 1))
     else:
-        pos = np.array([proposal.sample_twisted_initial(window, n, s.generator(0, INIT))
+        pos = np.array([start.sample_twisted_initial(window, n, s.generator(0, INIT))
                         for s in streams] * n_grid)
-    aux = {} if auxiliary else {"initial_positions": pos}
+    aux = {} if auxiliary or sis else {"initial_positions": pos}
     # per-step log increments of the weights and of the estimator proper
     inc_w, inc = np.zeros((2, n_rows, n_steps + 1))
-    eta = {name: np.zeros((n_rows, n_steps + 1)) for name in tf}
-    est = {name: np.zeros((n_rows, n_steps + 1)) for name in tf}
+    # plain particle means, and in auxiliary and SIS runs the estimates
+    # weighted by exp(lv): lv is log(1/psi) or the chains' log weights
+    eta = {} if sis else {name: np.zeros((n_rows, n_steps + 1)) for name in tf}
+    est = {name: np.zeros((n_rows, n_steps + 1)) for name in tf} if auxiliary or sis else {}
 
-    def record(p, pos, lr):
-        # eta, and in an auxiliary run the 1/psi-weighted estimates
-        w = np.exp(-(lr - lr.min(axis=1, keepdims=True))) if auxiliary and tf else None
+    def record(p, pos, lv):
+        w = np.exp(lv - lv.max(axis=1, keepdims=True)) if est else None
         for name, fn in tf.items():
             f = fn(pos)
-            eta[name][:, p] = np.mean(f, axis=1)
-            if w is not None:
+            if eta:
+                eta[name][:, p] = np.mean(f, axis=1)
+            if est:
                 est[name][:, p] = np.sum(f * w, axis=1) / w.sum(axis=1)
 
-    lr = twist.log_psi(window, 0, pos) if auxiliary else None
-    record(0, pos, lr)
+    # SIS chains carry their log weights across steps
+    chains = np.zeros((n_rows, n_steps + 1, n)) if sis else None
+    lv = -twist.log_psi(window, 0, pos) if auxiliary else chains[:, 0] if sis else None
+    record(0, pos, lv)
     rows = np.arange(n_rows)[:, None]
     for p in range(1, n_steps + 1):
         t = p - 1
-        lw = twist.log_q_psi(window, t, pos) - lr if auxiliary else model.log_g(window, t, pos)
-        inc_w[:, p] = _logmeanexp(lw)
-        draws = [_step_draws(s, p, n, proposal, twist if twisted else None) for s in streams]
-        u, noise, *slot_draws = (np.array(c * n_grid) for c in zip(*draws))
-        new = proposal.twisted_mutate(window, t, pos[rows, resample_rows(lw, u)], noise)
+        # the step's log weights: the potential, or log Q_t(psi_{t+1}) plus
+        # lv, the 1/psi_t of an auxiliary run or the chain weights of SIS
+        if lv is None:
+            lw = model.log_g(window, t, pos)
+        else:
+            lw = twist.log_q_psi(window, t, pos) + lv
+        if not sis:
+            inc_w[:, p] = _logmeanexp(lw)
+        draws = [_step_draws(s, p, n, kind, move, twist) for s in streams]
+        u, noise, *slot_draws = (None if c[0] is None else np.array(c * n_grid)
+                                 for c in zip(*draws))
+        # SIS chains are their own ancestors; other clouds draw theirs by weight
+        new = move.twisted_mutate(window, t, pos if sis else pos[rows, resample_rows(lw, u)],
+                                  noise)
         if twisted:
             # per cloud: a slot, its ancestor drawn by Q_t(psi_{t+1}), a twisted move
             slots, u_anc, z_move = slot_draws
@@ -201,11 +219,16 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
             parent = pos[rows, resample_rows(lq, u_anc)]
             new[rows, slots[:, None]] = each("twisted_mutate", t, parent, z_move)
             inc[:, p] = _logmeanexp(lq) - _logmeanexp(each("log_psi", p, new))
-        elif auxiliary:
-            lr = twist.log_psi(window, p, new)
-            inc[:, p] = _logmeanexp(-lr)  # the terminal correction, at every p
+        elif auxiliary or sis:
+            lpsi = twist.log_psi(window, p, new)
+            lv = -lpsi if auxiliary else lw - lpsi
+            if sis:
+                chains[:, p] = lv
+            # the terminal correction of an auxiliary run (at every p), the
+            # mean chain weight of SIS
+            inc[:, p] = _logmeanexp(lv)
         pos = new
-        record(p, pos, lr)
+        record(p, pos, lv)
     aux["final_positions"] = pos
     log_z = log_w = np.cumsum(inc_w, axis=1)
     log_phi = inc - inc_w if twisted else np.zeros((n_rows, n_steps + 1))
@@ -217,6 +240,10 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
         log_z = log_mu0_w + inc + log_w
         log_z[:, 0] = 0.0
         aux.update({f"filter_est_{name}": est[name] for name in tf})
+    elif sis:
+        log_z = inc
+        aux["chain_log_weights"] = chains
+        aux.update({f"selfnorm_{name}": est[name] for name in tf})
     return RunTrace(n_steps, n_particles, log_z, log_phi, eta, aux)
 
 
@@ -225,10 +252,8 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
                      test_functions: dict | None = None, initial=None):
     """Yield one :class:`RunTrace` per block of ``BLOCK_ELEMENTS // n_particles``
     (at least one) of the given replicate indices, with a leading replicate
-    axis on every array; row ``i`` equals the run of ``replicates[i]`` bit for
-    bit. ``kind`` is ``bootstrap``, ``twisted`` or ``apf``; ``twist`` (the
-    twist or the auxiliary weight) is ignored by ``bootstrap``; ``initial``
-    (bootstrap and twisted runs) starts every replicate from the same cloud.
+    axis on every array; row ``i`` equals :func:`run_filter` on
+    ``replicates[i]`` bit for bit.
 
     For ``twisted``, ``twist`` may be a list of ``L`` twists of one class, a
     grid: a block then holds ``BLOCK_ELEMENTS // (L * n_particles)`` (at
@@ -246,7 +271,32 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
 def run_filter(kind: str, model: FKModel, twist: TwistFunction | None, window,
                n_steps: int, n_particles: int, seed: int, replicate: int = 0,
                test_functions: dict | None = None, initial=None) -> RunTrace:
-    """One bootstrap, twisted or auxiliary run (see :func:`replicate_blocks`)."""
+    """One particle run of replicate ``replicate``; ``initial`` starts it from
+    a given cloud instead of a draw. The kinds:
+
+    * ``bootstrap``: resample by the potential, move by the model's kernel;
+      ``twist`` is ignored.
+    * ``twisted``: the same system, but at each step one uniformly chosen
+      slot is redrawn from the ``twist``-reweighted kernel. ``log_z``
+      estimates the same marginal likelihood as the bootstrap run;
+      ``aux['log_z_standard']`` keeps the uncorrected functional, so
+      ``log_z == log_z_standard + cumsum(log_phi)`` holds within rounding.
+    * ``apf``: auxiliary run. The model is transformed by a strictly positive
+      lookahead weight ``r``, the ``twist``, which supplies its integrals in
+      closed form; the estimator is corrected by the initial integral
+      ``mu0(r)`` (``aux['log_mu0_weight']``) and the terminal mean of ``1/r``,
+      so it stays unbiased for the marginal likelihood. ``eta`` records plain
+      means of the transformed cloud; ``aux['filter_est_<name>']`` the
+      1/r-weighted estimates of the original model's prediction filter.
+    * ``sis``: sequential importance sampling, ``n_particles`` independent
+      chains that never resample. With no ``twist`` the chains follow the
+      model's dynamics and carry running potential products; with a twist
+      proposal they follow its reweighted kernel and carry the corrected
+      weights. ``log_z[p]`` is the log of the mean chain weight;
+      ``aux['chain_log_weights']`` has shape ``(n_steps + 1, n_particles)``;
+      ``aux['selfnorm_<name>']`` records self-normalized estimates; ``eta``
+      stays empty.
+    """
     block = _run_block(kind, model, twist, window, n_steps, n_particles, seed,
                        [replicate], test_functions, initial)
     return RunTrace(
@@ -254,90 +304,3 @@ def run_filter(kind: str, model: FKModel, twist: TwistFunction | None, window,
         {name: v[0] for name, v in block.eta.items()},
         {name: v[0] if isinstance(v, np.ndarray) else v for name, v in block.aux.items()},
     )
-
-
-def bootstrap_run(model: FKModel, window, n_steps: int, n_particles: int, seed: int,
-                  replicate: int = 0, test_functions: dict | None = None,
-                  initial=None) -> RunTrace:
-    """Standard resample-mutate particle run under the model's own dynamics."""
-    return run_filter("bootstrap", model, None, window, n_steps, n_particles, seed,
-                      replicate, test_functions, initial)
-
-
-def twisted_run(model: FKModel, twist: TwistFunction, window, n_steps: int,
-                n_particles: int, seed: int, replicate: int = 0,
-                test_functions: dict | None = None, initial=None) -> RunTrace:
-    """Particle run under the psi-twisted sampling law.
-
-    ``log_z`` estimates the same marginal likelihood as the bootstrap run;
-    ``aux['log_z_standard']`` keeps the uncorrected functional so that
-    ``log_z == log_z_standard + cumsum(log_phi)`` holds within rounding.
-    """
-    return run_filter("twisted", model, twist, window, n_steps, n_particles, seed,
-                      replicate, test_functions, initial)
-
-
-def apf_run(model: FKModel, weight: TwistFunction, window, n_steps: int,
-            n_particles: int, seed: int, replicate: int = 0,
-            test_functions: dict | None = None) -> RunTrace:
-    """Auxiliary particle run: the model is transformed by a strictly positive
-    lookahead weight ``r`` (a twist object supplying its integrals in closed
-    form), and the estimator is corrected by the initial integral ``mu0(r)``
-    and the terminal mean of ``1/r`` so it stays unbiased for the marginal
-    likelihood.
-
-    ``eta`` records plain empirical means of the transformed cloud;
-    ``aux['filter_est_<name>']`` records the 1/r-weighted estimates that
-    target the prediction filter of the original model.
-    """
-    return run_filter("apf", model, weight, window, n_steps, n_particles, seed,
-                      replicate, test_functions)
-
-
-def sis_run(
-    model: FKModel,
-    window,
-    n_steps: int,
-    n_chains: int,
-    seed: int,
-    replicate: int = 0,
-    proposal: TwistFunction | None = None,
-    test_functions: dict | None = None,
-) -> RunTrace:
-    """Sequential importance sampling: independent single-particle chains, no
-    interaction. With no proposal the chains follow the model dynamics and the
-    weights are running potential products; with a twist proposal the chains
-    follow the reweighted kernel and carry the corrected weights.
-
-    ``log_z[p]`` is the log of the arithmetic weight mean;
-    ``aux['chain_log_weights']`` has shape ``(n_steps + 1, n_chains)``;
-    ``aux['selfnorm_<name>']`` records self-normalized estimates.
-    """
-    # psi = 1 makes the proposal the model's own kernel, draw for draw
-    proposal = ConstantTwist(model) if proposal is None else proposal
-    if n_steps > 0:
-        window.require(0, n_steps - 1 + proposal.lookahead, context="sis_run")
-    tf = default_test_functions(model) if test_functions is None else test_functions
-    stream = RngStream(seed, replicate).session()
-    pos = model.sample_initial(n_chains, stream.generator(0, INIT))
-    logw = np.zeros(n_chains)
-    chain_lw = np.zeros((n_steps + 1, n_chains))
-    log_z = np.zeros(n_steps + 1)
-    selfnorm = {name: np.zeros(n_steps + 1) for name in tf}
-    for name, fn in tf.items():
-        selfnorm[name][0] = float(np.mean(fn(pos)))
-    for p in range(1, n_steps + 1):
-        t = p - 1
-        inc = proposal.log_q_psi(window, t, pos)
-        pos = proposal.sample_twisted_mutation(window, t, pos, stream.generator(p, MUTATE))
-        logw = logw + inc - proposal.log_psi(window, p, pos)
-        chain_lw[p] = logw
-        log_z[p] = _logmeanexp(logw[None, :])[0]
-        w = np.exp(logw - logw.max())
-        for name, fn in tf.items():
-            selfnorm[name][p] = float(np.sum(fn(pos) * w) / w.sum())
-    aux = {"chain_log_weights": chain_lw, "final_positions": pos}
-    for name in tf:
-        aux[f"selfnorm_{name}"] = selfnorm[name]
-    return RunTrace(n_steps, n_chains, log_z, np.zeros(n_steps + 1), eta={}, aux=aux)
-

@@ -9,7 +9,10 @@ window. The one-step unnormalized operator is
 For finite-state models it is evaluated exactly, in log domain, by
 ``q_apply_log``; the exact references built on it (forward recursion, Kalman
 filter, eigenfunction sweeps) live in :mod:`twistpf.models` and
-:mod:`twistpf.twists`.
+:mod:`twistpf.twists`. A finite model's tables are checked once, when it is
+built, so the particle moves, the oracle and the eigen sweeps all read the
+same model: finite entries, ``mu0`` and the rows of ``trans`` probability
+vectors, ``emit`` strictly positive.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ _PROB_TOL = 1e-12
 
 
 class FKModel:
-    """Base class: initial sampler, potential and mutation sampler.
+    """Base class: initial sampler, potential and mutation.
 
     ``lookahead`` declares how many observation indices beyond the current
     step the potential reads; runners validate window coverage up front.
@@ -57,28 +60,31 @@ class FKModel:
         """M_t(x, .) driven by ``noise`` (from :meth:`noise`), elementwise."""
         raise NotImplementedError("subclass must implement mutate")
 
-    def sample_mutation(self, window, t: int, x, gen: np.random.Generator):
-        """One draw from M_t(x_i, .) for each position in the 1-d ``x``."""
-        return self.mutate(window, t, x, self.noise(gen, len(x)))
-
 
 class FiniteFK(FKModel):
     """Finite-state model: categorical initial law, constant transition matrix,
-    potential given by an emission table indexed by the observed symbol."""
+    potential given by an emission table indexed by the observed symbol.
+
+    Every check names the table it rejects (``mu0``, ``trans``, ``emit``) as
+    the first word of its ``ValueError``. All entries must be finite, since a
+    comparison with NaN is false and would pass the others."""
 
     def __init__(self, mu0, trans, emit):
         mu0 = np.asarray(mu0, dtype=float)
         trans = np.asarray(trans, dtype=float)
         emit = np.asarray(emit, dtype=float)
+        for name, table in (("mu0", mu0), ("trans", trans), ("emit", emit)):
+            if not np.isfinite(table).all():
+                raise ValueError(f"{name} entries must be finite numbers")
         k = mu0.shape[0]
         if trans.shape != (k, k):
-            raise ValueError(f"transition matrix shape {trans.shape} != ({k}, {k})")
+            raise ValueError(f"trans has shape {trans.shape}, need ({k}, {k})")
         if emit.ndim != 2 or emit.shape[0] != k:
-            raise ValueError("emission table must have one row per state")
+            raise ValueError("emit must have one row per state")
         if (emit <= 0).any():
-            raise ValueError("emission probabilities must be strictly positive")
-        if np.abs(trans.sum(axis=1) - 1.0).max() > _PROB_TOL:
-            raise ValueError("transition matrix rows must sum to 1")
+            raise ValueError("emit entries must be strictly positive")
+        if (trans < 0).any() or np.abs(trans.sum(axis=1) - 1.0).max() > _PROB_TOL:
+            raise ValueError("trans rows must be probability vectors")
         if abs(mu0.sum() - 1.0) > _PROB_TOL or (mu0 < 0).any():
             raise ValueError("mu0 must be a probability vector")
         for a in (mu0, trans, emit):
@@ -91,7 +97,6 @@ class FiniteFK(FKModel):
         self.trans_cdf[:, -1] = 1.0
         self.log_emit = np.log(emit)
         self.k = k
-        self.n_symbols = emit.shape[1]
 
     def log_g_grid(self, window, t: int) -> np.ndarray:
         """log G_t over the full state grid ``0..k-1``."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, eigen_window, load_config, read_config
-from .filters import default_test_functions, replicate_blocks, run_filter, sis_run
+from .filters import default_test_functions, replicate_blocks, run_filter
 from .models import finite_forward, kalman_run, simulate
-from .oracle import exact_clt_variances, exact_moments, fit_slope, upsilon_bound
+from .oracle import _MAX_STATES, exact_clt_variances, exact_moments, fit_slope, upsilon_bound
 from .twists import ConvergenceError, EigenTwist, eigen_triple, make_twist
 
 __all__ = [
@@ -66,9 +67,9 @@ def _eigen(config: ExperimentConfig, window, tol):
 
 
 def _build_twist(config: ExperimentConfig, window, spec: dict, filter_kind="twisted"):
-    """The twist (or auxiliary weight) of ``spec`` for a filter; None for a
-    filter that runs without one."""
-    if filter_kind == "bootstrap" or (filter_kind == "sis" and spec["kind"] == "constant"):
+    """The twist (auxiliary weight, SIS proposal) of ``spec`` for a filter;
+    None for the bootstrap filter, which runs without one."""
+    if filter_kind == "bootstrap":
         return None
     if spec["kind"] == "exact_h":
         return _eigen(config, window, spec["tol"]).as_twist()
@@ -146,8 +147,10 @@ def _replicates(config: ExperimentConfig, window, filter_kind: str, specs=None, 
     if twists is None and (filter_kind == "sis" or workers <= 1):
         twists = [_build_twist(config, window, spec, filter_kind) for spec in specs]
     if filter_kind == "sis":
-        return [(sis_run(config.params.fk(), window, config.steps, replicates, config.seed,
-                         proposal=twist).aux["chain_log_weights"].T, {}) for twist in twists]
+        # one run whose chains are the replicates; they share its stream
+        return [(run_filter("sis", config.params.fk(), twist, window, config.steps, replicates,
+                            config.seed, test_functions={}).aux["chain_log_weights"].T, {})
+                for twist in twists]
     if workers <= 1:
         return _run_span((config, window, filter_kind, twists, particles, None if eta else {}),
                          0, replicates)
@@ -234,9 +237,9 @@ def _setup(source, experiment: Experiment | None = None):
     if experiment is not None:
         if experiment.finite_only and config.model_kind != "finite":
             raise ConfigError(f"config field 'model.kind' must be 'finite' for {experiment.name}")
-        for field, low, why in experiment.at_least:
-            if getattr(config, field) < low:
-                raise ConfigError(f"config field '{field}' must be >= {low} for "
+        for field, holds, rule, why in experiment.requires:
+            if not holds(config):
+                raise ConfigError(f"config field '{field}' must be {rule} for "
                                   f"{experiment.name}: {why}")
         if experiment.eigen_margins and "window" not in cfg:
             # widen an implicit window so the eigenfunction sweeps can converge
@@ -263,10 +266,10 @@ class Experiment:
     """A registered experiment; calling it with ``(source, out_dir)`` runs it.
 
     ``body(config, window)`` returns the CSV tables; the other fields are its
-    preconditions: finite models only, lower bounds on config fields
-    (``at_least``, ``(field, bound, reason)`` triples, checked before any
-    window is drawn), the eigen margins around an implicit window, and
-    whether it needs a window.
+    preconditions: finite models only, rules on config fields (``requires``,
+    ``(field, holds, rule, reason)`` with ``holds(config)`` a test, checked
+    before any window is drawn), the eigen margins around an implicit window,
+    and whether it needs a window.
     """
 
     name: str
@@ -274,7 +277,7 @@ class Experiment:
     help: str
     body: Callable
     finite_only: bool = False
-    at_least: tuple = ()
+    requires: tuple = ()
     eigen_margins: bool = False
     windowed: bool = True
 
@@ -305,13 +308,10 @@ def _simulate(config: ExperimentConfig, _window) -> _Output:
 def _single(config: ExperimentConfig, window) -> _Output:
     """The per-step trace of one filter run."""
     twist = _build_twist(config, window, config.twist_spec, config.filter_kind)
-    model = config.params.fk()
-    if config.filter_kind == "sis":
-        trace = sis_run(model, window, config.steps, config.replicates, config.seed,
-                        proposal=twist)
-    else:
-        trace = run_filter(config.filter_kind, model, twist, window, config.steps,
-                           config.particles, config.seed)
+    # the chains of an SIS run are its replicates
+    n = config.replicates if config.filter_kind == "sis" else config.particles
+    trace = run_filter(config.filter_kind, config.params.fk(), twist, window, config.steps, n,
+                       config.seed)
     names = sorted(trace.eta)
     header = ["n", "log_Z", "log_phi", *(f"eta_phi_{n}" for n in names),
               *(f"gamma_phi_{n}" for n in names)]
@@ -437,7 +437,17 @@ def _bound(config: ExperimentConfig, window) -> _Output:
     return _Output({"": (["d_sup", "bound", "N", "twist", "ell"], [row])}, {"bound": rep})
 
 
-_SPREAD = ("replicates", 2, "its spread needs at least two replicates")
+def _at_least(field: str, low: int, why: str) -> tuple:
+    return field, lambda config: getattr(config, field) >= low, f">= {low}", why
+
+
+_SPREAD = _at_least("replicates", 2, "its spread needs at least two replicates")
+_CHAIN_STATES = (
+    "particles",
+    lambda config: math.comb(config.particles + config.params.k - 1,
+                             config.params.k - 1) <= _MAX_STATES,
+    f"small enough that C(particles + k - 1, k - 1) <= {_MAX_STATES}",
+    "the exact cloud chain has one state per occupation count of the k states")
 
 run_simulate = Experiment("simulate", "path", "simulate a path and write t,x,y", _simulate,
                           windowed=False)
@@ -447,18 +457,20 @@ run_variance_growth = Experiment(
     "relative second moment of the normalizer vs horizon", _variance_growth)
 run_clt_check = Experiment(
     "clt-check", "clt_check", "empirical vs exact asymptotic variances (finite models)",
-    _clt_check, finite_only=True, at_least=(_SPREAD,))
+    _clt_check, finite_only=True, requires=(_SPREAD,))
 run_unbiasedness = Experiment(
     "unbiasedness", "unbiasedness", "replicate-mean of the normalizer vs the exact value",
-    _unbiasedness, at_least=(_SPREAD,))
+    _unbiasedness, requires=(_SPREAD,))
 run_oracle_check = Experiment(
     "oracle-check", "oracle_check", "exact cloud-chain variance growth (finite models)",
     _oracle_check, finite_only=True, eigen_margins=True,
-    at_least=(("steps", 3, "its slope fit needs at least three horizons"),))
+    requires=(_at_least("steps", 3, "its slope fit needs at least three horizons"),
+              _CHAIN_STATES))
 run_bound = Experiment(
     "bound", "bound", "twist discrepancy and growth-rate bound (finite models)", _bound,
     finite_only=True, eigen_margins=True,
-    at_least=(("particles", 2, "the bound log(1 + d_sup / (N - 1)) is undefined at N = 1"),))
+    requires=(_at_least("particles", 2,
+                        "the bound log(1 + d_sup / (N - 1)) is undefined at N = 1"),))
 
 _EXPERIMENTS = {e.name: e for e in (run_simulate, run_single, run_variance_growth,
                                     run_clt_check, run_unbiasedness, run_oracle_check,

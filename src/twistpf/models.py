@@ -85,10 +85,6 @@ class FiniteHMMParams:
         return self.mu0.shape[0]
 
     @property
-    def n_symbols(self) -> int:
-        return self.emit.shape[1]
-
-    @property
     def is_mixing(self) -> bool:
         return bool((self.trans > 0).all())
 

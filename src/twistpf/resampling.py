@@ -4,29 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["multinomial_resample", "resample_rows"]
+__all__ = ["resample_rows"]
 
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
-def multinomial_resample(log_weights, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. ancestor indices with P(i) proportional to exp(log_weights[i]).
-
-    Weights are normalized after subtracting the max, so any common additive
-    constant in the log weights cancels. Raises ``ValueError`` if no weight is
-    finite or any weight is NaN.
-    """
-    lw = np.asarray(log_weights, dtype=float)
-    if lw.ndim != 1 or lw.size == 0:
-        raise ValueError("log_weights must be a non-empty 1-d array")
-    return resample_rows(lw[None, :], gen.random(count)[None, :])[0]
-
-
 def resample_rows(log_weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Ancestor indices for a block of clouds: row ``r`` maps the uniforms
-    ``uniforms[r]`` through the CDF of ``exp(log_weights[r])``, exactly as
-    :func:`multinomial_resample` maps its own draws: each index is the number
-    of CDF entries at or below its uniform (``searchsorted(side="right")``).
+    ``uniforms[r]`` through the CDF of ``exp(log_weights[r])``: each index is
+    the number of CDF entries at or below its uniform
+    (``searchsorted(side="right")``). The weights are normalized after
+    subtracting the row max, so a common additive constant in a row cancels.
 
     Every row needs a finite weight and none may be NaN, and every uniform
     must lie in [0, 1) (``ValueError``).

@@ -35,9 +35,6 @@ class RngStream:
         self.root_seed = int(root_seed) & _MASK64
         self.replicate = int(replicate) & _MASK64
 
-    def for_replicate(self, replicate: int) -> "RngStream":
-        return RngStream(self.root_seed, replicate)
-
     def generator(self, step: int, purpose: int) -> np.random.Generator:
         key = np.array([self.root_seed, self.replicate], dtype=np.uint64)
         counter = np.array([0, 0, int(step) & _MASK64, int(purpose)], dtype=np.uint64)
@@ -81,9 +78,6 @@ class _SessionStream:
             "has_uint32": 0,
             "uinteger": 0,
         }
-
-    def for_replicate(self, replicate: int) -> "_SessionStream":
-        return _SessionStream(self.root_seed, replicate)
 
     def generator(self, step: int, purpose: int) -> np.random.Generator:
         counter = self._state["state"]["counter"]

@@ -10,10 +10,10 @@ The interface every twist implements:
 * ``log_psi(window, t, x)``: log psi_t at positions ``x``.
 * ``log_q_psi(window, t, x)``: log of G_t(x) * integral M_t(x, dz) psi_{t+1}(z),
   carrying the same per-time constants as ``log_psi``.
-* ``sample_twisted_mutation(window, t, x, gen)``: one draw per position from
-  the reweighted kernel M_t(x, dz) psi_{t+1}(z) / integral; split, as for
-  models, into ``noise(gen, size)`` (one uniform or standard normal per
-  position) and the elementwise transform ``twisted_mutate(window, t, x, noise)``.
+* ``noise(gen, size)`` and ``twisted_mutate(window, t, x, noise)``: a move
+  from the reweighted kernel M_t(x, dz) psi_{t+1}(z) / integral, split as for
+  models into the draws (one uniform or standard normal per position) and
+  an elementwise transform.
 * ``lookahead``: largest future offset read, i.e. evaluating at time ``t``
   touches observation indices up to ``t + lookahead``.
 
@@ -32,6 +32,10 @@ Families provided here:
   density in the log-volatility, curvature floored so psi stays bounded).
 * :class:`EigenTwist`: the generalized eigenfunction of the one-step operator,
   precomputed by :func:`eigen_triple` on finite models.
+
+:class:`FiniteLagTwist` and :class:`EigenTwist` are finite table twists: a
+log table over the k states per time, from which lookups, moves and initial
+draws are made the same way.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
     "EigenTwist",
     "eigen_triple",
     "ConvergenceError",
+    "TWIST_KINDS",
     "make_twist",
 ]
 
@@ -78,9 +83,6 @@ class TwistFunction:
 
     def twisted_mutate(self, window, t: int, x, noise):
         raise NotImplementedError
-
-    def sample_twisted_mutation(self, window, t: int, x, gen):
-        return self.twisted_mutate(window, t, x, self.noise(gen, len(x)))
 
     def log_mu0_psi(self, window) -> float:
         raise NotImplementedError(
@@ -146,7 +148,34 @@ def _categorical_rows(logits: np.ndarray, x, u) -> np.ndarray:
     return categorical_counts(cdf, x, u)
 
 
-class FiniteLagTwist(TwistFunction):
+class _FiniteTableTwist(TwistFunction):
+    """A twist on the states ``0..k-1`` of a finite model, given per time by
+    two log tables with a shared per-time constant: ``_log_table(window, t)``,
+    log psi_t, and ``_log_q_table(window, t)``, log Q_t(psi_{t+1}). A
+    subclass supplies both, ``_mu0_psi(window)`` (mu0 * psi_0 up to a
+    constant factor) and ``log_mu0_psi``."""
+
+    def __init__(self, params: FiniteHMMParams):
+        self.params = params
+        self.fk = params.fk()
+
+    def log_psi(self, window, t, x):
+        return self._log_table(window, t)[np.asarray(x, dtype=np.int64)]
+
+    def log_q_psi(self, window, t, x):
+        return self._log_q_table(window, t)[np.asarray(x, dtype=np.int64)]
+
+    def twisted_mutate(self, window, t, x, noise):
+        return _categorical_rows(self.fk.log_trans + self._log_table(window, t + 1), x, noise)
+
+    def sample_twisted_initial(self, window, size, gen):
+        cdf = np.cumsum(self._mu0_psi(window))
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
+
+
+class FiniteLagTwist(_FiniteTableTwist):
     """psi_t proportional to the likelihood of the ``ell`` observations from
     index ``t`` onward, given the current state. ``ell = 0`` is the constant
     twist; ``ell = 1`` is proportional to the potential."""
@@ -154,15 +183,14 @@ class FiniteLagTwist(TwistFunction):
     def __init__(self, params: FiniteHMMParams, ell: int):
         if ell < 0:
             raise ValueError("lag must be >= 0")
-        self.params = params
+        super().__init__(params)
         self.ell = int(ell)
         self.lookahead = self.ell
-        self.fk = params.fk()
         self._memo = _WindowMemo()
 
     # tables are max-centered per (window, t); the constant is shared by
     # log_psi and log_q_psi so it cancels in every consumer
-    def _table(self, window, t: int) -> np.ndarray:
+    def _log_table(self, window, t: int) -> np.ndarray:
         memo = self._memo.of(window)
         tab = memo.get(t)
         if tab is None:
@@ -173,33 +201,20 @@ class FiniteLagTwist(TwistFunction):
             memo[t] = tab
         return tab
 
-    def _q_table(self, window, t: int) -> np.ndarray:
+    def _log_q_table(self, window, t: int) -> np.ndarray:
         memo = self._memo.of(window)
         tab = memo.get(("q", t))
         if tab is None:
-            tab = q_apply_log(self.fk, window, t, self._table(window, t + 1))
+            tab = q_apply_log(self.fk, window, t, self._log_table(window, t + 1))
             memo[("q", t)] = tab
         return tab
 
-    def log_psi(self, window, t, x):
-        return self._table(window, t)[np.asarray(x, dtype=np.int64)]
-
-    def log_q_psi(self, window, t, x):
-        return self._q_table(window, t)[np.asarray(x, dtype=np.int64)]
-
-    def twisted_mutate(self, window, t, x, noise):
-        return _categorical_rows(self.fk.log_trans + self._table(window, t + 1), x, noise)
+    def _mu0_psi(self, window):
+        logits = np.log(self.params.mu0) + self._log_table(window, 0)
+        return np.exp(logits - logits.max())
 
     def log_mu0_psi(self, window):
-        return float(logsumexp(np.log(self.params.mu0) + self._table(window, 0)))
-
-    def sample_twisted_initial(self, window, size, gen):
-        logits = np.log(self.params.mu0) + self._table(window, 0)
-        z = np.exp(logits - logits.max())
-        cdf = np.cumsum(z)
-        cdf /= cdf[-1]
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
+        return float(logsumexp(np.log(self.params.mu0) + self._log_table(window, 0)))
 
 
 class _GaussianQuadTwist(TwistFunction):
@@ -494,7 +509,7 @@ def eigen_triple(
     )
 
 
-class EigenTwist(TwistFunction):
+class EigenTwist(_FiniteTableTwist):
     """psi_t = h_t from a precomputed :class:`EigenTriple`.
 
     Valid for (shifts of) the construction window, on absolute indices within
@@ -502,73 +517,53 @@ class EigenTwist(TwistFunction):
     collapses onto the eigenvalue product; see the per-run identity tests.
     """
 
-    lookahead = 0
-
     def __init__(self, triple: EigenTriple):
+        super().__init__(triple.params)
         self.triple = triple
-        self.params = triple.params
-        self.fk = triple.params.fk()
 
-    def _abs_index(self, window, t: int) -> int:
+    def _row(self, window, t: int) -> int:
         # index t of a shifted window addresses t + (o0 - origin) of the original
-        return t + (self.triple.window_origin - window.origin)
+        return self.triple.row(t + self.triple.window_origin - window.origin)
 
-    def log_psi(self, window, t, x):
-        row = self.triple.row(self._abs_index(window, t))
-        return self.triple.log_h[row][np.asarray(x, dtype=np.int64)]
+    def _log_table(self, window, t):
+        return self.triple.log_h[self._row(window, t)]
 
-    def log_q_psi(self, window, t, x):
-        row = self.triple.row(self._abs_index(window, t) + 1)
-        grid = self.fk.log_g_grid(window, t) + np.log(self.fk.trans @ self.triple.h[row])
-        return grid[np.asarray(x, dtype=np.int64)]
+    def _log_q_table(self, window, t):
+        h = self.triple.h[self._row(window, t + 1)]
+        return self.fk.log_g_grid(window, t) + np.log(self.fk.trans @ h)
 
-    def twisted_mutate(self, window, t, x, noise):
-        row = self.triple.row(self._abs_index(window, t) + 1)
-        return _categorical_rows(self.fk.log_trans + self.triple.log_h[row], x, noise)
+    def _mu0_psi(self, window):
+        return self.params.mu0 * self.triple.h[self._row(window, 0)]
 
     def log_mu0_psi(self, window):
-        row = self.triple.row(self._abs_index(window, 0))
-        return float(np.log(self.params.mu0 @ self.triple.h[row]))
+        return float(np.log(self.params.mu0 @ self.triple.h[self._row(window, 0)]))
 
-    def sample_twisted_initial(self, window, size, gen):
-        row = self.triple.row(self._abs_index(window, 0))
-        p = self.params.mu0 * self.triple.h[row]
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
+
+# the twist kinds each model has
+TWIST_KINDS = {
+    FiniteHMMParams: ("constant", "lag", "exact_h"),
+    LinearGaussianParams: ("constant", "lag"),
+    SVParams: ("constant", "sv_approx"),
+}
 
 
 def make_twist(params, spec: dict, window=None, model=None) -> TwistFunction:
-    """Build a twist from a config mapping ``{kind, ell, tol}``.
-
-    Kinds: ``constant``, ``lag``, ``exact_h`` (finite models only, needs the
-    window at construction), ``sv_approx``.
+    """Build a twist from a config mapping ``{kind, ell, tol}``, of a kind the
+    model has (``TWIST_KINDS``); ``exact_h`` needs the window at construction.
     """
     kind = spec.get("kind", "constant")
+    kinds = TWIST_KINDS.get(type(params), ())
+    if kind not in kinds:
+        raise ValueError(f"twist kind {kind!r} is not one of {kinds}, the kinds of "
+                         f"{type(params).__name__}")
     ell = int(spec.get("ell", 0))
-    tol = float(spec.get("tol", 1e-9))
     if kind == "constant":
         return ConstantTwist(model if model is not None else params.fk())
-    if kind == "lag":
-        if isinstance(params, FiniteHMMParams):
-            return FiniteLagTwist(params, ell)
-        if isinstance(params, LinearGaussianParams):
-            return LinearGaussianLagTwist(params, ell)
-        if isinstance(params, SVParams):
-            raise ValueError(
-                "exact lag twists are not available for the stochastic "
-                "volatility model; use kind 'sv_approx'"
-            )
-        raise ValueError(f"no lag twist for {type(params).__name__}")
     if kind == "exact_h":
-        if not isinstance(params, FiniteHMMParams):
-            raise ValueError("exact_h twists need a finite-state model")
         if window is None:
             raise ValueError("exact_h twists need the observation window up front")
-        return eigen_triple(params, window, tol=tol).as_twist()
+        return eigen_triple(params, window, tol=float(spec.get("tol", 1e-9))).as_twist()
     if kind == "sv_approx":
-        if not isinstance(params, SVParams):
-            raise ValueError("sv_approx twists need the stochastic volatility model")
         return StochasticVolatilityTwist(params, ell)
-    raise ValueError(f"unknown twist kind {kind!r}")
+    lag = FiniteLagTwist if isinstance(params, FiniteHMMParams) else LinearGaussianLagTwist
+    return lag(params, ell)

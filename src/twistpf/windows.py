@@ -65,11 +65,6 @@ class ObservationWindow:
             raise LookaheadError(t, self.origin, self.length, context)
         return self.values[i]
 
-    def segment(self, lo: int, hi: int, context: str = "") -> np.ndarray:
-        """Values for absolute indices ``lo, ..., hi - 1``."""
-        self.require(lo, hi - 1, context)
-        return self.values[lo - self.origin : hi - self.origin]
-
     def require(self, lo: int, hi: int, context: str = "") -> None:
         """Check that every index in ``lo..hi`` (inclusive) is in range."""
         if hi < lo:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 from scipy.special import logsumexp
 
-from twistpf.filters import apf_run, bootstrap_run, replicate_blocks, sis_run, twisted_run
+from twistpf.filters import replicate_blocks, run_filter
 from twistpf.harness import run_from_manifest, run_variance_growth
 from twistpf.models import (
     FiniteHMMParams,
@@ -156,8 +156,8 @@ def test_criterion_03_per_run_eigenvalue_identity():
         _, w0 = simulate(params, 160, seed=seed)
         w = w0.shift(60)
         tri = eigen_triple(params, w, t_lo=-10, t_hi=50, tol=1e-12)
-        trace = twisted_run(
-            params.fk(), tri.as_twist(), w, n, n_particles, seed=seed, replicate=1
+        trace = run_filter(
+            "twisted", params.fk(), tri.as_twist(), w, n, n_particles, seed=seed, replicate=1
         )
         lam_sum = float(np.sum(np.log(tri.lam[tri.row(0) : tri.row(n)])))
         h0 = np.log(tri.h[tri.row(0)][trace.aux["initial_positions"]].mean())
@@ -177,7 +177,7 @@ def test_criterion_04_constant_potential_zero_variance():
     for seed in range(100):
         _, w = simulate(params, n, seed=seed)
         want = finite_forward(params, w, n).log_z
-        got = bootstrap_run(model, w, n, n_particles, seed=seed).log_z
+        got = run_filter("bootstrap", model, None, w, n, n_particles, seed=seed).log_z
         all_exact = all_exact and np.array_equal(got, want)
     verdict(4, all_exact, "bootstrap log Z bitwise equal to exact on 100/100 seeds")
 
@@ -195,7 +195,7 @@ def test_criterion_05_twisted_kernel_total_variation():
     row = kern.m_tilde[np.flatnonzero((kern.states == start).all(axis=1))[0]]
     reps = 100_000
     counts = np.zeros(4)
-    # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+    # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
     for block in replicate_blocks(
         "twisted", model, twist, w, 1, 2, seed=7, replicates=range(reps),
         test_functions={}, initial=start,
@@ -231,7 +231,7 @@ def test_criterion_06_clt_variances():
     notes = []
     exact_store = {}
     for tw_name, tw in twists.items():
-        # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+        # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
         blocks = replicate_blocks(
             "twisted", model, tw, w, n, n_particles, seed=11, replicates=range(reps),
             test_functions=tf,
@@ -337,7 +337,7 @@ def test_criterion_08_lag_cuts_variance_growth():
     exact = kalman_run(params, w, n).log_z[n]
     lags = [0, 1, 2, 5]
     # the replicate engine, the lags as one grid: row l * R + r of each block
-    # of R replicates is twisted_run(..., replicate=r) under lag l's twist
+    # of R replicates is run_filter("twisted", ..., replicate=r) under lag l's twist
     # (lag 0 is the constant twist, see the test above)
     blocks = replicate_blocks(
         "twisted", model, [LinearGaussianLagTwist(params, ell) for ell in lags], w, n,
@@ -375,7 +375,7 @@ def test_criterion_09_interaction_beats_independence():
     w = w0.shift(20)
     n, n_lo = 60, 10
     exact = finite_forward(params, w, n).log_z
-    sis = sis_run(model, w, n, 4000, seed=11, test_functions={})
+    sis = run_filter("sis", model, None, w, n, 4000, seed=11, test_functions={})
     ns = np.arange(n_lo, n + 1)
     sis_logv = np.array(
         [
@@ -387,8 +387,8 @@ def test_criterion_09_interaction_beats_independence():
     reps, n_particles = 600, 50
     lz = np.empty((reps, n + 1))
     for r in range(reps):
-        lz[r] = bootstrap_run(
-            model, w, n, n_particles, seed=11, replicate=r, test_functions={}
+        lz[r] = run_filter(
+            "bootstrap", model, None, w, n, n_particles, seed=11, replicate=r, test_functions={}
         ).log_z
     boot_logv = np.array(
         [logmeanexp(2.0 * (lz[:, t] - exact[t])) for t in ns]
@@ -420,8 +420,8 @@ def test_criterion_10_lookahead_weighting():
     reps = 4000
     ratios = np.empty(reps)
     for r in range(reps):
-        trace = apf_run(
-            model, weight, w, n, 32, seed=11, replicate=r, test_functions={}
+        trace = run_filter(
+            "apf", model, weight, w, n, 32, seed=11, replicate=r, test_functions={}
         )
         ratios[r] = math.exp(trace.log_z[n] - exact.log_z[n])
     se = ratios.std(ddof=1) / math.sqrt(reps)
@@ -441,7 +441,7 @@ def test_criterion_10_lookahead_weighting():
     reps_c = 200
     vals = np.empty(reps_c)
     for r in range(reps_c):
-        trace = apf_run(model, weight, w, n, 10_000, seed=12, replicate=r)
+        trace = run_filter("apf", model, weight, w, n, 10_000, seed=12, replicate=r)
         vals[r] = trace.aux["filter_est_id"][n]
     se_c = vals.std(ddof=1) / math.sqrt(reps_c)
     ok_c = abs(vals.mean() - target) < 4 * se_c

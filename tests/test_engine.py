@@ -13,19 +13,15 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from twistpf import filters, resampling
-from twistpf.filters import (
-    apf_run,
-    bootstrap_run,
-    default_test_functions,
-    replicate_blocks,
-    twisted_run,
-)
+from twistpf.filters import default_test_functions, replicate_blocks, run_filter
 from twistpf.fkcore import logsumexp
 from twistpf.harness import run_clt_check, run_unbiasedness, run_variance_growth
 from twistpf.models import FiniteHMMParams, LinearGaussianParams, SVParams, simulate
-from twistpf.resampling import multinomial_resample, resample_rows
+from twistpf.resampling import resample_rows
 from twistpf.rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
-from twistpf.twists import ConstantTwist, EigenTwist, eigen_triple, make_twist
+from twistpf.twists import ConstantTwist, eigen_triple, make_twist
+
+from scalar_draws import multinomial_resample, sample_mutation, sample_twisted_mutation
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +52,7 @@ def scalar_bootstrap(model, window, n_steps, n, seed, replicate=0, initial=None)
         lg = model.log_g(window, p - 1, pos)
         log_z[p] = log_z[p - 1] + _lme(lg)
         anc = multinomial_resample(lg, n, stream.generator(p, RESAMPLE))
-        pos = model.sample_mutation(window, p - 1, pos[anc], stream.generator(p, MUTATE))
+        pos = sample_mutation(model, window, p - 1, pos[anc], stream.generator(p, MUTATE))
         _record(eta, tf, p, pos)
     aux = {"initial_positions": pos0, "final_positions": pos}
     return log_z, np.zeros(n_steps + 1), eta, aux
@@ -76,11 +72,11 @@ def scalar_twisted(model, twist, window, n_steps, n, seed, replicate=0, initial=
         lq = twist.log_q_psi(window, t, pos)
         std_inc = _lme(lg)
         anc = multinomial_resample(lg, n, stream.generator(p, RESAMPLE))
-        new = model.sample_mutation(window, t, pos[anc], stream.generator(p, MUTATE))
+        new = sample_mutation(model, window, t, pos[anc], stream.generator(p, MUTATE))
         gen_tw = stream.generator(p, TWIST)
         slot = int(gen_tw.integers(n))
         a_idx = int(multinomial_resample(lq, 1, gen_tw)[0])
-        new[slot] = twist.sample_twisted_mutation(window, t, pos[a_idx : a_idx + 1], gen_tw)[0]
+        new[slot] = sample_twisted_mutation(twist, window, t, pos[a_idx : a_idx + 1], gen_tw)[0]
         inc = _lme(lq) - _lme(twist.log_psi(window, p, new))
         log_z[p] = log_z[p - 1] + inc
         log_z_std[p] = log_z_std[p - 1] + std_inc
@@ -113,7 +109,7 @@ def scalar_apf(model, weight, window, n_steps, n, seed, replicate=0):
         lg_eff = weight.log_q_psi(window, t, pos) - weight.log_psi(window, t, pos)
         cum_g += _lme(lg_eff)
         anc = multinomial_resample(lg_eff, n, stream.generator(p, RESAMPLE))
-        pos = weight.sample_twisted_mutation(window, t, pos[anc], stream.generator(p, MUTATE))
+        pos = sample_twisted_mutation(weight, window, t, pos[anc], stream.generator(p, MUTATE))
         lr_new = weight.log_psi(window, p, pos)
         log_z[p] = log_mu0_w + _lme(-lr_new) + cum_g
         _record(eta, tf, p, pos)
@@ -121,6 +117,32 @@ def scalar_apf(model, weight, window, n_steps, n, seed, replicate=0):
     aux = {"log_mu0_weight": log_mu0_w, "final_positions": pos}
     aux.update({f"filter_est_{name}": est[name] for name in tf})
     return log_z, np.zeros(n_steps + 1), eta, aux
+
+
+def scalar_sis(model, window, n_steps, n_chains, seed, replicate=0, proposal=None):
+    proposal = ConstantTwist(model) if proposal is None else proposal
+    tf = default_test_functions(model)
+    stream = RngStream(seed, replicate).session()
+    pos = model.sample_initial(n_chains, stream.generator(0, INIT))
+    logw = np.zeros(n_chains)
+    chain_lw = np.zeros((n_steps + 1, n_chains))
+    log_z = np.zeros(n_steps + 1)
+    selfnorm = {name: np.zeros(n_steps + 1) for name in tf}
+    for name, fn in tf.items():
+        selfnorm[name][0] = float(np.mean(fn(pos)))
+    for p in range(1, n_steps + 1):
+        t = p - 1
+        inc = proposal.log_q_psi(window, t, pos)
+        pos = sample_twisted_mutation(proposal, window, t, pos, stream.generator(p, MUTATE))
+        logw = logw + inc - proposal.log_psi(window, p, pos)
+        chain_lw[p] = logw
+        log_z[p] = _lme(logw)
+        w = np.exp(logw - logw.max())
+        for name, fn in tf.items():
+            selfnorm[name][p] = float(np.sum(fn(pos) * w) / w.sum())
+    aux = {"chain_log_weights": chain_lw, "final_positions": pos}
+    aux.update({f"selfnorm_{name}": selfnorm[name] for name in tf})
+    return log_z, np.zeros(n_steps + 1), {}, aux
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +199,48 @@ def test_engine_matches_scalar_runs(case):
             "twisted": [scalar_twisted(model, tw, w, n_steps, n, seed, r) for r in reps],
             "apf": [scalar_apf(model, tw, w, n_steps, n, seed, r) for r in reps],
         }
-        singles = {
-            "bootstrap": lambda r: bootstrap_run(model, w, n_steps, n, seed, r),
-            "twisted": lambda r: twisted_run(model, tw, w, n_steps, n, seed, r),
-            "apf": lambda r: apf_run(model, tw, w, n_steps, n, seed, r),
-        }
         for kind, ref in refs.items():
             (block,) = replicate_blocks(kind, model, tw, w, n_steps, n, seed, reps)
             for i, r in enumerate(reps):
-                tr = singles[kind](r)
+                tr = run_filter(kind, model, tw, w, n_steps, n, seed, r)
                 assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), ref[i]), (kind, n, r)
                 assert _same(_row(block, i), ref[i]), (kind, n, r)
     # the twisted constant twist and an initial override take the same path
     const = ConstantTwist(model)
     start = np.asarray(scalar_bootstrap(model, w, 0, 6, seed)[3]["initial_positions"])
     for initial in (None, start):
-        tr = twisted_run(model, const, w, n_steps, 6, seed, 1, initial=initial)
+        tr = run_filter("twisted", model, const, w, n_steps, 6, seed, 1, initial=initial)
         ref = scalar_twisted(model, const, w, n_steps, 6, seed, 1, initial=initial)
         assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), ref)
-        tr = bootstrap_run(model, w, n_steps, 6, seed, 1, initial=initial)
+        tr = run_filter("bootstrap", model, None, w, n_steps, 6, seed, 1, initial=initial)
         ref = scalar_bootstrap(model, w, n_steps, 6, seed, 1, initial=initial)
         assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), ref)
+
+
+# seven SIS cases: each model with no proposal and with its twist as the
+# proposal (lag 2 and the eigenfunction on the finite model, lag 3 on the
+# linear-Gaussian one, the Gaussian approximation on stochastic volatility);
+# each runs 0, 1 and 20 steps on replicates 0 and 5, at two chain counts
+SIS_CASES = [(name, params, w, tw) for name, params, w, twist in CASES
+             for tw in ([twist] if name == "finite-eigen" else [None, twist])]
+
+
+@pytest.mark.parametrize("case", SIS_CASES, ids=[
+    f"{c[0]}-{type(c[3]).__name__ if c[3] else 'none'}" for c in SIS_CASES])
+def test_sis_matches_scalar_runs(case):
+    # SIS runs in the block engine: identity ancestors, no RESAMPLE draw,
+    # the weights carried across steps
+    _, params, w, tw = case
+    model = params.fk()
+    reps = [0, 5]
+    for n_steps in (0, 1, 20):
+        for n in (1, 37):
+            refs = [scalar_sis(model, w, n_steps, n, 4, r, proposal=tw) for r in reps]
+            (block,) = replicate_blocks("sis", model, tw, w, n_steps, n, 4, reps)
+            for i, r in enumerate(reps):
+                tr = run_filter("sis", model, tw, w, n_steps, n, 4, r)
+                assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), refs[i]), (n_steps, n, r)
+                assert _same(_row(block, i), refs[i]), (n_steps, n, r)
 
 
 def test_block_size_never_changes_a_row(monkeypatch):
@@ -242,7 +285,7 @@ def test_twist_grid_rows_equal_single_twist_runs(case):
         assert block.log_z.shape == (len(grid) * len(reps), n_steps + 1)
         for lag, tw in enumerate(grid):
             for i, r in enumerate(reps):
-                tr = twisted_run(model, tw, w, n_steps, n, seed, r, initial=initial)
+                tr = run_filter("twisted", model, tw, w, n_steps, n, seed, r, initial=initial)
                 assert _same(_row(block, lag * len(reps) + i),
                              (tr.log_z, tr.log_phi, tr.eta, tr.aux)), (n, lag, r)
 
@@ -276,7 +319,7 @@ def test_twist_grid_guards():
         list(replicate_blocks("twisted", model, [grid[0], ConstantTwist(model)], w, 5, 8, 1,
                               range(3)))
     # a grid of one is a single twist, for every kind
-    for kind in ("bootstrap", "twisted", "apf"):
+    for kind in ("bootstrap", "twisted", "apf", "sis"):
         (a,) = replicate_blocks(kind, model, grid[1:2], w, 5, 8, 1, range(3))
         (b,) = replicate_blocks(kind, model, grid[1], w, 5, 8, 1, range(3))
         assert _same((a.log_z, a.log_phi, a.eta, a.aux), (b.log_z, b.log_phi, b.eta, b.aux))
@@ -385,11 +428,8 @@ def _gather_and_reduce(logits, u):
 
 def _row_logits(tw, window, t, x):
     """Each particle's log masses under the twisted kernel, gathered per particle."""
-    if isinstance(tw, EigenTwist):
-        log_h = tw.triple.log_h[tw.triple.row(tw._abs_index(window, t) + 1)]
-    else:
-        log_h = tw._table(window, t + 1)
-    return tw.fk.log_trans[x] + log_h
+    log_psi = tw.log_psi(window, t + 1, np.arange(tw.params.k))
+    return tw.params.fk().log_trans[x] + log_psi
 
 
 FINITE_CASES = [c for c in CASES if c[0].startswith("finite")]
@@ -412,10 +452,10 @@ def test_categorical_transform_matches_gather_and_reduce(case, monkeypatch):
         assert np.array_equal(got, _gather_and_reduce(_row_logits(tw, w, t, x), u)), t
     # auxiliary runs move the whole cloud by the twisted kernel: the same
     # runs, bit for bit, with the reference transform patched in
-    runs = [apf_run(model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
+    runs = [run_filter("apf", model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
     monkeypatch.setattr(tw, "twisted_mutate", lambda window, t, x, noise: _gather_and_reduce(
         _row_logits(tw, window, t, np.asarray(x, dtype=np.int64)), noise))
-    refs = [apf_run(model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
+    refs = [run_filter("apf", model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
     for tr, ref in zip(runs, refs):
         assert _same((tr.log_z, tr.eta, tr.aux), (ref.log_z, ref.eta, ref.aux))
 

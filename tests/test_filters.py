@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twistpf.filters import apf_run, bootstrap_run, replicate_blocks, sis_run, twisted_run
+from twistpf.filters import replicate_blocks, run_filter
 from twistpf.harness import run_single
 from twistpf.models import FiniteHMMParams, finite_forward, simulate
 from twistpf.twists import (
@@ -56,14 +56,9 @@ def test_runs_are_deterministic_in_seed_and_replicate():
     model = params.fk()
     _, w = simulate(params, 15, seed=0)
     tw = FiniteLagTwist(params, 1)
-    runs = {
-        "bootstrap": lambda rep: bootstrap_run(model, w, 10, 16, seed=5, replicate=rep),
-        "twisted": lambda rep: twisted_run(model, tw, w, 10, 16, seed=5, replicate=rep),
-        "apf": lambda rep: apf_run(model, tw, w, 10, 16, seed=5, replicate=rep),
-        "sis": lambda rep: sis_run(model, w, 10, 16, seed=5, replicate=rep),
-    }
-    for name, make in runs.items():
-        a, b, c = make(0), make(0), make(1)
+    for name, twist in (("bootstrap", None), ("twisted", tw), ("apf", tw), ("sis", None)):
+        a, b, c = (run_filter(name, model, twist, w, 10, 16, seed=5, replicate=rep)
+                   for rep in (0, 0, 1))
         assert np.array_equal(a.log_z, b.log_z), name
         assert np.array_equal(
             a.aux["final_positions"], b.aux["final_positions"]
@@ -77,7 +72,7 @@ def test_constant_potential_gives_exact_likelihood():
     for seed in range(20):
         _, w = simulate(params, 12, seed=seed)
         exact = finite_forward(params, w, 12).log_z
-        trace = bootstrap_run(model, w, 12, 8, seed=seed)
+        trace = run_filter("bootstrap", model, None, w, 12, 8, seed=seed)
         assert np.array_equal(trace.log_z, exact), seed
 
 
@@ -87,7 +82,7 @@ def test_bootstrap_unbiased_for_marginal_likelihood():
     _, w = simulate(params, 12, seed=1)
     exact = finite_forward(params, w, 12).log_z[12]
     reps = 4000
-    # the replicate engine: row r of each block is bootstrap_run(..., replicate=r)
+    # the replicate engine: row r of each block is run_filter("bootstrap", ..., replicate=r)
     blocks = replicate_blocks("bootstrap", model, None, w, 12, 32, seed=1,
                               replicates=range(reps), test_functions={})
     ratios = np.array([math.exp(v - exact) for b in blocks for v in b.log_z[:, 12].tolist()])
@@ -100,7 +95,7 @@ def test_twisted_constant_collapses_to_standard():
     model = params.fk()
     _, w = simulate(params, 12, seed=2)
     tw = ConstantTwist(model)
-    trace = twisted_run(model, tw, w, 12, 16, seed=3)
+    trace = run_filter("twisted", model, tw, w, 12, 16, seed=3)
     assert np.array_equal(trace.log_phi, np.zeros(13))
     assert np.array_equal(trace.log_z, trace.aux["log_z_standard"])
 
@@ -111,7 +106,7 @@ def test_twisted_log_z_factorizes():
     _, w = simulate(params, 16, seed=3)
     for spec in ({"kind": "lag", "ell": 1}, {"kind": "lag", "ell": 3}):
         tw = make_twist(params, spec)
-        trace = twisted_run(model, tw, w, 12, 16, seed=4)
+        trace = run_filter("twisted", model, tw, w, 12, 16, seed=4)
         rebuilt = trace.aux["log_z_standard"] + np.cumsum(trace.log_phi)
         assert np.allclose(trace.log_z, rebuilt, atol=1e-12)
 
@@ -123,7 +118,7 @@ def test_twisted_unbiased_for_marginal_likelihood():
     exact = finite_forward(params, w, 10).log_z[10]
     tw = FiniteLagTwist(params, 2)
     reps = 3000
-    # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+    # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
     blocks = replicate_blocks("twisted", model, tw, w, 10, 8, seed=2,
                               replicates=range(reps), test_functions={})
     ratios = np.array([math.exp(v - exact) for b in blocks for v in b.log_z[:, 10].tolist()])
@@ -135,8 +130,8 @@ def test_twist_constant_offset_leaves_estimates_unchanged():
     params = finite_params()
     model = params.fk()
     _, w = simulate(params, 15, seed=5)
-    t1 = twisted_run(model, FiniteLagTwist(params, 2), w, 12, 8, seed=6)
-    t2 = twisted_run(model, OffsetLagTwist(params, 2, 4.2), w, 12, 8, seed=6)
+    t1 = run_filter("twisted", model, FiniteLagTwist(params, 2), w, 12, 8, seed=6)
+    t2 = run_filter("twisted", model, OffsetLagTwist(params, 2, 4.2), w, 12, 8, seed=6)
     assert np.allclose(t1.log_z, t2.log_z, atol=1e-9)
     assert np.allclose(t1.log_phi, t2.log_phi, atol=1e-9)
 
@@ -157,7 +152,7 @@ def test_one_step_twisted_kernel_matches_enumeration():
     row = kern.m_tilde[np.flatnonzero((kern.states == start).all(axis=1))[0]]
     reps = 30_000
     counts = np.zeros(4)
-    # the replicate engine: row r of each block is twisted_run(..., replicate=r)
+    # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
     for block in replicate_blocks("twisted", model, tw, w, 1, 2, seed=7, replicates=range(reps),
                                   test_functions={}, initial=start):
         fin = block.aux["final_positions"]
@@ -171,7 +166,7 @@ def test_sis_weights_are_potential_products():
     model = params.fk()
     _, w = simulate(params, 10, seed=7)
     exact = finite_forward(params, w, 10).log_z
-    trace = sis_run(model, w, 10, 64, seed=8)
+    trace = run_filter("sis", model, None, w, 10, 64, seed=8)
     # constant potential: every chain carries the exact running product
     for p in range(11):
         assert np.allclose(trace.aux["chain_log_weights"][p], exact[p], atol=1e-12)
@@ -184,9 +179,7 @@ def test_sis_unbiased_with_and_without_proposal():
     _, w = simulate(params, 13, seed=8)
     exact = finite_forward(params, w, 10).log_z[10]
     for proposal in (None, FiniteLagTwist(params, 2)):
-        trace = sis_run(
-            model, w, 10, 40_000, seed=9, proposal=proposal, test_functions={}
-        )
+        trace = run_filter("sis", model, proposal, w, 10, 40_000, seed=9, test_functions={})
         ratios = np.exp(trace.aux["chain_log_weights"][10] - exact)
         se = ratios.std(ddof=1) / math.sqrt(ratios.size)
         assert abs(ratios.mean() - 1.0) < 4 * se
@@ -196,8 +189,8 @@ def test_apf_constant_weight_equals_bootstrap():
     params = finite_params()
     model = params.fk()
     _, w = simulate(params, 12, seed=9)
-    boot = bootstrap_run(model, w, 12, 32, seed=10)
-    apf = apf_run(model, ConstantTwist(model), w, 12, 32, seed=10)
+    boot = run_filter("bootstrap", model, None, w, 12, 32, seed=10)
+    apf = run_filter("apf", model, ConstantTwist(model), w, 12, 32, seed=10)
     assert np.array_equal(boot.log_z, apf.log_z)
     assert np.array_equal(boot.aux["final_positions"], apf.aux["final_positions"])
 
@@ -209,7 +202,7 @@ def test_apf_fully_adapted_unbiased():
     exact = finite_forward(params, w, 10).log_z[10]
     weight = FiniteLagTwist(params, 1)
     reps = 3000
-    # the replicate engine: row r of each block is apf_run(..., replicate=r)
+    # the replicate engine: row r of each block is run_filter("apf", ..., replicate=r)
     blocks = replicate_blocks("apf", model, weight, w, 10, 16, seed=3,
                               replicates=range(reps), test_functions={})
     ratios = np.array([math.exp(v - exact) for b in blocks for v in b.log_z[:, 10].tolist()])
@@ -242,7 +235,7 @@ def test_apf_weighted_estimates_track_prediction_filter():
     reps = 400
     vals = np.empty(reps)
     for r in range(reps):
-        trace = apf_run(model, weight, w, 8, 256, seed=4, replicate=r)
+        trace = run_filter("apf", model, weight, w, 8, 256, seed=4, replicate=r)
         vals[r] = trace.aux["filter_est_id"][8]
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - exact) < 4 * se
@@ -253,7 +246,7 @@ def test_eta_records_particle_means():
     model = params.fk()
     _, w = simulate(params, 6, seed=13)
     tf = {"id": lambda v: np.asarray(v, dtype=float)}
-    trace = bootstrap_run(model, w, 6, 64, seed=11, test_functions=tf)
+    trace = run_filter("bootstrap", model, None, w, 6, 64, seed=11, test_functions=tf)
     assert abs(trace.eta["id"][6] - trace.aux["final_positions"].mean()) < 1e-12
 
 
@@ -261,7 +254,7 @@ def test_gamma_combines_eta_and_normalizer():
     params = finite_params()
     model = params.fk()
     _, w = simulate(params, 6, seed=14)
-    trace = bootstrap_run(model, w, 6, 64, seed=12)
+    trace = run_filter("bootstrap", model, None, w, 6, 64, seed=12)
     gam = trace.gamma("id")
     want = trace.eta["id"] * np.exp(trace.log_z)
     assert np.allclose(gam, want, atol=1e-12)
@@ -272,7 +265,7 @@ def test_initial_override_is_used_verbatim():
     model = params.fk()
     _, w = simulate(params, 4, seed=15)
     start = np.array([2, 2, 2, 2], dtype=np.int64)
-    trace = bootstrap_run(model, w, 0, 4, seed=13, initial=start)
+    trace = run_filter("bootstrap", model, None, w, 0, 4, seed=13, initial=start)
     assert np.array_equal(trace.aux["initial_positions"], start)
     assert np.array_equal(trace.aux["final_positions"], start)
 
@@ -283,9 +276,9 @@ def test_window_too_short_raises_lookahead_error():
     _, w = simulate(params, 5, seed=16)
     tw = FiniteLagTwist(params, 3)
     with pytest.raises(IndexError):
-        twisted_run(model, tw, w, 5, 8, seed=14)
+        run_filter("twisted", model, tw, w, 5, 8, seed=14)
     with pytest.raises(IndexError):
-        bootstrap_run(model, w, 6, 8, seed=14)
+        run_filter("bootstrap", model, None, w, 6, 8, seed=14)
 
 
 def test_runtrace_csv_layout(tmp_path):

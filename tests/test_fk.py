@@ -5,6 +5,8 @@ from twistpf.fkcore import ARGaussianFK, FiniteFK, q_apply_log
 from twistpf.rng import INIT, MUTATE, RngStream
 from twistpf.windows import ObservationWindow
 
+from scalar_draws import sample_mutation
+
 
 def q_apply(model, window, t, phi):
     """The linear-scale operator ``G_t * (M_t @ phi)`` through ``q_apply_log``."""
@@ -29,6 +31,22 @@ def test_validation_errors():
         FiniteFK([0.6, 0.4], [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError):
         FiniteFK([0.6, 0.5], [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("table, value", [
+    ("trans", [[1.2, -0.2], [0.4, 0.6]]),   # rows sum to 1, one entry negative
+    ("trans", [[np.nan, 0.3], [0.4, 0.6]]),
+    ("mu0", [np.nan, 0.5]),                 # every comparison with NaN is false
+    ("mu0", [np.inf, 0.4]),
+    ("emit", [[0.5, 0.5], [np.inf, 0.5]]),
+    ("emit", [[0.5, np.nan], [0.5, 0.5]]),
+])
+def test_validation_rejects_negative_and_non_finite_tables(table, value):
+    tables = {"mu0": [0.6, 0.4], "trans": [[0.7, 0.3], [0.4, 0.6]],
+              "emit": [[0.5, 0.5], [0.5, 0.5]]}
+    FiniteFK(**tables)
+    with pytest.raises(ValueError, match=f"^{table} "):
+        FiniteFK(**dict(tables, **{table: value}))
 
 
 def test_q_apply_frozen_example():
@@ -94,7 +112,7 @@ def test_finite_samplers_match_law():
     w = ObservationWindow(0, np.array([0, 0]))
     x = np.zeros(200_000, dtype=np.int64)
     gen = RngStream(6).generator(1, MUTATE)
-    nxt = model.sample_mutation(w, 0, x, gen)
+    nxt = sample_mutation(model, w, 0, x, gen)
     freq = np.bincount(nxt, minlength=2) / nxt.size
     assert np.max(np.abs(freq - model.trans[0])) < 0.005
 
@@ -103,7 +121,7 @@ def test_ar_mutation_moments():
     model = ARGaussianFK(a=0.9, q=0.25, mu0_mean=0.0, mu0_var=1.0)
     x = np.full(400_000, 2.0)
     gen = RngStream(8).generator(1, MUTATE)
-    nxt = model.sample_mutation(None, 0, x, gen)
+    nxt = sample_mutation(model, None, 0, x, gen)
     assert abs(nxt.mean() - 1.8) < 0.005
     assert abs(nxt.var() - 0.25) < 0.005
 

@@ -23,6 +23,7 @@ from twistpf.harness import (
     run_variance_growth,
 )
 from twistpf.models import simulate
+from twistpf.oracle import occupation_states
 from twistpf.twists import ConvergenceError
 
 
@@ -549,3 +550,78 @@ def test_cli_overrides_take_effect(tmp_path):
     assert code == 0
     header, rows = read_csv(str(out / "runtrace.csv"))
     assert len(rows) == 5
+
+
+def _refused_before_any_window(tmp_path, monkeypatch, capsys, command, cfg, field):
+    """``command`` on ``cfg`` raises a ConfigError naming ``field`` and exits 2
+    with it on stderr, and neither draws a window nor writes a file."""
+    def no_window(*args):
+        raise AssertionError("a window was drawn for a refused config")
+
+    monkeypatch.setattr(harness, "draw_window", no_window)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json reads them
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=field):
+        harness._EXPERIMENTS[command](str(path), str(out))
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, table, value", [
+    ("oracle-check", "trans", [[1.2, -0.2], [0.3, 0.7]]),
+    ("run", "mu0", [float("nan"), 0.5]),
+    ("run", "trans", [[0.8, 0.2], [float("nan"), 0.7]]),
+    ("run", "emit", [[0.9, 0.1], [0.2, float("inf")]]),
+], ids=["oracle-check-negative-trans", "run-nan-mu0", "run-nan-trans", "run-inf-emit"])
+def test_cli_refuses_negative_and_non_finite_tables(tmp_path, monkeypatch, capsys, command,
+                                                     table, value):
+    cfg = finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1})
+    cfg["model"][table] = value
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, command, cfg, f"'model.{table}'")
+
+
+_LG = {"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0}
+
+
+@pytest.mark.parametrize("filter_kind", ["bootstrap", "twisted", "apf", "sis"])
+@pytest.mark.parametrize("model, twist", [
+    ({"kind": "sv"}, {"kind": "lag", "ell": 1}),
+    ({"kind": "sv"}, {"kind": "exact_h"}),
+    (_LG, {"kind": "sv_approx", "ell": 1}),
+    (_LG, {"kind": "exact_h"}),
+    (finite_cfg()["model"], {"kind": "sv_approx", "ell": 1}),
+], ids=["sv-lag", "sv-exact_h", "lg-sv_approx", "lg-exact_h", "finite-sv_approx"])
+def test_cli_refuses_a_twist_kind_the_model_lacks(tmp_path, monkeypatch, capsys, model, twist,
+                                                   filter_kind):
+    # checked whatever the filter: oracle-check, bound and clt-check build the
+    # twist even for a bootstrap config
+    cfg = finite_cfg(model=model, filter=filter_kind, twist=twist)
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, "run", cfg, "'twist.kind'")
+
+
+def test_cli_refuses_an_oracle_chain_over_the_state_ceiling(tmp_path, monkeypatch, capsys):
+    # k = 3: C(N + 2, 2) occupation states, 16 290 at N = 179 and 16 471 at
+    # N = 180, over the oracle's ceiling of 16 384
+    model = {"kind": "finite", "mu0": [0.5, 0.3, 0.2],
+             "trans": [[0.55, 0.25, 0.20], [0.20, 0.55, 0.25], [0.20, 0.30, 0.50]],
+             "emit": [[0.40, 0.32, 0.28], [0.29, 0.42, 0.29], [0.30, 0.28, 0.42]]}
+    for particles in (500, 180):
+        cfg = finite_cfg(model=model, filter="twisted", particles=particles)
+        _refused_before_any_window(tmp_path, monkeypatch, capsys, "oracle-check", cfg,
+                                   "'particles'")
+    with pytest.raises(ValueError, match="ceiling"):
+        occupation_states(3, 180)
+    occupation_states(3, 179)
+
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(harness, "draw_window", drawn)  # past every precondition
+    with pytest.raises(Drawn):
+        run_oracle_check(finite_cfg(model=model, filter="twisted", particles=179), str(tmp_path))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twistpf import oracle
-from twistpf.filters import bootstrap_run, replicate_blocks
+from twistpf.filters import replicate_blocks, run_filter
 from twistpf.models import FiniteHMMParams, finite_forward, simulate
 from twistpf.oracle import (
     exact_clt_variances,
@@ -264,8 +264,8 @@ def test_clt_variances_match_simulation():
     gam_err = np.empty(reps)
     tf = {"phi": lambda v: (np.asarray(v) == 1).astype(float)}
     for r in range(reps):
-        trace = bootstrap_run(
-            model, w, n, n_particles, seed=6, replicate=r, test_functions=tf
+        trace = run_filter(
+            "bootstrap", model, None, w, n, n_particles, seed=6, replicate=r, test_functions=tf
         )
         scale = math.sqrt(n_particles)
         eta_err[r] = scale * (trace.eta["phi"][n] - exact_eta)

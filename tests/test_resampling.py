@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from twistpf.resampling import multinomial_resample, resample_rows
+from twistpf.resampling import resample_rows
 from twistpf.rng import RESAMPLE, RngStream
+
+from scalar_draws import multinomial_resample
 
 
 def _gen(seed=0):

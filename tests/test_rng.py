@@ -31,20 +31,12 @@ def test_distinct_coordinates_differ():
         assert not np.array_equal(base, stream.generator(step, purpose).random(4))
 
 
-def test_for_replicate():
-    s = RngStream(123)
-    a = s.for_replicate(9).generator(0, INIT).random(3)
-    b = RngStream(123, 9).generator(0, INIT).random(3)
-    assert np.array_equal(a, b)
-
-
 def test_replicate_order_independence():
     # drawing replicate 5 then 2 gives the same numbers as 2 then 5
-    s = RngStream(11)
-    a5 = s.for_replicate(5).generator(1, MUTATE).random(6)
-    a2 = s.for_replicate(2).generator(1, MUTATE).random(6)
-    b2 = s.for_replicate(2).generator(1, MUTATE).random(6)
-    b5 = s.for_replicate(5).generator(1, MUTATE).random(6)
+    a5 = RngStream(11, 5).generator(1, MUTATE).random(6)
+    a2 = RngStream(11, 2).generator(1, MUTATE).random(6)
+    b2 = RngStream(11, 2).generator(1, MUTATE).random(6)
+    b5 = RngStream(11, 5).generator(1, MUTATE).random(6)
     assert np.array_equal(a5, b5)
     assert np.array_equal(a2, b2)
 

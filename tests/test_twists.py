@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from twistpf.filters import twisted_run
+from twistpf.filters import run_filter
 from twistpf.fkcore import q_apply_log
 
 from twistpf.models import (
@@ -28,6 +28,8 @@ from twistpf.twists import (
     make_twist,
 )
 from twistpf.windows import ObservationWindow
+
+from scalar_draws import sample_twisted_mutation
 
 
 def finite_params():
@@ -172,7 +174,7 @@ def test_lg_twisted_mutation_moments():
     tw = LinearGaussianLagTwist(params, 2)
     gen = np.random.default_rng(0)
     x0 = 0.5
-    draws = tw.sample_twisted_mutation(w, 1, np.full(200_000, x0), gen)
+    draws = sample_twisted_mutation(tw, w, 1, np.full(200_000, x0), gen)
     # twisted kernel is N(z; a x, q) psi_2(z) renormalized; with quadratic
     # log psi = -c z^2/2 + d z + e the result is Gaussian
     c, d, _ = tw._psi_quad(w, 2)
@@ -188,7 +190,7 @@ def test_finite_twisted_mutation_frequencies():
     tw = FiniteLagTwist(params, 2)
     gen = np.random.default_rng(1)
     n = 200_000
-    draws = tw.sample_twisted_mutation(w, 1, np.full(n, 2, dtype=np.int64), gen)
+    draws = sample_twisted_mutation(tw, w, 1, np.full(n, 2, dtype=np.int64), gen)
     logits = np.log(params.trans[2]) + tw.log_psi(w, 2, np.arange(3))
     p = np.exp(logits - logits.max())
     p /= p.sum()
@@ -476,7 +478,7 @@ def test_sv_twisted_mutation_moments():
     tw = StochasticVolatilityTwist(params, 2)
     gen = np.random.default_rng(4)
     x0 = -0.4
-    draws = tw.sample_twisted_mutation(w, 3, np.full(100_000, x0), gen)
+    draws = sample_twisted_mutation(tw, w, 3, np.full(100_000, x0), gen)
     c, d, _ = tw._psi_quad(w, 4)
     a, q = params.persistence, params.vol_of_vol**2
     var = 1.0 / (c + 1.0 / q)
@@ -546,8 +548,8 @@ def test_twist_memos_hold_one_window_at_a_time():
         assert held < 32 * 1024, (make.__name__, held)
         windows = [simulate(params, 16, seed=s)[1] for s in range(3)]
         for window in windows + windows[::-1]:  # every window met again later
-            got = twisted_run(model, twist, window, 12, 32, seed=5)
-            want = twisted_run(model, make(params, 2), window, 12, 32, seed=5)
+            got = run_filter("twisted", model, twist, window, 12, 32, seed=5)
+            want = run_filter("twisted", model, make(params, 2), window, 12, 32, seed=5)
             assert np.array_equal(got.log_z, want.log_z)
             assert np.array_equal(got.log_phi, want.log_phi)
             assert all(np.array_equal(got.eta[n], want.eta[n]) for n in want.eta)

@@ -49,12 +49,6 @@ def test_require_inclusive_range():
     w.require(5, 4)
 
 
-def test_segment():
-    w = ObservationWindow(-1, [5.0, 6.0, 7.0, 8.0])
-    seg = w.segment(0, 2)
-    assert np.array_equal(seg, [6.0, 7.0])
-
-
 def test_shift_relabels_indices():
     w = ObservationWindow(0, [1.0, 2.0, 3.0, 4.0])
     s = w.shift(2)
