@@ -19,7 +19,9 @@ block, and only the draws are made per replicate, the same calls in the same
 order as a run on its own, so no trace depends on its block. A twisted block
 may run a grid of twists of one class, ``(L * R, N)`` clouds: each
 replicate's draws are made once and shared by its ``L`` rows. Test functions
-must act elementwise.
+must act elementwise. The blocks of a study may run on a ``fork`` process
+pool, the package's only one; a worker gets the pickled engine objects and
+a span of replicates, so no trace depends on the worker either.
 
 The kinds differ in a few lines per step: the weights (the potential, or
 ``Q_t(psi_{t+1}) / psi_t`` in an auxiliary run), the kernel that moves the
@@ -35,7 +37,11 @@ unbiased for the marginal likelihood for any strictly positive bounded psi.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -99,6 +105,11 @@ def default_test_functions(model: FKModel) -> dict:
 # particles x replicates per block: small clouds share each step's array calls
 # among many replicates, a cloud of over 2**13 particles runs alone
 BLOCK_ELEMENTS = 1 << 14
+# blocks per task of the process pool, at most: enough to hide a task's round
+# trip (one block per task ran a criterion-6 slice 1.4x slower), few enough
+# that the whole traces a task sends back stay small (2.5 MB at N = 10^4);
+# smaller studies get eight tasks per process, which load them evenly
+_TASK_BLOCKS = 16
 _KINDS = ("bootstrap", "twisted", "apf", "sis")
 
 
@@ -124,10 +135,14 @@ def _step_draws(stream, p: int, n: int, kind: str, move, twist):
     return draws
 
 
-def _grid(kind, twist) -> list:
-    """The twists of a block: a list as given, else ``[twist]``. More than one
-    only for a twisted run and of one class, since the rows of a replicate
-    share its TWIST draws, the class's ``noise`` among them."""
+def _grid(kind, model, twist, window, n_steps) -> list:
+    """The twists of a block: a list as given, else ``[twist]``, and the
+    constant twist for a bootstrap run or none. Every run checks first its
+    kind, the window's coverage and the grid rules: more than one twist only
+    for a twisted run and of one class, since the rows of a replicate share
+    its TWIST draws, the class's ``noise`` among them."""
+    if kind not in _KINDS:
+        raise ValueError(f"filter kind must be one of {_KINDS}, got {kind!r}")
     grid = list(twist) if isinstance(twist, (list, tuple)) else [twist]
     if len(grid) > 1:
         if kind != "twisted":
@@ -135,6 +150,10 @@ def _grid(kind, twist) -> list:
         if len({type(tw) for tw in grid}) > 1:
             raise ValueError("the twists of a grid must be of one class, got "
                              + ", ".join(sorted({type(tw).__name__ for tw in grid})))
+    if kind == "bootstrap" or grid == [None]:
+        grid = [ConstantTwist(model)]
+    if n_steps > 0 or kind == "apf":
+        window.require(0, n_steps - 1 + max(tw.lookahead for tw in grid), context=f"{kind} run")
     return grid
 
 
@@ -143,15 +162,9 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     """The step loop for one block of replicates; every array of the returned
     trace has a leading row axis. ``twist`` may be a grid (see :func:`_grid`)
     of ``L`` twists: row ``l * R + r`` is twist ``l`` on replicate ``r``."""
-    if kind not in _KINDS:
-        raise ValueError(f"filter kind must be one of {_KINDS}, got {kind!r}")
     twisted, auxiliary, sis = kind == "twisted", kind == "apf", kind == "sis"
-    grid = _grid(kind, twist)
-    if kind == "bootstrap" or grid == [None]:
-        grid = [ConstantTwist(model)]
+    grid = _grid(kind, model, twist, window, n_steps)
     twist = grid[0]
-    if n_steps > 0 or auxiliary:
-        window.require(0, n_steps - 1 + max(tw.lookahead for tw in grid), context=f"{kind} run")
     tf = default_test_functions(model) if test_functions is None else test_functions
     streams = [RngStream(seed, r).session() for r in replicates]
     n_grid, n = len(grid), n_particles
@@ -249,23 +262,43 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
 
 def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, window,
                      n_steps: int, n_particles: int, seed: int, replicates,
-                     test_functions: dict | None = None, initial=None):
-    """Yield one :class:`RunTrace` per block of ``BLOCK_ELEMENTS // n_particles``
-    (at least one) of the given replicate indices, with a leading replicate
-    axis on every array; row ``i`` equals :func:`run_filter` on
-    ``replicates[i]`` bit for bit.
+                     test_functions: dict | None = None, initial=None, workers: int = 1):
+    """Yield one :class:`RunTrace` per block of the given replicate indices,
+    in replicate order, with a leading replicate axis on every array; row
+    ``i`` equals :func:`run_filter` on ``replicates[i]`` bit for bit.
 
-    For ``twisted``, ``twist`` may be a list of ``L`` twists of one class, a
-    grid: a block then holds ``BLOCK_ELEMENTS // (L * n_particles)`` (at
-    least one) replicates, twist-major, and its row ``l * R + i`` equals the
-    run of twist ``l`` on the block's ``i``-th replicate bit for bit. Each
-    replicate's draws are made once and shared by its ``L`` rows."""
+    A block holds ``BLOCK_ELEMENTS // (L * n_particles)`` replicates (at
+    least one), ``L = 1`` unless ``twist`` is a grid: for ``twisted``, a list
+    of ``L`` twists of one class. A grid block of ``R`` replicates is
+    twist-major, its row ``l * R + i`` equals the run of twist ``l`` on the
+    block's ``i``-th replicate bit for bit, and each replicate's draws are
+    made once and shared by its ``L`` rows.
+
+    With ``workers > 1`` a block holds at most ``ceil(len(replicates) /
+    workers)`` replicates, so small studies still use every worker, and the
+    blocks run on a ``fork`` pool of ``min(workers, blocks, os.cpu_count())``
+    processes; a task gets the engine objects pickled and sends the whole
+    traces of up to ``_TASK_BLOCKS`` blocks back. The checks of a serial run
+    come first, in this process; closing the generator early cancels the
+    pending blocks and joins every worker. No block boundary or worker count
+    changes a row."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    n_grid = len(_grid(kind, model, twist, window, n_steps))
     reps = list(replicates)
-    n_grid = len(_grid(kind, twist))
-    size = max(1, BLOCK_ELEMENTS // (n_grid * n_particles))
-    for lo in range(0, len(reps), size):
-        yield _run_block(kind, model, twist, window, n_steps, n_particles, seed,
-                         reps[lo : lo + size], test_functions, initial)
+    size = max(1, min(BLOCK_ELEMENTS // (n_grid * n_particles), -(-len(reps) // workers)))
+    spans = [reps[lo : lo + size] for lo in range(0, len(reps), size)]
+    run = partial(_run_block, kind, model, twist, window, n_steps, n_particles, seed,
+                  test_functions=test_functions, initial=initial)
+    processes = min(workers, len(spans), os.cpu_count() or 1)
+    if processes <= 1:
+        yield from map(run, spans)
+        return
+    chunk = max(1, min(len(spans) // (8 * processes), _TASK_BLOCKS))
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
+        # closing this generator closes the map's iterator, which cancels the
+        # blocks not yet started; leaving the with block joins every worker
+        yield from pool.map(run, spans, chunksize=chunk)
 
 
 def run_filter(kind: str, model: FKModel, twist: TwistFunction | None, window,

@@ -33,17 +33,12 @@ _PROB_TOL = 1e-12
 class FKModel:
     """Base class: initial sampler, potential and mutation.
 
-    ``lookahead`` declares how many observation indices beyond the current
-    step the potential reads; runners validate window coverage up front.
-
     A mutation is split into the draws and a transform: ``noise`` takes one
     uniform (or, for Gaussian models, one standard normal) per particle from a
     generator, and ``mutate`` maps positions of any shape plus noise of the
     same shape to new positions, elementwise. Particle runs draw the noise per
     replicate stream and transform a whole block of replicates at once.
     """
-
-    lookahead = 0
 
     def sample_initial(self, size: int, gen: np.random.Generator):
         raise NotImplementedError("subclass must implement sample_initial")

@@ -10,7 +10,9 @@ manifest reproduces every CSV byte for byte, for any worker count.
 Replicate ``r`` of any filter uses the counter-based stream
 ``(seed, replicate=r)``, so paired comparisons across filters and twists
 reuse the same replicate indices, and fan-out across processes cannot change
-the draws.
+the draws. A replicate study is one loop over the engine's blocks
+(:func:`twistpf.filters.replicate_blocks`), which run on ``workers``
+processes of the engine's pool; the harness holds no pool of its own.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -91,21 +91,30 @@ def _growth_bound(config: ExperimentConfig, window, twist):
     return upsilon_bound(triple, twist, window, range(1, config.steps + 1), config.particles)
 
 
-# ---------------------------------------------------------------------------
-# replicate execution, serial or process-parallel
+def _replicates(config: ExperimentConfig, window, filter_kind: str, twists=None,
+                particles=None, eta=False):
+    """Per twist of ``twists`` (default: the config's twist), the log_z
+    matrix (R, steps+1) and, with ``eta``, the eta-at-n dict of (R,) arrays of
+    ``config.replicates`` replicates of one filter, in replicate order.
 
-_CTX = None
-
-
-def _run_span(ctx, lo: int, hi: int):
-    """Per twist of the grid, the log_z rows and eta-at-n columns of
-    replicates ``lo .. hi - 1``; each block's clouds are dropped as soon as its
-    rows are taken."""
-    config, window, filter_kind, twists, particles, test_functions = ctx
+    The twists run as one grid: one engine pass, whose rows share each
+    replicate's draws, on ``config.workers`` processes. Each block's clouds
+    are dropped as soon as its rows are taken; no block boundary or worker
+    count changes a byte of the result.
+    """
+    if twists is None:
+        twists = [_build_twist(config, window, config.twist_spec, filter_kind)]
+    particles = config.particles if particles is None else particles
+    if filter_kind == "sis":
+        # one run whose chains are the replicates; they share its stream
+        return [(run_filter("sis", config.params.fk(), twist, window, config.steps,
+                            config.replicates, config.seed,
+                            test_functions={}).aux["chain_log_weights"].T, {})
+                for twist in twists]
     log_z, eta_n = [[] for _ in twists], [{} for _ in twists]
     for block in replicate_blocks(
-        filter_kind, config.params.fk(), twists, window, config.steps, particles,
-        config.seed, range(lo, hi), test_functions,
+        filter_kind, config.params.fk(), twists, window, config.steps, particles, config.seed,
+        range(config.replicates), None if eta else {}, workers=config.workers,
     ):
         size = len(block.log_z) // len(twists)  # the rows are twist-major
         for i in range(len(twists)):
@@ -115,56 +124,6 @@ def _run_span(ctx, lo: int, hi: int):
                 eta_n[i].setdefault(name, []).append(arr[rows, config.steps])
     return [(np.concatenate(z), {name: np.concatenate(v) for name, v in e.items()})
             for z, e in zip(log_z, eta_n)]
-
-
-def _worker_init(payload_json: str):
-    global _CTX
-    p = json.loads(payload_json)
-    config, window = _setup(p["config"])
-    twists = [_build_twist(config, window, spec, p["filter"]) for spec in p["twists"]]
-    _CTX = (config, window, p["filter"], twists, p["particles"], None if p["eta"] else {})
-
-
-def _worker_run(span):
-    return _run_span(_CTX, *span)
-
-
-def _replicates(config: ExperimentConfig, window, filter_kind: str, specs=None, twists=None,
-                particles=None, eta=False):
-    """Per twist spec of ``specs`` (default: the config's twist), the log_z
-    matrix (R, steps+1) and, with ``eta``, the eta-at-n dict of (R,) arrays of
-    ``config.replicates`` replicates of one filter, in replicate order.
-
-    The specs run as one grid: one engine pass, whose rows share each
-    replicate's draws. A serial run uses ``twists`` when the caller has built
-    them. Each pool worker rebuilds window and twists from the resolved config
-    and runs a contiguous span of replicates; no span or worker count changes
-    a byte of the result.
-    """
-    specs = [config.twist_spec] if specs is None else specs
-    particles = config.particles if particles is None else particles
-    replicates, workers = config.replicates, config.workers
-    if twists is None and (filter_kind == "sis" or workers <= 1):
-        twists = [_build_twist(config, window, spec, filter_kind) for spec in specs]
-    if filter_kind == "sis":
-        # one run whose chains are the replicates; they share its stream
-        return [(run_filter("sis", config.params.fk(), twist, window, config.steps, replicates,
-                            config.seed, test_functions={}).aux["chain_log_weights"].T, {})
-                for twist in twists]
-    if workers <= 1:
-        return _run_span((config, window, filter_kind, twists, particles, None if eta else {}),
-                         0, replicates)
-    payload = json.dumps({"config": config.raw, "filter": filter_kind, "twists": specs,
-                          "particles": particles, "eta": eta})
-    size = -(-replicates // workers)
-    spans = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
-    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_worker_init, initargs=(payload,)) as pool:
-        results = list(pool.map(_worker_run, spans))
-    return [(np.concatenate([res[i][0] for res in results]),
-             {name: np.concatenate([res[i][1][name] for res in results])
-              for name in sorted(results[0][i][1])})
-            for i in range(len(specs))]
 
 
 def _logmeanexp_rows(mat: np.ndarray) -> np.ndarray:
@@ -229,25 +188,24 @@ def _write_manifest(out_dir, stem: str, experiment: str, config: ExperimentConfi
     return path
 
 
-def _setup(source, experiment: Experiment | None = None):
+def _setup(source, experiment: Experiment):
     """Resolve a config, check an experiment's preconditions and draw the
-    window: the one place any of these happens, for runs and pool workers."""
+    window: the one place any of these happens, for every run."""
     cfg = read_config(source)
     config = load_config(cfg)
-    if experiment is not None:
-        if experiment.finite_only and config.model_kind != "finite":
-            raise ConfigError(f"config field 'model.kind' must be 'finite' for {experiment.name}")
-        for field, holds, rule, why in experiment.requires:
-            if not holds(config):
-                raise ConfigError(f"config field '{field}' must be {rule} for "
-                                  f"{experiment.name}: {why}")
-        if experiment.eigen_margins and "window" not in cfg:
-            # widen an implicit window so the eigenfunction sweeps can converge
-            window = eigen_window(config.steps)
-            config = replace(config, raw=dict(config.raw, window=window),
-                             window_length=window["length"], burn_in=window["burn_in"])
-        if not experiment.windowed:
-            return config, None
+    if experiment.finite_only and config.model_kind != "finite":
+        raise ConfigError(f"config field 'model.kind' must be 'finite' for {experiment.name}")
+    for field, holds, rule, why in experiment.requires:
+        if not holds(config):
+            raise ConfigError(f"config field '{field}' must be {rule} for "
+                              f"{experiment.name}: {why}")
+    if experiment.eigen_margins and "window" not in cfg:
+        # widen an implicit window so the eigenfunction sweeps can converge
+        window = eigen_window(config.steps)
+        config = replace(config, raw=dict(config.raw, window=window),
+                         window_length=window["length"], burn_in=window["burn_in"])
+    if not experiment.windowed:
+        return config, None
     spec = config.twist_spec
     need = config.steps + 1 + (0 if spec["kind"] == "exact_h" else spec["ell"])
     if config.window_length < need:
@@ -326,8 +284,8 @@ def _variance_growth(config: ExperimentConfig, window) -> _Output:
     Z_n (stochastic volatility) the mean estimate pooled over the lags stands in."""
     spec = config.twist_spec
     ells = _lag_grid(config) or [spec["ell"]]
-    log_zs = [log_z for log_z, _ in
-              _replicates(config, window, config.filter_kind, [dict(spec, ell=e) for e in ells])]
+    twists = [_build_twist(config, window, dict(spec, ell=e), config.filter_kind) for e in ells]
+    log_zs = [log_z for log_z, _ in _replicates(config, window, config.filter_kind, twists)]
     log_ref = _exact_log_z(config, window)
     if log_ref is None:
         log_ref = _logmeanexp_rows(np.concatenate(log_zs, axis=0))
@@ -359,7 +317,7 @@ def _clt_check(config: ExperimentConfig, window) -> _Output:
     log_z = float(fwd.log_z[n])
     rows = []
     for n_particles in config.raw.get("N_grid", [config.particles]):
-        ((log_z_mat, eta_n),) = _replicates(config, window, config.filter_kind, twists=[twist],
+        ((log_z_mat, eta_n),) = _replicates(config, window, config.filter_kind, [twist],
                                             particles=n_particles, eta=True)
         rel_z = np.exp(log_z_mat[:, n] - log_z)
         for name, vec in phi_vecs.items():

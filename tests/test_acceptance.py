@@ -8,6 +8,7 @@ checks use frozen seeds; the statistical margins (4 standard errors, or
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -37,6 +38,9 @@ from twistpf.twists import (
 )
 
 from product_space import product_kernels
+
+# the two heavy replicate studies fan out over every core of the box
+WORKERS = os.cpu_count() or 1
 
 
 def acceptance_params():
@@ -222,19 +226,16 @@ def test_criterion_06_clt_variances():
     tri = eigen_triple(params, w, t_lo=-5, t_hi=n + 40)
     grid = np.arange(3)
     phis = {"id": grid.astype(float), "is0": (grid == 0).astype(float)}
-    tf = {
-        "id": lambda v: np.asarray(v, dtype=float),
-        "is0": lambda v: (np.asarray(v) == 0).astype(float),
-    }
     twists = {"constant": ConstantTwist(model), "exact-h": tri.as_twist()}
     ok = True
     notes = []
     exact_store = {}
     for tw_name, tw in twists.items():
-        # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
+        # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r);
+        # the default test functions of a finite model are the phis, id and is0
         blocks = replicate_blocks(
             "twisted", model, tw, w, n, n_particles, seed=11, replicates=range(reps),
-            test_functions=tf,
+            workers=WORKERS,
         )
         lz, eta_n = [], {k: [] for k in phis}
         for block in blocks:
@@ -341,7 +342,7 @@ def test_criterion_08_lag_cuts_variance_growth():
     # (lag 0 is the constant twist, see the test above)
     blocks = replicate_blocks(
         "twisted", model, [LinearGaussianLagTwist(params, ell) for ell in lags], w, n,
-        n_particles, seed=12, replicates=range(reps), test_functions={},
+        n_particles, seed=12, replicates=range(reps), test_functions={}, workers=WORKERS,
     )
     parts = [np.split(block.log_z[:, n], len(lags)) for block in blocks]
     rates = {}

@@ -7,6 +7,7 @@ through the per-generator samplers. Every comparison is bit for bit.
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from twistpf.models import FiniteHMMParams, LinearGaussianParams, SVParams, simu
 from twistpf.resampling import resample_rows
 from twistpf.rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
 from twistpf.twists import ConstantTwist, eigen_triple, make_twist
+from twistpf.windows import LookaheadError
 
 from scalar_draws import multinomial_resample, sample_mutation, sample_twisted_mutation
 
@@ -164,6 +166,19 @@ def _row(block, i):
             {k: pick(v) for k, v in block.aux.items()})
 
 
+def _rows_by_workers(kind, model, twist, window, n_steps, n, seed, reps, n_grid=1, **kw):
+    """Per worker count 1, 2 and 3, every row of every block of a study,
+    twist-major: item ``l * len(reps) + i`` is twist ``l`` on ``reps[i]``."""
+    out = []
+    for workers in (1, 2, 3):
+        blocks = list(replicate_blocks(kind, model, twist, window, n_steps, n, seed, reps,
+                                       workers=workers, **kw))
+        sizes = [len(b.log_z) // n_grid for b in blocks]
+        out.append([_row(b, lag * size + i) for lag in range(n_grid)
+                    for b, size in zip(blocks, sizes) for i in range(size)])
+    return out
+
+
 def _cases():
     fin = FiniteHMMParams(
         mu0=np.array([0.5, 0.3, 0.2]),
@@ -200,11 +215,11 @@ def test_engine_matches_scalar_runs(case):
             "apf": [scalar_apf(model, tw, w, n_steps, n, seed, r) for r in reps],
         }
         for kind, ref in refs.items():
-            (block,) = replicate_blocks(kind, model, tw, w, n_steps, n, seed, reps)
             for i, r in enumerate(reps):
                 tr = run_filter(kind, model, tw, w, n_steps, n, seed, r)
                 assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), ref[i]), (kind, n, r)
-                assert _same(_row(block, i), ref[i]), (kind, n, r)
+            for rows in _rows_by_workers(kind, model, tw, w, n_steps, n, seed, reps):
+                assert len(rows) == len(ref) and all(map(_same, rows, ref)), (kind, n)
     # the twisted constant twist and an initial override take the same path
     const = ConstantTwist(model)
     start = np.asarray(scalar_bootstrap(model, w, 0, 6, seed)[3]["initial_positions"])
@@ -236,11 +251,11 @@ def test_sis_matches_scalar_runs(case):
     for n_steps in (0, 1, 20):
         for n in (1, 37):
             refs = [scalar_sis(model, w, n_steps, n, 4, r, proposal=tw) for r in reps]
-            (block,) = replicate_blocks("sis", model, tw, w, n_steps, n, 4, reps)
             for i, r in enumerate(reps):
                 tr = run_filter("sis", model, tw, w, n_steps, n, 4, r)
                 assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), refs[i]), (n_steps, n, r)
-                assert _same(_row(block, i), refs[i]), (n_steps, n, r)
+            for rows in _rows_by_workers("sis", model, tw, w, n_steps, n, 4, reps):
+                assert len(rows) == len(refs) and all(map(_same, rows, refs)), (n_steps, n)
 
 
 def test_block_size_never_changes_a_row(monkeypatch):
@@ -283,11 +298,12 @@ def test_twist_grid_rows_equal_single_twist_runs(case):
         (block,) = replicate_blocks("twisted", model, grid, w, n_steps, n, seed, reps,
                                     initial=initial)
         assert block.log_z.shape == (len(grid) * len(reps), n_steps + 1)
-        for lag, tw in enumerate(grid):
-            for i, r in enumerate(reps):
-                tr = run_filter("twisted", model, tw, w, n_steps, n, seed, r, initial=initial)
-                assert _same(_row(block, lag * len(reps) + i),
-                             (tr.log_z, tr.log_phi, tr.eta, tr.aux)), (n, lag, r)
+        runs = [run_filter("twisted", model, tw, w, n_steps, n, seed, r, initial=initial)
+                for tw in grid for r in reps]
+        want = [(tr.log_z, tr.log_phi, tr.eta, tr.aux) for tr in runs]
+        for rows in _rows_by_workers("twisted", model, grid, w, n_steps, n, seed, reps,
+                                     n_grid=len(grid), initial=initial):
+            assert len(rows) == len(want) and all(map(_same, rows, want)), n
 
 
 def test_twist_grid_rows_do_not_depend_on_the_block_budget(monkeypatch):
@@ -323,6 +339,72 @@ def test_twist_grid_guards():
         (a,) = replicate_blocks(kind, model, grid[1:2], w, 5, 8, 1, range(3))
         (b,) = replicate_blocks(kind, model, grid[1], w, 5, 8, 1, range(3))
         assert _same((a.log_z, a.log_phi, a.eta, a.aux), (b.log_z, b.log_phi, b.eta, b.aux))
+
+
+# ---------------------------------------------------------------------------
+# the process pool: bounded by its work, after the serial checks
+
+
+def _fake_pool(monkeypatch) -> list:
+    """Put an in-process stand-in for the process pool into the engine; the
+    returned list records each pool's size. No process is ever started."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, spans, chunksize=1):
+            return map(fn, spans)
+
+    monkeypatch.setattr(filters, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_pool_size_is_bounded_by_its_work(monkeypatch):
+    # min(workers, blocks, cpu count) processes; a study of one block runs
+    # in this process
+    sizes = _fake_pool(monkeypatch)
+    _, params, w, tw = CASES[1]
+    model = params.fk()
+    serial = [b.log_z for b in replicate_blocks("twisted", model, tw, w, 10, 8, 1, range(40))]
+    for cpus, n_reps, workers, size in ((64, 2, 5000, 2), (64, 40, 5000, 40), (3, 40, 5000, 3),
+                                        (64, 40, 2, 2), (64, 1, 5000, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        blocks = list(replicate_blocks("twisted", model, tw, w, 10, 8, 1, range(n_reps),
+                                       workers=workers))
+        assert sizes == ([size] if size else [])
+        sizes.clear()
+        assert np.array_equal(np.concatenate([b.log_z for b in blocks]),
+                              np.concatenate(serial)[:n_reps])
+
+
+def test_pooled_study_checks_before_any_process(monkeypatch):
+    # a pooled call fails as a serial one does, before any pool is built
+    sizes = _fake_pool(monkeypatch)
+    _, params, w, grid = GRID_CASES[1]
+    model = params.fk()
+    # a window too short, an unknown kind, a grid for another kind, a grid of two classes
+    bad = [("twisted", grid[0], 80, LookaheadError), ("kalman", grid[0], 5, ValueError),
+           ("apf", grid, 5, ValueError),
+           ("twisted", [grid[0], ConstantTwist(model)], 5, ValueError)]
+    for kind, twist, n_steps, error in bad:
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(error) as raised:
+                next(replicate_blocks(kind, model, twist, w, n_steps, 8, 1, range(6),
+                                      workers=workers))
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1], kind
+    with pytest.raises(ValueError, match="workers"):
+        next(replicate_blocks("twisted", model, grid[0], w, 5, 8, 1, range(6), workers=0))
+    assert sizes == []
 
 
 def _digest(path):

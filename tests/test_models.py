@@ -229,8 +229,6 @@ def test_params_validation():
 def test_fk_builders_expose_model_dimensions():
     fk = small_finite().fk()
     assert fk.k == 2
-    lg = LinearGaussianParams(a=0.9, q=1.0, r_obs=1.0).fk()
-    assert lg.lookahead == 0
     sv = SVParams().fk()
     w = ObservationWindow(0, np.array([0.4, -0.1]))
     pts = np.array([-0.5, 0.0, 0.5])
