@@ -9,6 +9,7 @@ manifest's config loads back to the same experiment.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
@@ -117,8 +118,8 @@ def _check_fields(cfg: dict) -> None:
                           f"model kind {kind!r}")
     tol = twist.get("tol", 1.0)
     _check_number(tol, "twist.tol")
-    if not tol > 0:
-        raise ConfigError("config field 'twist.tol' must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"config field 'twist.tol' must be a finite number > 0, got {tol!r}")
     name = cfg.get("name", cfg.get("experiment", "run"))
     if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
         raise ConfigError(f"config field 'name' must be a file stem, got {name!r}")

@@ -117,7 +117,9 @@ def _logmeanexp(v: np.ndarray) -> np.ndarray:
     """Log mean exp of each row of a 2-d array."""
     m = np.maximum.reduce(v, axis=1)
     if not np.logical_and.reduce(np.isfinite(m)):
-        raise ValueError("all log values are -inf")
+        if np.isnan(m).any():
+            raise ValueError("log weights contain NaN")
+        raise ValueError("log mean exp needs at least one finite log weight")
     s = np.add.reduce(np.exp(v - m[:, None]), axis=1)
     n = v.shape[1]
     return np.array([mi + math.log(si / n) for mi, si in zip(m.tolist(), s.tolist())])

@@ -93,8 +93,13 @@ class FiniteFK(FKModel):
         self.log_emit = np.log(emit)
         self.k = k
 
-    def log_g_grid(self, window, t: int) -> np.ndarray:
-        """log G_t over the full state grid ``0..k-1``."""
+    def log_g_grid(self, window, t) -> np.ndarray:
+        """log G_t over the full state grid ``0..k-1``; for a 1-d integer
+        array of times, one such row per time."""
+        if isinstance(t, np.ndarray):
+            if t.size:
+                window.require(int(t.min()), int(t.max()), context="potential evaluation")
+            return self.log_emit.T[window.values[t - window.origin].astype(np.int64)]
         y = int(window.y(t, context="potential evaluation"))
         return self.log_emit[:, y]
 
@@ -143,10 +148,11 @@ class ARGaussianFK(FKModel):
         return self.a * np.asarray(x, dtype=float) + np.sqrt(self.q) * noise
 
 
-def q_apply_log(model: FiniteFK, window, t: int, log_phi) -> np.ndarray:
+def q_apply_log(model: FiniteFK, window, t, log_phi) -> np.ndarray:
     """``log Q_t(exp(log_phi))`` on a finite grid, ``log G_t + log(M_t @ phi)``,
     safe for long compositions. ``log_phi`` may hold several functions as
-    rows, shape (m, k); each row gives the same bits it would on its own."""
+    rows, shape (m, k), and ``t`` may then give one time per row, a 1-d array
+    of m times; each row gives the same bits it would on its own."""
     if not isinstance(model, FiniteFK):
         raise TypeError("q_apply_log is exact only for finite-state models")
     log_phi = np.asarray(log_phi, dtype=float)

@@ -11,7 +11,8 @@ they can serve as oracles for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +34,15 @@ __all__ = [
 ]
 
 
+def _check_finite(params) -> None:
+    """Reject a non-finite parameter (``None`` is left to the class), naming
+    it as the first word of the ``ValueError``."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearGaussianParams:
     """X_{t+1} = a X_t + N(0, q), Y_t = X_t + N(0, r_obs).
@@ -47,6 +57,7 @@ class LinearGaussianParams:
     mu0_var: float | None = None
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.q > 0 or not self.r_obs > 0:
             raise ValueError("q and r_obs must be > 0")
         if self.mu0_var is None and not abs(self.a) < 1:
@@ -102,6 +113,7 @@ class SVParams:
     scale: float = 0.63
 
     def __post_init__(self):
+        _check_finite(self)
         if not abs(self.persistence) < 1:
             raise ValueError("persistence must satisfy |rho| < 1")
         if not self.vol_of_vol > 0 or not self.scale > 0:

@@ -25,7 +25,8 @@ Families provided here:
 
 * :class:`ConstantTwist`: psi = 1; reduces every consumer to its standard form.
 * :class:`FiniteLagTwist`: psi_t = conditional likelihood of the next ``ell``
-  observations, by backward matrix recursion on a finite grid.
+  observations, by backward matrix recursion on a finite grid, for every
+  time of a window at once.
 * :class:`LinearGaussianLagTwist`: the same quantity in closed Gaussian form.
 * :class:`StochasticVolatilityTwist`: Gaussian approximation for the
   stochastic volatility model (second-order expansion of each log observation
@@ -35,7 +36,9 @@ Families provided here:
 
 :class:`FiniteLagTwist` and :class:`EigenTwist` are finite table twists: a
 log table over the k states per time, from which lookups, moves and initial
-draws are made the same way.
+draws are made the same way. Both exact references stop where their tables
+end: :func:`eigen_triple` sweeps only as far as its range and certificates
+need, and a lag twist builds a window's tables in ``ell + 1`` batched calls.
 """
 
 from __future__ import annotations
@@ -122,6 +125,20 @@ class ConstantTwist(TwistFunction):
         return self.model.sample_initial(size, gen)
 
 
+# bytes of the (rows, k, k) temporaries of one batched q_apply_log call
+_TABLE_BYTES = 4 << 20
+
+
+def _q_rows(fk, window, ts, log_phi) -> np.ndarray:
+    """``q_apply_log`` with one time of ``ts`` per row of ``log_phi``, in
+    chunks of rows whose temporaries fit ``_TABLE_BYTES``."""
+    step = max(1, _TABLE_BYTES // (8 * fk.k * fk.k))
+    out = np.empty_like(log_phi)
+    for lo in range(0, len(ts), step):
+        out[lo:lo + step] = q_apply_log(fk, window, ts[lo:lo + step], log_phi[lo:lo + step])
+    return out
+
+
 class _WindowMemo:
     """Per-time tables of one window at a time: a twist reused over many
     windows drops the tables of the last one when it meets the next, instead
@@ -178,7 +195,14 @@ class _FiniteTableTwist(TwistFunction):
 class FiniteLagTwist(_FiniteTableTwist):
     """psi_t proportional to the likelihood of the ``ell`` observations from
     index ``t`` onward, given the current state. ``ell = 0`` is the constant
-    twist; ``ell = 1`` is proportional to the potential."""
+    twist; ``ell = 1`` is proportional to the potential.
+
+    The first lookup in a window builds its tables for every time they
+    exist: log psi_t for ``t`` in ``[origin, end - ell]`` by ``ell`` backward
+    steps of ``q_apply_log``, one batched call per step with one time per
+    row, and log Q_t(psi_{t+1}) for ``t`` below ``end - ell`` by one more;
+    each row gets the bits a recursion for its ``t`` alone would give. A
+    twist keeps the tables of one window (2 k doubles per index)."""
 
     def __init__(self, params: FiniteHMMParams, ell: int):
         if ell < 0:
@@ -188,26 +212,37 @@ class FiniteLagTwist(_FiniteTableTwist):
         self.lookahead = self.ell
         self._memo = _WindowMemo()
 
-    # tables are max-centered per (window, t); the constant is shared by
-    # log_psi and log_q_psi so it cancels in every consumer
-    def _log_table(self, window, t: int) -> np.ndarray:
+    def _tables(self, window) -> dict:
         memo = self._memo.of(window)
-        tab = memo.get(t)
-        if tab is None:
-            tab = np.zeros(self.params.k)
-            for s in range(t + self.ell - 1, t - 1, -1):
-                tab = q_apply_log(self.fk, window, s, tab)
-                tab = tab - tab.max()
-            memo[t] = tab
-        return tab
+        if not memo:
+            ts = np.arange(window.origin, window.end - self.ell + 1)
+            # max-centered per t; the constant is shared by log_psi and
+            # log_q_psi so it cancels in every consumer
+            psi = np.zeros((ts.size, self.params.k))
+            for j in range(self.ell - 1, -1, -1):  # observation t + j, top down
+                psi = _q_rows(self.fk, window, ts + j, psi)
+                psi -= psi.max(axis=1, keepdims=True)
+            memo["psi"], memo["q"] = psi, _q_rows(self.fk, window, ts[:-1], psi[1:])
+        return memo
+
+    def _row(self, window, t: int, table: str, reach: int) -> np.ndarray:
+        """Row ``t`` of a table that reads observations ``t .. t + reach``;
+        out of range, the error names the index a recursion reading them
+        from the top down would have failed on first."""
+        rows = self._tables(window)[table]
+        i = t - window.origin
+        if not 0 <= i < rows.shape[0]:
+            window.require(t + reach, t + reach, context="potential evaluation")
+            window.require(max(t, window.origin - 1), t + reach, context="potential evaluation")
+        return rows[i]
+
+    def _log_table(self, window, t: int) -> np.ndarray:
+        if self.ell == 0:
+            return np.zeros(self.params.k)
+        return self._row(window, t, "psi", self.ell - 1)
 
     def _log_q_table(self, window, t: int) -> np.ndarray:
-        memo = self._memo.of(window)
-        tab = memo.get(("q", t))
-        if tab is None:
-            tab = q_apply_log(self.fk, window, t, self._log_table(window, t + 1))
-            memo[("q", t)] = tab
-        return tab
+        return self._row(window, t, "q", self.ell)
 
     def _mu0_psi(self, window):
         logits = np.log(self.params.mu0) + self._log_table(window, 0)
@@ -403,9 +438,11 @@ def eigen_triple(
     """Compute the eigen-elements on ``[t_lo, t_hi]`` inside the window.
 
     The eigenfunction comes from the backward recursion u_t = Q_t(u_{t+1})
-    started from the window's right edge (renormalized each step); the
-    eigenmeasure from the forward normalized recursion started at the left
-    edge. Both are certified converged by comparing two sweeps with different
+    started from the window's right edge (renormalized each step) and run
+    down to ``t_lo``; the eigenmeasure from the forward normalized recursion
+    started at the left edge and run up to ``t_hi``, so the sweeps read the
+    range and the margins the certificates need, no further. Both are
+    certified converged by comparing two sweeps with different
     starting points, run side by side as the two rows of one block (each row
     gets the bits it would get alone); the certificate must beat ``tol`` in
     the centered sup-norm of logs, otherwise a :class:`ConvergenceError` asks
@@ -429,18 +466,17 @@ def eigen_triple(
             f"evaluation range [{t_lo}, {t_hi}] must sit inside [{o}, {e_idx - 1}]"
         )
     k = params.k
-    n_rows = e_idx - o + 1  # log u_t and eta_t for t in [o, e_idx]
+    # rows of log u_t and eta_t are indexed t - o; only [t_lo, t_hi] is read
     inner = slice(t_lo - o, t_hi - o + 1)
 
-    # two backward sweeps as one (2, k) block: row 0 starts from the right
-    # edge, row 1 one step earlier; row 1 is undefined at the edge itself
-    back = np.full((2, n_rows, k), np.nan)
+    # two backward sweeps as one (2, k) block, from the right edge down to
+    # t_lo: row 0 starts from the right edge, row 1 one step earlier
+    back = np.empty((2, e_idx - o, k))
     u = np.zeros((2, k))
-    back[0, -1] = u[0]
     u[0] = q_apply_log(fk, window, e_idx - 1, u[0])
     u[0] -= u[0].max()
-    back[:, -2] = u
-    for t in range(e_idx - 2, o - 1, -1):
+    back[:, -1] = u
+    for t in range(e_idx - 2, t_lo - 1, -1):
         u = q_apply_log(fk, window, t, u)
         u = u - u.max(axis=1, keepdims=True)
         back[:, t - o] = u
@@ -452,15 +488,15 @@ def eigen_triple(
             f"index {e_idx - 1}"
         )
 
-    # two forward sweeps as one (2, k) block: row 0 from the uniform law,
-    # row 1 from a law nearly all on state 0
-    log_g = np.stack([fk.log_g_grid(window, t) for t in range(o, e_idx)])
+    # two forward sweeps as one (2, k) block, from the left edge up to t_hi:
+    # row 0 from the uniform law, row 1 from a law nearly all on state 0
+    log_g = np.stack([fk.log_g_grid(window, t) for t in range(o, t_hi + 1)])
     init_b = np.full(k, 1e-12)
     init_b[0] = 1.0
-    fwd = np.empty((2, n_rows, k))
+    fwd = np.empty((2, t_hi - o + 1, k))
     p = np.stack([np.full(k, 1.0 / k), init_b / init_b.sum()])
     fwd[:, 0] = p
-    for i in range(n_rows - 1):
+    for i in range(t_hi - o):
         w = p * np.exp(log_g[i])
         p = (w[:, None, :] @ fk.trans)[:, 0]  # one vector-matrix product per row
         p = p / p.sum(axis=1, keepdims=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twistpf.filters import replicate_blocks, run_filter
+from twistpf.fkcore import FiniteFK
 from twistpf.harness import run_single
 from twistpf.models import FiniteHMMParams, finite_forward, simulate
 from twistpf.twists import (
@@ -305,3 +306,23 @@ def test_runtrace_csv_layout(tmp_path):
                 *(trace.gamma(n)[p] for n in names)]
         assert int(row[0]) == p
         assert [float(v) for v in row[1:]] == [float(v) for v in want]
+
+
+def test_non_finite_weights_are_named():
+    # a potential that is NaN, or -inf everywhere, stops a run with its fault
+    # named, as resampling names it
+    params = finite_params()
+    _, w = simulate(params, 6, seed=1)
+
+    class Poisoned(FiniteFK):
+        def __init__(self, value):
+            super().__init__(params.mu0, params.trans, params.emit)
+            self.value = value
+
+        def log_g(self, window, t, x):
+            return np.full(np.shape(x), self.value)
+
+    with pytest.raises(ValueError, match="NaN"):
+        run_filter("bootstrap", Poisoned(np.nan), None, w, 4, 8, seed=1)
+    with pytest.raises(ValueError, match="at least one finite log weight"):
+        run_filter("bootstrap", Poisoned(-np.inf), None, w, 4, 8, seed=1)

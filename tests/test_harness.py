@@ -378,10 +378,20 @@ def _fresh_python(code: str) -> str:
 
 
 def test_import_loads_no_scipy():
+    # importing twistpf loads numpy and the standard library, nothing else:
+    # each top-level module it adds to a bare interpreter's sys.modules is
+    # numpy, twistpf or a standard one (an entry that names a module already
+    # loaded, like multiprocessing's __mp_main__, adds none); the baseline is
+    # taken in the same interpreter, since site may load packages of its own
     out = _fresh_python(
-        "import sys, twistpf\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert out.strip() == "[]"
+        "import json, sys\n"
+        "before = dict(sys.modules)\n"
+        "import twistpf\n"
+        "loaded = {id(m) for m in before.values()}\n"
+        "added = {name.split('.')[0] for name, m in sys.modules.items()\n"
+        "         if name not in before and id(m) not in loaded}\n"
+        "print(json.dumps(sorted(added - {'numpy', 'twistpf'} - set(sys.stdlib_module_names))))")
+    assert json.loads(out) == []
 
 
 def test_worker_pool_leaves_no_process_behind(tmp_path):
@@ -610,6 +620,28 @@ def test_cli_refuses_negative_and_non_finite_tables(tmp_path, monkeypatch, capsy
 
 
 _LG = {"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0}
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("command, model, twist, field", [
+    ("oracle-check", None, {"kind": "lag", "ell": 1, "tol": _INF}, "twist.tol"),
+    ("run", dict(_LG, q=_INF), {}, "model.q"),
+    ("run", dict(_LG, r_obs=_INF), {}, "model.r_obs"),
+    ("run", dict(_LG, mu0_var=_INF), {}, "model.mu0_var"),
+    ("run", dict(_LG, mu0_mean=_NAN), {}, "model.mu0_mean"),
+    ("run", dict(_LG, a=_NAN, mu0_var=1.0), {}, "model.a"),
+    ("run", {"kind": "sv", "vol_of_vol": _INF}, {}, "model.vol_of_vol"),
+    ("run", {"kind": "sv", "scale": _INF}, {}, "model.scale"),
+], ids=["oracle-check-inf-tol", "lg-inf-q", "lg-inf-r_obs", "lg-inf-mu0_var",
+        "lg-nan-mu0_mean", "lg-nan-a", "sv-inf-vol_of_vol", "sv-inf-scale"])
+def test_cli_refuses_non_finite_numbers(tmp_path, monkeypatch, capsys, command, model, twist,
+                                        field):
+    # JSON's Infinity and NaN: an infinite tolerance no certificate can fail,
+    # and parameters the engine would meet only as weights that are all -inf
+    cfg = finite_cfg(filter="twisted", twist=twist)
+    if model is not None:
+        cfg["model"] = model
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, command, cfg, f"'{field}'")
 
 
 @pytest.mark.parametrize("filter_kind", ["bootstrap", "twisted", "apf", "sis"])

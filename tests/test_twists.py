@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from twistpf import twists
 from twistpf.filters import run_filter
 from twistpf.fkcore import q_apply_log
 
@@ -27,7 +28,7 @@ from twistpf.twists import (
     eigen_triple,
     make_twist,
 )
-from twistpf.windows import ObservationWindow
+from twistpf.windows import LookaheadError, ObservationWindow
 
 from scalar_draws import sample_twisted_mutation
 
@@ -415,6 +416,92 @@ def test_eigen_triple_convergence_errors_match_two_sweep_reference():
         messages.append(str(got.value))
     assert [m.split(" not converged")[0] for m in messages] == [
         "eigenfunction", "eigenfunction", "eigenmeasure"]
+
+
+class RecordingWindow(ObservationWindow):
+    """A window that records every observation index it is asked for."""
+
+    def __init__(self, window):
+        super().__init__(window.origin, window.values, _copy=False)
+        self.reads = []
+
+    def y(self, t, context=""):
+        self.reads.append(t)
+        return super().y(t, context)
+
+
+def test_eigen_sweeps_stop_at_the_evaluation_range(monkeypatch):
+    # the backward sweep runs from the right edge down to t_lo, one call per
+    # index, and the forward sweep reads from the left edge up to t_hi
+    calls = []
+
+    def counted(model, window, t, log_phi):
+        calls.append(t)
+        return q_apply_log(model, window, t, log_phi)
+
+    monkeypatch.setattr(twists, "q_apply_log", counted)
+    params = acceptance_params()
+    _, w0 = simulate(params, 300, seed=21)
+    cases = [(w0.shift(80), {}), (w0.shift(80), {"t_lo": 0, "t_hi": 61}),
+             (w0.shift(150).shift(-7), {"t_lo": -40, "t_hi": 40}), (w0, {})]
+    for base, kw in cases:
+        window = RecordingWindow(base)
+        calls.clear()
+        tri = eigen_triple(params, window, **kw)
+        if kw:
+            assert (tri.t_lo, tri.t_hi) == (kw["t_lo"], kw["t_hi"])
+        else:  # quarter margins
+            margin = window.length // 4
+            assert (tri.t_lo, tri.t_hi) == (window.origin + margin, window.end - 1 - margin)
+        backward = list(range(window.end - 1, tri.t_lo - 1, -1))
+        assert calls == backward and len(calls) == window.end - tri.t_lo, kw
+        assert window.reads[:len(backward)] == backward, kw
+        assert window.reads[len(backward):] == list(range(window.origin, tri.t_hi + 1)), kw
+
+
+def per_t_lag_table(params, ell, window, t):
+    # log psi_t by its own backward recursion, one time index at a time: the
+    # reference the batched lag tables must equal bit for bit
+    fk = params.fk()
+    tab = np.zeros(params.k)
+    for s in range(t + ell - 1, t - 1, -1):
+        tab = q_apply_log(fk, window, s, tab)
+        tab = tab - tab.max()
+    return tab
+
+
+def per_t_lag_q_table(params, ell, window, t):
+    return q_apply_log(params.fk(), window, t, per_t_lag_table(params, ell, window, t + 1))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 500], ids=["default", "row", "rows"])
+@pytest.mark.parametrize("make_params", [finite_params, five_state_params])
+def test_lag_tables_match_per_t_recursion_bit_for_bit(make_params, budget, monkeypatch):
+    # every t of shifted windows and around them, for lags 0..4 and a window
+    # shorter than the lag: equal tables where the recursion has one, and
+    # the recursion's own LookaheadError message where it has none; also
+    # with the tables built one row, or a few rows, per call
+    if budget is not None:
+        monkeypatch.setattr(twists, "_TABLE_BYTES", budget)
+    params = make_params()
+    _, w0 = simulate(params, 40, seed=23)
+    grid = np.arange(params.k)
+    windows = [w0, w0.shift(9), w0.shift(9).shift(-14), ObservationWindow(5, w0.values[:3])]
+    for ell in range(5):
+        for window in windows:
+            tw = FiniteLagTwist(params, ell)
+            for t in range(window.origin - ell - 2, window.end + 2):
+                for lookup, reference in ((tw.log_psi, per_t_lag_table),
+                                          (tw.log_q_psi, per_t_lag_q_table)):
+                    try:
+                        want = reference(params, ell, window, t)
+                    except LookaheadError as exc:
+                        with pytest.raises(LookaheadError) as got:
+                            lookup(window, t, grid)
+                        assert str(got.value) == str(exc), (ell, window, t)
+                        assert (got.value.origin, got.value.length) == (exc.origin, exc.length)
+                        continue
+                    assert np.array_equal(lookup(window, t, grid), want), (ell, window, t)
 
 
 def test_lambda_hat_tracks_likelihood_growth():
