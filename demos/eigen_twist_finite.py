@@ -17,9 +17,9 @@ from twistpf import (
     eigen_triple,
     exact_moments,
     finite_forward,
+    fit_slope,
     run_filter,
     simulate,
-    upsilon_slope,
 )
 
 params = FiniteHMMParams(
@@ -49,7 +49,8 @@ for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.a
 # 2. the second moment is what the twist changes: the growth rate of the
 #    relative second moment drops from ~1.6e-2 per step to ~0
 for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.as_twist())]:
-    fit, _ = upsilon_slope(params, twist, 2, window, 200, n_lo=120, n_hi=200)
+    rep = exact_moments(params, twist, 2, window, 200)
+    fit = fit_slope(rep.n, rep.log_v, n_lo=120, n_hi=200)
     print(f"{name:>8} twist: variance growth rate {fit.slope:+.2e} per step")
 
 # 3. with the eigenfunction the estimator is a deterministic function of the

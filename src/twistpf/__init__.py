@@ -54,7 +54,6 @@ from .oracle import (
     exact_moments,
     fit_slope,
     upsilon_bound,
-    upsilon_slope,
 )
 from .rng import RngStream
 from .twists import (
@@ -104,7 +103,6 @@ __all__ = [
     "exact_clt_variances",
     "CltVariances",
     "upsilon_bound",
-    "upsilon_slope",
     "BoundReport",
     "SlopeFit",
     "fit_slope",

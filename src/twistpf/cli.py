@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .config import ConfigError, read_config
+from .filters import _KINDS
 from .harness import _EXPERIMENTS, run_from_manifest
 
 _MODEL_PRESETS = {
@@ -35,7 +36,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, help="time horizon override")
     p.add_argument("--replicates", type=int, help="replicate count override")
     p.add_argument("--lag", type=int, help="twist lookahead override")
-    p.add_argument("--filter", choices=["bootstrap", "twisted", "apf", "sis"],
+    p.add_argument("--filter", choices=_KINDS,
                    help="filter kind override")
     p.add_argument("--model", choices=sorted(_MODEL_PRESETS),
                    help="model preset override (lg, finite, sv)")

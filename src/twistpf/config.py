@@ -13,12 +13,12 @@ import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
+from .filters import _KINDS
 from .models import FiniteHMMParams, LinearGaussianParams, SVParams
 from .twists import TWIST_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "EIGEN_MARGIN", "load_config", "read_config"]
 
-_FILTERS = ("bootstrap", "twisted", "apf", "sis")
 _PARAMS = {"lg": LinearGaussianParams, "finite": FiniteHMMParams, "sv": SVParams}
 _FIELDS = ("model", "filter", "twist", "steps", "particles", "replicates", "seed",
            "window", "workers", "name", "experiment", "ell_grid", "N_grid")
@@ -110,8 +110,8 @@ def _check_fields(cfg: dict) -> None:
             raise ConfigError(f"config field '{field}' must be a non-empty list of integers")
         for value in values:
             _check_int(value, field, low)
-    if cfg.get("filter", "bootstrap") not in _FILTERS:
-        raise ConfigError(f"config field 'filter' must be one of {_FILTERS}")
+    if cfg.get("filter", "bootstrap") not in _KINDS:
+        raise ConfigError(f"config field 'filter' must be one of {_KINDS}")
     twist, twist_kinds = cfg.get("twist", {}), TWIST_KINDS[_PARAMS[kind]]
     if twist.get("kind", "constant") not in twist_kinds:
         raise ConfigError(f"config field 'twist.kind' must be one of {twist_kinds} for "

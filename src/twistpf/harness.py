@@ -73,7 +73,7 @@ def _build_twist(config: ExperimentConfig, window, spec: dict, filter_kind="twis
         return None
     if spec["kind"] == "exact_h":
         return _eigen(config, window, spec["tol"]).as_twist()
-    return make_twist(config.params, spec, window=window)
+    return make_twist(config.params, spec)
 
 
 def _lag_grid(config: ExperimentConfig):

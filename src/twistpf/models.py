@@ -48,6 +48,8 @@ class LinearGaussianParams:
     """X_{t+1} = a X_t + N(0, q), Y_t = X_t + N(0, r_obs).
 
     ``mu0_var=None`` selects the stationary initial law N(mu0_mean, q/(1-a^2)).
+    Each check names the one parameter it rejects as the first word of its
+    ``ValueError``.
     """
 
     a: float
@@ -58,10 +60,15 @@ class LinearGaussianParams:
 
     def __post_init__(self):
         _check_finite(self)
-        if not self.q > 0 or not self.r_obs > 0:
-            raise ValueError("q and r_obs must be > 0")
+        if not self.q > 0:
+            raise ValueError("q must be > 0")
+        if not self.r_obs > 0:
+            raise ValueError("r_obs must be > 0")
         if self.mu0_var is None and not abs(self.a) < 1:
-            raise ValueError("stationary initial law needs |a| < 1")
+            raise ValueError("a must satisfy |a| < 1 for the stationary initial law; "
+                             "give mu0_var otherwise")
+        if self.mu0_var is not None and not self.mu0_var > 0:
+            raise ValueError("mu0_var must be > 0")
 
     @property
     def init_var(self) -> float:
@@ -106,7 +113,8 @@ class FiniteHMMParams:
 @dataclass(frozen=True)
 class SVParams:
     """Log-volatility AR(1): X_{t+1} = persistence * X_t + N(0, vol_of_vol^2),
-    Y_t = scale * exp(X_t / 2) * N(0, 1)."""
+    Y_t = scale * exp(X_t / 2) * N(0, 1). Each check names the one parameter
+    it rejects as the first word of its ``ValueError``."""
 
     persistence: float = 0.975
     vol_of_vol: float = 0.16
@@ -116,8 +124,10 @@ class SVParams:
         _check_finite(self)
         if not abs(self.persistence) < 1:
             raise ValueError("persistence must satisfy |rho| < 1")
-        if not self.vol_of_vol > 0 or not self.scale > 0:
-            raise ValueError("vol_of_vol and scale must be > 0")
+        if not self.vol_of_vol > 0:
+            raise ValueError("vol_of_vol must be > 0")
+        if not self.scale > 0:
+            raise ValueError("scale must be > 0")
 
     @property
     def state_var(self) -> float:

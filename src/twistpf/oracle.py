@@ -46,7 +46,6 @@ __all__ = [
     "exact_moments",
     "SlopeFit",
     "fit_slope",
-    "upsilon_slope",
     "CltVariances",
     "exact_clt_variances",
     "BoundReport",
@@ -226,33 +225,6 @@ def fit_slope(n_values, y_values, n_lo: int | None = None, n_hi: int | None = No
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 1.0
     return SlopeFit(slope, stderr, intercept, r2, int(n_lo), int(n_hi))
-
-
-def upsilon_slope(
-    params: FiniteHMMParams,
-    twist: TwistFunction,
-    n_particles: int,
-    window,
-    n_range,
-    n_lo: int | None = None,
-    n_hi: int | None = None,
-    mu0=None,
-) -> tuple[SlopeFit, OracleReport]:
-    """Exact variance-growth rate: slope of ``log V_tilde`` against ``n``.
-
-    ``n_range`` is either the horizon (int) or an iterable of horizons whose
-    min/max set the fit range.
-    """
-    if np.iterable(n_range):
-        ns = [int(v) for v in n_range]
-        n_steps = max(ns)
-        n_lo = min(ns) if n_lo is None else n_lo
-        n_hi = n_steps if n_hi is None else n_hi
-    else:
-        n_steps = int(n_range)
-    report = exact_moments(params, twist, n_particles, window, n_steps, mu0=mu0)
-    fit = fit_slope(report.n, report.log_v, n_lo=n_lo, n_hi=n_hi)
-    return fit, report
 
 
 @dataclass

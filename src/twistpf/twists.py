@@ -25,8 +25,7 @@ Families provided here:
 
 * :class:`ConstantTwist`: psi = 1; reduces every consumer to its standard form.
 * :class:`FiniteLagTwist`: psi_t = conditional likelihood of the next ``ell``
-  observations, by backward matrix recursion on a finite grid, for every
-  time of a window at once.
+  observations, by backward matrix recursion on a finite grid.
 * :class:`LinearGaussianLagTwist`: the same quantity in closed Gaussian form.
 * :class:`StochasticVolatilityTwist`: Gaussian approximation for the
   stochastic volatility model (second-order expansion of each log observation
@@ -34,11 +33,17 @@ Families provided here:
 * :class:`EigenTwist`: the generalized eigenfunction of the one-step operator,
   precomputed by :func:`eigen_triple` on finite models.
 
-:class:`FiniteLagTwist` and :class:`EigenTwist` are finite table twists: a
-log table over the k states per time, from which lookups, moves and initial
-draws are made the same way. Both exact references stop where their tables
-end: :func:`eigen_triple` sweeps only as far as its range and certificates
-need, and a lag twist builds a window's tables in ``ell + 1`` batched calls.
+The three lag twists share one table design: the first lookup in a window
+builds the rows of psi_t and of Q_t(psi_{t+1}) for every time of the window
+in ``ell + 1`` batched steps, and lookups read them. A family supplies only
+its row of psi = 1 and its backward and up steps: ``q_apply_log`` on a
+finite grid, a closed-form Gaussian integral on the coefficients of a
+quadratic log psi. :class:`FiniteLagTwist` and :class:`EigenTwist` are
+finite table twists: a log table over the k states per time, from which
+lookups, moves and initial draws are made the same way. Both exact
+references stop where their tables end: :func:`eigen_triple` sweeps only as
+far as its range and certificates need, and a lag twist's tables cover only
+the times whose observations the window holds.
 """
 
 from __future__ import annotations
@@ -139,20 +144,6 @@ def _q_rows(fk, window, ts, log_phi) -> np.ndarray:
     return out
 
 
-class _WindowMemo:
-    """Per-time tables of one window at a time: a twist reused over many
-    windows drops the tables of the last one when it meets the next, instead
-    of keeping every window and its tables alive."""
-
-    def __init__(self):
-        self.window, self.tables = None, {}
-
-    def of(self, window) -> dict:
-        if window is not self.window:
-            self.window, self.tables = window, {}
-        return self.tables
-
-
 def _categorical_rows(logits: np.ndarray, x, u) -> np.ndarray:
     """One categorical draw per uniform in ``u`` for a particle in state
     ``x``, from the unnormalized log masses in row ``x`` of the ``k x k``
@@ -166,24 +157,21 @@ def _categorical_rows(logits: np.ndarray, x, u) -> np.ndarray:
 
 
 class _FiniteTableTwist(TwistFunction):
-    """A twist on the states ``0..k-1`` of a finite model, given per time by
-    two log tables with a shared per-time constant: ``_log_table(window, t)``,
-    log psi_t, and ``_log_q_table(window, t)``, log Q_t(psi_{t+1}). A
-    subclass supplies both, ``_mu0_psi(window)`` (mu0 * psi_0 up to a
-    constant factor) and ``log_mu0_psi``."""
-
-    def __init__(self, params: FiniteHMMParams):
-        self.params = params
-        self.fk = params.fk()
+    """A twist on the states ``0..k-1`` of a finite model (``self.model``),
+    given per time by two log tables with a shared per-time constant:
+    ``_log_table(window, t)``, log psi_t, and ``_log_table(window, t,
+    q=True)``, log Q_t(psi_{t+1}). A subclass supplies both tables,
+    ``_mu0_psi(window)`` (mu0 * psi_0 up to a constant factor) and
+    ``log_mu0_psi``."""
 
     def log_psi(self, window, t, x):
         return self._log_table(window, t)[np.asarray(x, dtype=np.int64)]
 
     def log_q_psi(self, window, t, x):
-        return self._log_q_table(window, t)[np.asarray(x, dtype=np.int64)]
+        return self._log_table(window, t, q=True)[np.asarray(x, dtype=np.int64)]
 
     def twisted_mutate(self, window, t, x, noise):
-        return _categorical_rows(self.fk.log_trans + self._log_table(window, t + 1), x, noise)
+        return _categorical_rows(self.model.log_trans + self._log_table(window, t + 1), x, noise)
 
     def sample_twisted_initial(self, window, size, gen):
         cdf = np.cumsum(self._mu0_psi(window))
@@ -192,57 +180,67 @@ class _FiniteTableTwist(TwistFunction):
         return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
 
 
-class FiniteLagTwist(_FiniteTableTwist):
+class _LagTwist(TwistFunction):
     """psi_t proportional to the likelihood of the ``ell`` observations from
-    index ``t`` onward, given the current state. ``ell = 0`` is the constant
-    twist; ``ell = 1`` is proportional to the potential.
+    index ``t`` onward, given the current state; ``ell = 0`` is the constant
+    twist, ``ell = 1`` is proportional to the potential.
 
     The first lookup in a window builds its tables for every time they
-    exist: log psi_t for ``t`` in ``[origin, end - ell]`` by ``ell`` backward
-    steps of ``q_apply_log``, one batched call per step with one time per
-    row, and log Q_t(psi_{t+1}) for ``t`` below ``end - ell`` by one more;
-    each row gets the bits a recursion for its ``t`` alone would give. A
-    twist keeps the tables of one window (2 k doubles per index)."""
+    exist: the rows of psi_t for ``t`` in ``[origin, end - ell]`` by ``ell``
+    backward steps, one batched call per step with one observation offset
+    per step and one time per row, and the rows of Q_t(psi_{t+1}) for ``t``
+    below ``end - ell`` by one up step; each row gets the bits a recursion
+    for its ``t`` alone would give. A twist keeps the tables of one window:
+    met with the next window, it drops the last one's. A family supplies
+    ``_flat()`` (the row of psi = 1), ``_back(window, ts, rows)`` (the rows
+    of psi_t from those of psi_{t+1}, reading observations ``ts``) and
+    ``_up(window, ts, rows)`` (the rows of Q_t(psi_{t+1}))."""
 
-    def __init__(self, params: FiniteHMMParams, ell: int):
+    def __init__(self, params, ell: int):
         if ell < 0:
             raise ValueError("lag must be >= 0")
-        super().__init__(params)
-        self.ell = int(ell)
-        self.lookahead = self.ell
-        self._memo = _WindowMemo()
+        self.params = params
+        self.model = params.fk()
+        self.ell = self.lookahead = int(ell)
+        self._window = self._tables = None
 
-    def _tables(self, window) -> dict:
-        memo = self._memo.of(window)
-        if not memo:
+    def _log_table(self, window, t: int, q: bool = False) -> np.ndarray:
+        """Row ``t`` of the psi table, or with ``q`` of the Q(psi) table;
+        out of range, the error names the index a recursion reading their
+        observations from the top down would have failed on first."""
+        if self.ell == 0 and not q:
+            return self._flat()
+        if window is not self._window:
             ts = np.arange(window.origin, window.end - self.ell + 1)
-            # max-centered per t; the constant is shared by log_psi and
-            # log_q_psi so it cancels in every consumer
-            psi = np.zeros((ts.size, self.params.k))
+            psi = np.tile(self._flat(), (ts.size, 1))
             for j in range(self.ell - 1, -1, -1):  # observation t + j, top down
-                psi = _q_rows(self.fk, window, ts + j, psi)
-                psi -= psi.max(axis=1, keepdims=True)
-            memo["psi"], memo["q"] = psi, _q_rows(self.fk, window, ts[:-1], psi[1:])
-        return memo
-
-    def _row(self, window, t: int, table: str, reach: int) -> np.ndarray:
-        """Row ``t`` of a table that reads observations ``t .. t + reach``;
-        out of range, the error names the index a recursion reading them
-        from the top down would have failed on first."""
-        rows = self._tables(window)[table]
+                psi = self._back(window, ts + j, psi)
+            self._window, self._tables = window, (psi, self._up(window, ts[:-1], psi[1:]))
+        rows = self._tables[q]
         i = t - window.origin
         if not 0 <= i < rows.shape[0]:
-            window.require(t + reach, t + reach, context="potential evaluation")
-            window.require(max(t, window.origin - 1), t + reach, context="potential evaluation")
+            top = t + self.ell - 1 + q  # psi_t reads t .. t + ell - 1, Q_t one more
+            window.require(top, top, context="potential evaluation")
+            window.require(max(t, window.origin - 1), top, context="potential evaluation")
         return rows[i]
 
-    def _log_table(self, window, t: int) -> np.ndarray:
-        if self.ell == 0:
-            return np.zeros(self.params.k)
-        return self._row(window, t, "psi", self.ell - 1)
 
-    def _log_q_table(self, window, t: int) -> np.ndarray:
-        return self._row(window, t, "q", self.ell)
+class FiniteLagTwist(_LagTwist, _FiniteTableTwist):
+    """The lag twist of a finite model: its rows are log tables over the k
+    states, each step one batched ``q_apply_log`` call, max-centered per
+    ``t`` (the constant is shared by ``log_psi`` and ``log_q_psi``, so it
+    cancels in every consumer). A window's tables hold 2 k doubles per
+    index."""
+
+    def _flat(self):
+        return np.zeros(self.params.k)
+
+    def _back(self, window, ts, psi):
+        psi = _q_rows(self.model, window, ts, psi)
+        return psi - psi.max(axis=1, keepdims=True)
+
+    def _up(self, window, ts, psi):
+        return _q_rows(self.model, window, ts, psi)
 
     def _mu0_psi(self, window):
         logits = np.log(self.params.mu0) + self._log_table(window, 0)
@@ -252,21 +250,14 @@ class FiniteLagTwist(_FiniteTableTwist):
         return float(logsumexp(np.log(self.params.mu0) + self._log_table(window, 0)))
 
 
-class _GaussianQuadTwist(TwistFunction):
-    """Shared machinery for twists of the form
-    log psi_t(x) = -c x^2 / 2 + d x + e built by folding per-step quadratic
-    observation terms through the AR(1) dynamics, in closed form."""
+class _GaussianQuadTwist(_LagTwist):
+    """Lag twists of the form log psi_t(x) = -c x^2 / 2 + d x + e, built by
+    folding per-step quadratic observation terms through the AR(1) dynamics
+    in closed form; a row is ``(c, d, e)``. A subclass supplies
+    ``_obs_quad(y)``, the terms of an array of observations."""
 
-    def __init__(self, ell: int):
-        if ell < 0:
-            raise ValueError("lag must be >= 0")
-        self.ell = int(ell)
-        self.lookahead = self.ell
-        self._memo = _WindowMemo()
-
-    # subclasses set self.model (ARGaussianFK) and implement _obs_quad
-    def _obs_quad(self, window, t: int):
-        raise NotImplementedError
+    def _flat(self):
+        return np.zeros(3)
 
     def _integrate(self, c, d, e):
         """Quadratic in x of log integral N(z; a x, q) exp(-c z^2/2 + d z + e) dz."""
@@ -278,18 +269,13 @@ class _GaussianQuadTwist(TwistFunction):
             e + d * d * q / (2.0 * denom) - 0.5 * np.log(denom),
         )
 
-    def _psi_quad(self, window, t: int):
-        memo = self._memo.of(window)
-        quad = memo.get(t)
-        if quad is None:
-            c, d, e = 0.0, 0.0, 0.0
-            for s in range(t + self.ell - 1, t - 1, -1):
-                c, d, e = self._integrate(c, d, e)
-                cg, dg, eg = self._obs_quad(window, s)
-                c, d, e = c + cg, d + dg, e + eg
-            quad = (c, d, e)
-            memo[t] = quad
-        return quad
+    def _back(self, window, ts, quad):
+        c, d, e = self._integrate(*quad.T)
+        cg, dg, eg = self._obs_quad(np.asarray(window.values[ts - window.origin], dtype=float))
+        return np.stack([c + cg, d + dg, e + eg], axis=1)
+
+    def _up(self, window, ts, quad):
+        return np.stack(self._integrate(*quad.T), axis=1)
 
     @staticmethod
     def _eval(quad, x):
@@ -298,17 +284,17 @@ class _GaussianQuadTwist(TwistFunction):
         return -0.5 * c * x * x + d * x + e
 
     def log_psi(self, window, t, x):
-        return self._eval(self._psi_quad(window, t), x)
+        return self._eval(self._log_table(window, t), x)
 
     def log_q_psi(self, window, t, x):
-        mid = self._integrate(*self._psi_quad(window, t + 1))
+        mid = self._log_table(window, t, q=True)
         return self.model.log_g(window, t, x) + self._eval(mid, x)
 
     def noise(self, gen, size):
         return gen.standard_normal(size)
 
     def twisted_mutate(self, window, t, x, noise):
-        c, d, _ = self._psi_quad(window, t + 1)
+        c, d, _ = self._log_table(window, t + 1)
         a, q = self.model.a, self.model.q
         x = np.asarray(x, dtype=float)
         prec = c + 1.0 / q
@@ -317,7 +303,7 @@ class _GaussianQuadTwist(TwistFunction):
         return mean + np.sqrt(var) * noise
 
     def log_mu0_psi(self, window):
-        c, d, e = self._psi_quad(window, 0)
+        c, d, e = self._log_table(window, 0)
         m0, v0 = self.model.mu0_mean, self.model.mu0_var
         big_a = c + 1.0 / v0
         big_b = m0 / v0 + d
@@ -327,7 +313,7 @@ class _GaussianQuadTwist(TwistFunction):
         )
 
     def sample_twisted_initial(self, window, size, gen):
-        c, d, _ = self._psi_quad(window, 0)
+        c, d, _ = self._log_table(window, 0)
         m0, v0 = self.model.mu0_mean, self.model.mu0_var
         prec = c + 1.0 / v0
         var = 1.0 / prec
@@ -339,14 +325,8 @@ class LinearGaussianLagTwist(_GaussianQuadTwist):
     """Exact lag twist for the linear-Gaussian model: psi_t is the Gaussian
     likelihood of the next ``ell`` observations given the current state."""
 
-    def __init__(self, params: LinearGaussianParams, ell: int):
-        super().__init__(ell)
-        self.params = params
-        self.model = params.fk()
-
-    def _obs_quad(self, window, t):
+    def _obs_quad(self, y):
         r = self.params.r_obs
-        y = float(window.y(t, context="lag twist"))
         return 1.0 / r, y / r, -y * y / (2.0 * r) - 0.5 * np.log(2.0 * np.pi * r)
 
 
@@ -362,17 +342,11 @@ class StochasticVolatilityTwist(_GaussianQuadTwist):
 
     curvature_floor = 1e-4
 
-    def __init__(self, params: SVParams, ell: int):
-        super().__init__(ell)
-        self.params = params
-        self.model = params.fk()
-
-    def _obs_quad(self, window, t):
+    def _obs_quad(self, y):
         b2 = self.model.obs_scale2
-        y = float(window.y(t, context="sv twist"))
         delta = 1e-8 * b2
         xhat = np.log((y * y + delta) / b2)
-        c = max(y * y / (2.0 * (y * y + delta)), self.curvature_floor)
+        c = np.maximum(y * y / (2.0 * (y * y + delta)), self.curvature_floor)
         d = -0.5 + c * (1.0 + xhat)
         log_g_hat = -0.5 * (
             np.log(2.0 * np.pi * b2) + xhat + y * y * np.exp(-xhat) / b2
@@ -554,19 +528,19 @@ class EigenTwist(_FiniteTableTwist):
     """
 
     def __init__(self, triple: EigenTriple):
-        super().__init__(triple.params)
+        self.params = triple.params
+        self.model = triple.params.fk()
         self.triple = triple
 
     def _row(self, window, t: int) -> int:
         # index t of a shifted window addresses t + (o0 - origin) of the original
         return self.triple.row(t + self.triple.window_origin - window.origin)
 
-    def _log_table(self, window, t):
-        return self.triple.log_h[self._row(window, t)]
-
-    def _log_q_table(self, window, t):
+    def _log_table(self, window, t, q=False):
+        if not q:
+            return self.triple.log_h[self._row(window, t)]
         h = self.triple.h[self._row(window, t + 1)]
-        return self.fk.log_g_grid(window, t) + np.log(self.fk.trans @ h)
+        return self.model.log_g_grid(window, t) + np.log(self.model.trans @ h)
 
     def _mu0_psi(self, window):
         return self.params.mu0 * self.triple.h[self._row(window, 0)]
@@ -583,22 +557,23 @@ TWIST_KINDS = {
 }
 
 
-def make_twist(params, spec: dict, window=None, model=None) -> TwistFunction:
-    """Build a twist from a config mapping ``{kind, ell, tol}``, of a kind the
-    model has (``TWIST_KINDS``); ``exact_h`` needs the window at construction.
+def make_twist(params, spec: dict) -> TwistFunction:
+    """Build a twist from a config mapping ``{kind, ell}``, of a kind the
+    model has (``TWIST_KINDS``). An ``exact_h`` twist is made from its eigen
+    elements, which need a window and an evaluation range:
+    ``eigen_triple(params, window, ...).as_twist()``.
     """
     kind = spec.get("kind", "constant")
     kinds = TWIST_KINDS.get(type(params), ())
     if kind not in kinds:
         raise ValueError(f"twist kind {kind!r} is not one of {kinds}, the kinds of "
                          f"{type(params).__name__}")
+    if kind == "exact_h":
+        raise ValueError("an exact_h twist is built from its eigen elements: "
+                         "eigen_triple(params, window, ...).as_twist()")
     ell = int(spec.get("ell", 0))
     if kind == "constant":
-        return ConstantTwist(model if model is not None else params.fk())
-    if kind == "exact_h":
-        if window is None:
-            raise ValueError("exact_h twists need the observation window up front")
-        return eigen_triple(params, window, tol=float(spec.get("tol", 1e-9))).as_twist()
+        return ConstantTwist(params.fk())
     if kind == "sv_approx":
         return StochasticVolatilityTwist(params, ell)
     lag = FiniteLagTwist if isinstance(params, FiniteHMMParams) else LinearGaussianLagTwist

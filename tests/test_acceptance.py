@@ -28,7 +28,6 @@ from twistpf.oracle import (
     exact_moments,
     fit_slope,
     upsilon_bound,
-    upsilon_slope,
 )
 from twistpf.twists import (
     ConstantTwist,
@@ -136,10 +135,10 @@ def test_criterion_02_eigen_twist_flat_variance():
     _, w0 = simulate(params, 360, seed=11)
     w = w0.shift(80)
     tri = eigen_triple(params, w, t_lo=-10, t_hi=220)
-    fit_h, rep_h = upsilon_slope(params, tri.as_twist(), 2, w, 200, n_lo=120, n_hi=200)
-    fit_c, _ = upsilon_slope(
-        params, ConstantTwist(params.fk()), 2, w, 200, n_lo=120, n_hi=200
-    )
+    rep_h = exact_moments(params, tri.as_twist(), 2, w, 200)
+    rep_c = exact_moments(params, ConstantTwist(params.fk()), 2, w, 200)
+    fit_h = fit_slope(rep_h.n, rep_h.log_v, n_lo=120, n_hi=200)
+    fit_c = fit_slope(rep_c.n, rep_c.log_v, n_lo=120, n_hi=200)
     bounded = float(np.max(rep_h.log_v[:201])) < 10.0
     verdict(
         2,
@@ -285,7 +284,8 @@ def test_criterion_07_growth_rate_bound():
     for ell in (0, 1, 2):
         twist = FiniteLagTwist(params, ell) if ell else ConstantTwist(params.fk())
         for n_particles in (2, 3):
-            fit, _ = upsilon_slope(params, twist, n_particles, w, nb)
+            rep = exact_moments(params, twist, n_particles, w, nb)
+            fit = fit_slope(rep.n, rep.log_v)
             bnd = upsilon_bound(tri, twist, w, range(1, nb + 1), n_particles)
             ok = ok and fit.slope <= bnd.bound
             notes.append(

@@ -10,6 +10,8 @@ import pytest
 
 from twistpf import harness
 from twistpf.cli import main
+from twistpf.config import _PARAMS
+from twistpf.filters import _KINDS
 from twistpf.harness import (
     ConfigError,
     load_config,
@@ -24,7 +26,9 @@ from twistpf.harness import (
 )
 from twistpf.models import simulate
 from twistpf.oracle import occupation_states
-from twistpf.twists import ConvergenceError
+from twistpf.twists import TWIST_KINDS, ConvergenceError
+
+import artifact_digests
 
 
 def finite_cfg(**over):
@@ -644,6 +648,25 @@ def test_cli_refuses_non_finite_numbers(tmp_path, monkeypatch, capsys, command, 
     _refused_before_any_window(tmp_path, monkeypatch, capsys, command, cfg, f"'{field}'")
 
 
+@pytest.mark.parametrize("model, field", [
+    (dict(_LG, mu0_var=-1), "model.mu0_var"),
+    (dict(_LG, mu0_var=0), "model.mu0_var"),
+    (dict(_LG, q=-1), "model.q"),
+    (dict(_LG, r_obs=-1), "model.r_obs"),
+    (dict(_LG, a=1.5), "model.a"),
+    ({"kind": "sv", "persistence": 1.0}, "model.persistence"),
+    ({"kind": "sv", "vol_of_vol": -1}, "model.vol_of_vol"),
+    ({"kind": "sv", "scale": -1}, "model.scale"),
+], ids=["lg-negative-mu0_var", "lg-zero-mu0_var", "lg-negative-q", "lg-negative-r_obs",
+        "lg-explosive-a", "sv-unit-persistence", "sv-negative-vol_of_vol", "sv-negative-scale"])
+def test_cli_refuses_out_of_range_parameters_naming_each(tmp_path, monkeypatch, capsys, model,
+                                                         field):
+    # one check per parameter: each is an exit-2 error naming its own field,
+    # never a neighbour checked in the same message or the bare 'model'
+    cfg = finite_cfg(model=model)
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, "run", cfg, f"'{field}'")
+
+
 @pytest.mark.parametrize("filter_kind", ["bootstrap", "twisted", "apf", "sis"])
 @pytest.mark.parametrize("model, twist", [
     ({"kind": "sv"}, {"kind": "lag", "ell": 1}),
@@ -683,3 +706,26 @@ def test_cli_refuses_an_oracle_chain_over_the_state_ceiling(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "draw_window", drawn)  # past every precondition
     with pytest.raises(Drawn):
         run_oracle_check(finite_cfg(model=model, filter="twisted", particles=179), str(tmp_path))
+
+
+def test_artifact_digest_set_covers_every_experiment_and_filter_kind():
+    # the byte-identity set of tests/artifact_digests.py is read, not run: a
+    # new experiment, filter kind or twist kind cannot be left out of it
+    # unnoticed, and every case is a config the package accepts
+    cases = artifact_digests.CASES
+    assert {command for command, _ in cases} == set(harness._EXPERIMENTS)
+    for command in ("run", "variance-growth", "unbiasedness"):
+        kinds = {cfg.get("filter", "bootstrap") for c, cfg in cases if c == command}
+        assert kinds == set(_KINDS), command
+    for command, cfg in cases:
+        config = load_config(cfg)
+        assert config.twist_spec["kind"] in TWIST_KINDS[type(config.params)]
+    twists = {(cfg["model"]["kind"], cfg.get("twist", {}).get("kind", "constant"))
+              for _, cfg in cases}
+    assert twists == {(model, kind) for model, cls in _PARAMS.items()
+                      for kind in TWIST_KINDS[cls]}
+    assert {cfg.get("twist", {}).get("ell") for _, cfg in cases} >= {0, 1, 2, 3}
+    assert any(cfg.get("workers", 1) >= 2 for _, cfg in cases)
+    assert any("ell_grid" in cfg for _, cfg in cases)
+    stems = [cfg["name"] for _, cfg in cases]
+    assert len(set(stems)) == len(stems)

@@ -13,7 +13,6 @@ from twistpf.oracle import (
     fit_slope,
     occupation_states,
     upsilon_bound,
-    upsilon_slope,
 )
 from twistpf.twists import ConstantTwist, FiniteLagTwist, eigen_triple
 
@@ -186,10 +185,10 @@ def test_upsilon_slope_ignores_initial_law():
     _, w0 = simulate(params, 220, seed=8)
     w = w0.shift(60)
     tw = FiniteLagTwist(params, 1)
-    fit_a, _ = upsilon_slope(params, tw, 2, w, 60, n_lo=20, n_hi=60)
-    fit_b, _ = upsilon_slope(
-        params, tw, 2, w, 60, n_lo=20, n_hi=60, mu0=np.array([0.05, 0.05, 0.9])
-    )
+    rep_a = exact_moments(params, tw, 2, w, 60)
+    rep_b = exact_moments(params, tw, 2, w, 60, mu0=np.array([0.05, 0.05, 0.9]))
+    fit_a = fit_slope(rep_a.n, rep_a.log_v, n_lo=20, n_hi=60)
+    fit_b = fit_slope(rep_b.n, rep_b.log_v, n_lo=20, n_hi=60)
     assert abs(fit_a.slope - fit_b.slope) < 1e-4
 
 
@@ -201,7 +200,8 @@ def test_eigen_twist_zeroes_growth_and_bound():
     tw = tri.as_twist()
     # with the eigenfunction the relative second moment stays bounded: the
     # fitted growth rate over the late range is numerically zero
-    fit, rep = upsilon_slope(params, tw, 2, w, 200, n_lo=120, n_hi=200)
+    rep = exact_moments(params, tw, 2, w, 200)
+    fit = fit_slope(rep.n, rep.log_v, n_lo=120, n_hi=200)
     assert abs(fit.slope) < 1e-4
     assert rep.log_v[120:201].max() - rep.log_v[120:201].min() < 0.1
     bound = upsilon_bound(tri, tw, w, range(1, 51), 2)
@@ -217,7 +217,8 @@ def test_upsilon_slope_below_mixing_bound():
     for ell in (0, 1, 2):
         tw = FiniteLagTwist(params, ell)
         for n_particles in (2, 3):
-            fit, _ = upsilon_slope(params, tw, n_particles, w, 40, n_lo=10, n_hi=40)
+            rep = exact_moments(params, tw, n_particles, w, 40)
+            fit = fit_slope(rep.n, rep.log_v, n_lo=10, n_hi=40)
             bound = upsilon_bound(tri, tw, w, range(1, 41), n_particles)
             assert fit.slope <= bound.bound + 1e-12, (ell, n_particles)
             assert bound.bound == pytest.approx(

@@ -21,7 +21,6 @@ from twistpf.models import (
 from twistpf.twists import (
     ConstantTwist,
     ConvergenceError,
-    EigenTwist,
     FiniteLagTwist,
     LinearGaussianLagTwist,
     StochasticVolatilityTwist,
@@ -178,7 +177,7 @@ def test_lg_twisted_mutation_moments():
     draws = sample_twisted_mutation(tw, w, 1, np.full(200_000, x0), gen)
     # twisted kernel is N(z; a x, q) psi_2(z) renormalized; with quadratic
     # log psi = -c z^2/2 + d z + e the result is Gaussian
-    c, d, _ = tw._psi_quad(w, 2)
+    c, d, _ = tw._log_table(w, 2)
     var = 1.0 / (c + 1.0 / 0.7)
     mean = (0.8 * x0 / 0.7 + d) * var
     assert abs(draws.mean() - mean) < 4 * math.sqrt(var / draws.size)
@@ -504,6 +503,89 @@ def test_lag_tables_match_per_t_recursion_bit_for_bit(make_params, budget, monke
                     assert np.array_equal(lookup(window, t, grid), want), (ell, window, t)
 
 
+def per_t_quad(tw, window, t):
+    # (c, d, e) of log psi_t by its own backward recursion, one time index at
+    # a time in Python floats, with the scalar observation terms below: the
+    # reference the batched Gaussian lag tables must equal bit for bit
+    c, d, e = 0.0, 0.0, 0.0
+    for s in range(t + tw.ell - 1, t - 1, -1):
+        c, d, e = scalar_integrate(tw.model, c, d, e)
+        y = float(window.y(s, context="potential evaluation"))
+        obs = lg_obs_quad if isinstance(tw, LinearGaussianLagTwist) else sv_obs_quad
+        cg, dg, eg = obs(tw, y)
+        c, d, e = c + cg, d + dg, e + eg
+    return c, d, e
+
+
+def scalar_integrate(model, c, d, e):
+    a, q = model.a, model.q
+    denom = 1.0 + q * c
+    return a * a * c / denom, a * d / denom, e + d * d * q / (2.0 * denom) - 0.5 * np.log(denom)
+
+
+def lg_obs_quad(tw, y):
+    r = tw.params.r_obs
+    return 1.0 / r, y / r, -y * y / (2.0 * r) - 0.5 * np.log(2.0 * np.pi * r)
+
+
+def sv_obs_quad(tw, y):
+    b2 = tw.model.obs_scale2
+    delta = 1e-8 * b2
+    xhat = np.log((y * y + delta) / b2)
+    c = max(y * y / (2.0 * (y * y + delta)), tw.curvature_floor)
+    d = -0.5 + c * (1.0 + xhat)
+    log_g_hat = -0.5 * (np.log(2.0 * np.pi * b2) + xhat + y * y * np.exp(-xhat) / b2)
+    return c, d, log_g_hat + 0.5 * c * xhat * xhat - d * xhat
+
+
+def eval_quad(quad, x):
+    c, d, e = quad
+    return -0.5 * c * x * x + d * x + e
+
+
+@pytest.mark.parametrize("params", [
+    LinearGaussianParams(0.9, 1.0, 1.0),
+    LinearGaussianParams(-0.7, 0.3, 2.5, mu0_mean=0.4, mu0_var=2.0),
+    SVParams(),
+    SVParams(0.5, 0.9, 1.7),
+], ids=["lg", "lg-negative-a", "sv", "sv-wide"])
+def test_gaussian_lag_tables_match_per_t_recursion_bit_for_bit(params):
+    # every t of shifted windows and around them, for lags 0..4 and a window
+    # shorter than the lag: log_psi and log_q_psi equal the scalar recursion
+    # for their t alone where it has a value, and raise its LookaheadError
+    # (same index, origin and length) where it has none
+    make = StochasticVolatilityTwist if isinstance(params, SVParams) else LinearGaussianLagTwist
+    model = params.fk()
+    _, w0 = simulate(params, 40, seed=23)
+    xs = np.linspace(-3.0, 3.0, 7)
+    # the last window has observations at and near zero, where the SV
+    # curvature floor holds
+    windows = [w0, w0.shift(9), w0.shift(9).shift(-14), ObservationWindow(5, w0.values[:3]),
+               ObservationWindow(-2, np.r_[w0.values[:4], 0.0, 1e-6, w0.values[4:8]])]
+
+    def q_reference(tw, window, t):
+        mid = scalar_integrate(model, *per_t_quad(tw, window, t + 1))
+        return model.log_g(window, t, xs) + eval_quad(mid, xs)
+
+    for ell in range(5):
+        for window in windows:
+            tw = make(params, ell)
+            for t in range(window.origin - ell - 2, window.end + 2):
+                for lookup, reference in (
+                        (tw.log_psi, lambda tw, w, t: eval_quad(per_t_quad(tw, w, t), xs)),
+                        (tw.log_q_psi, q_reference)):
+                    try:
+                        want = reference(tw, window, t)
+                    except LookaheadError as exc:
+                        with pytest.raises(LookaheadError) as got:
+                            lookup(window, t, xs)
+                        assert str(got.value) == str(exc), (ell, window, t)
+                        assert ((got.value.index, got.value.origin, got.value.length)
+                                == (exc.index, exc.origin, exc.length))
+                        continue
+                    assert np.array_equal(lookup(window, t, xs), want), (ell, window, t)
+
+
 def test_lambda_hat_tracks_likelihood_growth():
     params = finite_params()
     _, w = simulate(params, 400, seed=14)
@@ -555,7 +637,7 @@ def test_sv_twist_is_bounded_and_positive():
     for t in range(10):
         lp = tw.log_psi(w, t, xs)
         assert np.all(np.isfinite(lp))
-        c, d, _ = tw._psi_quad(w, t)
+        c, d, _ = tw._log_table(w, t)
         assert c >= tw.curvature_floor > 0
 
 
@@ -566,7 +648,7 @@ def test_sv_twisted_mutation_moments():
     gen = np.random.default_rng(4)
     x0 = -0.4
     draws = sample_twisted_mutation(tw, w, 3, np.full(100_000, x0), gen)
-    c, d, _ = tw._psi_quad(w, 4)
+    c, d, _ = tw._log_table(w, 4)
     a, q = params.persistence, params.vol_of_vol**2
     var = 1.0 / (c + 1.0 / q)
     mean = (a * x0 / q + d) * var
@@ -578,21 +660,18 @@ def test_make_twist_dispatch_and_errors():
     fin = finite_params()
     lgp = LinearGaussianParams(0.9, 1.0, 1.0)
     svp = SVParams()
-    _, w = simulate(fin, 200, seed=20)
     assert isinstance(make_twist(fin, {"kind": "constant"}), ConstantTwist)
     assert isinstance(make_twist(fin, {"kind": "lag", "ell": 2}), FiniteLagTwist)
     assert isinstance(make_twist(lgp, {"kind": "lag", "ell": 2}), LinearGaussianLagTwist)
     assert isinstance(
         make_twist(svp, {"kind": "sv_approx", "ell": 2}), StochasticVolatilityTwist
     )
-    assert isinstance(
-        make_twist(fin, {"kind": "exact_h"}, window=w.shift(80)), EigenTwist
-    )
     with pytest.raises(ValueError):
         make_twist(svp, {"kind": "lag", "ell": 1})
-    with pytest.raises(ValueError):
-        make_twist(lgp, {"kind": "exact_h"}, window=w)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the kinds of LinearGaussianParams"):
+        make_twist(lgp, {"kind": "exact_h"})
+    # an eigen twist needs a window and a range: it is built from its triple
+    with pytest.raises(ValueError, match=r"eigen_triple\(params, window, \.\.\.\)\.as_twist\(\)"):
         make_twist(fin, {"kind": "exact_h"})
     with pytest.raises(ValueError):
         make_twist(fin, {"kind": "nope"})
@@ -615,7 +694,8 @@ def test_twist_memos_hold_one_window_at_a_time():
     # and a twist that has seen other windows gives every trace bit for bit
     # what a fresh twist gives
     lg = LinearGaussianParams(0.9, 1.0, 1.0)
-    for params, make in ((finite_params(), FiniteLagTwist), (lg, LinearGaussianLagTwist)):
+    for params, make in ((finite_params(), FiniteLagTwist), (lg, LinearGaussianLagTwist),
+                         (SVParams(), StochasticVolatilityTwist)):
         model, twist = params.fk(), make(params, 2)
         _, w = simulate(params, 16, seed=0)
         grid = np.arange(3)
