@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -47,7 +48,7 @@ import numpy as np
 
 from .fkcore import FiniteFK, FKModel
 from .models import StochasticVolatilityFK
-from .resampling import resample_rows
+from .resampling import Workspace, ancestors, weights_pass
 from .rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
 from .twists import ConstantTwist, TwistFunction
 
@@ -111,30 +112,62 @@ BLOCK_ELEMENTS = 1 << 14
 # smaller studies get eight tasks per process, which load them evenly
 _TASK_BLOCKS = 16
 _KINDS = ("bootstrap", "twisted", "apf", "sis")
+_THREAD = threading.local()
 
 
-def _logmeanexp(v: np.ndarray) -> np.ndarray:
-    """Log mean exp of each row of a 2-d array."""
-    m = np.maximum.reduce(v, axis=1)
-    if not np.logical_and.reduce(np.isfinite(m)):
-        if np.isnan(m).any():
-            raise ValueError("log weights contain NaN")
-        raise ValueError("log mean exp needs at least one finite log weight")
-    s = np.add.reduce(np.exp(v - m[:, None]), axis=1)
+def _logmeanexp(v: np.ndarray, ws: Workspace):
+    """Log mean exp of each row of a 2-d array, with the weights pass it
+    reduces: the shifted exponentials (in ``ws``'s ``"exp"`` buffer) and
+    their row sums."""
+    m, e = weights_pass(v, ws)
+    s = np.add.reduce(e, axis=1)
     n = v.shape[1]
-    return np.array([mi + math.log(si / n) for mi, si in zip(m.tolist(), s.tolist())])
+    return np.array([mi + math.log(si / n) for mi, si in zip(m.tolist(), s.tolist())]), e, s
 
 
-def _step_draws(stream, p: int, n: int, kind: str, move, twist):
-    """One replicate's draws at step ``p``: resampling uniforms (None for SIS,
-    which makes no RESAMPLE draw), mutation noise and, in a twisted run, the
-    slot, its ancestor's uniform and its move."""
-    draws = [None if kind == "sis" else stream.generator(p, RESAMPLE).random(n),
-             move.noise(stream.generator(p, MUTATE), n)]
-    if kind == "twisted":
-        gen = stream.generator(p, TWIST)
-        draws += [gen.integers(n), gen.random(1), twist.noise(gen, 1)]
-    return draws
+def _workspace(elements: int) -> Workspace:
+    """The step buffers for a block of ``elements`` particles: this thread's
+    own, kept from call to call, for blocks within ``BLOCK_ELEMENTS`` (a few
+    MB at most); a larger block's, made for its run alone. Temporaries freed
+    every step, or buffers freed after every study, leave glibc to trim and
+    regrow the heap top or not by incidental layout, and a run's page
+    faults and time swing with it."""
+    if elements > BLOCK_ELEMENTS:
+        return Workspace()
+    if not hasattr(_THREAD, "workspace"):
+        _THREAD.workspace = Workspace()
+    return _THREAD.workspace
+
+
+def _step_draws(streams, p: int, n: int, kind: str, move, twist, n_grid: int, ws: Workspace):
+    """The draws of step ``p``, made per replicate stream: the resampling
+    uniforms (None for SIS, which makes no RESAMPLE draw) and the mutation
+    noise, into ``ws``'s buffers, and in a twisted run the slot, its
+    ancestor's uniform and its move. The ``L = n_grid`` rows of a replicate
+    repeat its draws."""
+    n_rep = len(streams)
+    u = None if kind == "sis" else ws.take("uniforms", (n_grid * n_rep, n))
+    noise = ws.take("noise", (n_grid * n_rep, n))
+    slot = []
+    for i, stream in enumerate(streams):
+        if u is not None:
+            stream.generator(p, RESAMPLE).random(out=u[i])
+        move.noise(stream.generator(p, MUTATE), n, out=noise[i])
+        if kind == "twisted":
+            gen = stream.generator(p, TWIST)
+            slot.append((gen.integers(n), gen.random(1), twist.noise(gen, 1)))
+    if n_grid > 1:
+        for a in (noise,) if u is None else (u, noise):
+            a.reshape(n_grid, n_rep, n)[1:] = a[:n_rep]
+    return u, noise, *(np.array(c * n_grid) for c in zip(*slot))
+
+
+def _gather(pos: np.ndarray, anc: np.ndarray, ws: Workspace) -> np.ndarray:
+    """``pos[r, anc[r]]`` for every row ``r``, into ``ws``'s ``"moved"``
+    buffer; ``anc`` (in-range indices) is turned into flat ones in place."""
+    if len(pos) > 1:
+        anc += np.arange(0, pos.size, pos.shape[1])[:, None]
+    return pos.take(anc, out=ws.take("moved", anc.shape, pos.dtype), mode="clip")
 
 
 def _grid(kind, model, twist, window, n_steps) -> list:
@@ -160,10 +193,14 @@ def _grid(kind, model, twist, window, n_steps) -> list:
 
 
 def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicates,
-               test_functions, initial) -> RunTrace:
+               test_functions, initial, step=None) -> RunTrace:
     """The step loop for one block of replicates; every array of the returned
     trace has a leading row axis. ``twist`` may be a grid (see :func:`_grid`)
-    of ``L`` twists: row ``l * R + r`` is twist ``l`` on replicate ``r``."""
+    of ``L`` twists: row ``l * R + r`` is twist ``l`` on replicate ``r``.
+    With ``step`` the test functions are evaluated at that step alone and the
+    trace keeps only that step's column of ``log_z``, ``log_phi`` and
+    ``eta``, and no ``aux``. The step's particle-sized temporaries live in
+    the buffers of :func:`_workspace`."""
     twisted, auxiliary, sis = kind == "twisted", kind == "apf", kind == "sis"
     grid = _grid(kind, model, twist, window, n_steps)
     twist = grid[0]
@@ -171,13 +208,14 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     streams = [RngStream(seed, r).session() for r in replicates]
     n_grid, n = len(grid), n_particles
     n_rows = n_grid * len(streams)
+    ws = _workspace(n_rows * n)
     spans = [slice(i * len(streams), (i + 1) * len(streams)) for i in range(n_grid)]
 
-    def each(method, t, *arrays):
-        # a twist method of every twist of the grid on its own rows
-        parts = [getattr(tw, method)(window, t, *(a[span] for a in arrays))
-                 for tw, span in zip(grid, spans)]
-        return parts[0] if n_grid == 1 else np.concatenate(parts)
+    def each(method, t, *arrays, out):
+        # a twist method of every twist of the grid on its own rows of out
+        for tw, span in zip(grid, spans):
+            getattr(tw, method)(window, t, *(a[span] for a in arrays), out=out[span])
+        return out
 
     # the cloud starts from mu0 and moves by M_t; an auxiliary run reweights
     # both by psi and SIS chains only the moves (psi = 1 is the model's own
@@ -197,66 +235,82 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     eta = {} if sis else {name: np.zeros((n_rows, n_steps + 1)) for name in tf}
     est = {name: np.zeros((n_rows, n_steps + 1)) for name in tf} if auxiliary or sis else {}
 
-    def record(p, pos, lv):
-        w = np.exp(lv - lv.max(axis=1, keepdims=True)) if est else None
+    def record(p, pos, w, w_sum):
+        # w: the step's exponentials of lv, w_sum their row sums
+        if step is not None and p != step:
+            return
         for name, fn in tf.items():
             f = fn(pos)
             if eta:
                 eta[name][:, p] = np.mean(f, axis=1)
             if est:
-                est[name][:, p] = np.sum(f * w, axis=1) / w.sum(axis=1)
+                est[name][:, p] = np.sum(f * w, axis=1) / w_sum
 
     # SIS chains carry their log weights across steps
     chains = np.zeros((n_rows, n_steps + 1, n)) if sis else None
     lv = -twist.log_psi(window, 0, pos) if auxiliary else chains[:, 0] if sis else None
-    record(0, pos, lv)
+    _, w, w_sum = _logmeanexp(lv, ws) if est else (None,) * 3
+    record(0, pos, w, w_sum)
     rows = np.arange(n_rows)[:, None]
+    shape = (n_rows, n)
     for p in range(1, n_steps + 1):
         t = p - 1
         # the step's log weights: the potential, or log Q_t(psi_{t+1}) plus
         # lv, the 1/psi_t of an auxiliary run or the chain weights of SIS
         if lv is None:
-            lw = model.log_g(window, t, pos)
+            lw = model.log_g(window, t, pos, out=ws.take("log_w", shape))
         else:
-            lw = twist.log_q_psi(window, t, pos) + lv
+            lw = twist.log_q_psi(window, t, pos, out=ws.take("log_w", shape))
+            lw += lv
         if not sis:
-            inc_w[:, p] = _logmeanexp(lw)
-        draws = [_step_draws(s, p, n, kind, move, twist) for s in streams]
-        u, noise, *slot_draws = (None if c[0] is None else np.array(c * n_grid)
-                                 for c in zip(*draws))
-        # SIS chains are their own ancestors; other clouds draw theirs by weight
-        new = move.twisted_mutate(window, t, pos if sis else pos[rows, resample_rows(lw, u)],
-                                  noise)
+            inc_w[:, p], w, _ = _logmeanexp(lw, ws)
+        u, noise, *slot_draws = _step_draws(streams, p, n, kind, move, twist, n_grid, ws)
+        # SIS chains are their own ancestors; other clouds draw theirs by
+        # weight, from the exponentials of the weights pass. The clouds take
+        # two buffers in turn once the first move has set their dtype.
+        cloud = None if p == 1 else ws.take(f"cloud{p % 2}", shape, pos.dtype)
+        new = move.twisted_mutate(window, t, pos if sis else _gather(pos, ancestors(w, u, ws), ws),
+                                  noise, out=cloud)
         if twisted:
-            # per cloud: a slot, its ancestor drawn by Q_t(psi_{t+1}), a twisted move
+            # per cloud: a slot, its ancestor drawn by Q_t(psi_{t+1}), a
+            # twisted move; lw is spent, and holds the log weights that follow
             slots, u_anc, z_move = slot_draws
-            lq = each("log_q_psi", t, pos)
-            parent = pos[rows, resample_rows(lq, u_anc)]
-            new[rows, slots[:, None]] = each("twisted_mutate", t, parent, z_move)
-            inc[:, p] = _logmeanexp(lq) - _logmeanexp(each("log_psi", p, new))
+            inc_q, w, _ = _logmeanexp(each("log_q_psi", t, pos, out=lw), ws)
+            parent = pos[rows, ancestors(w, u_anc, ws)]
+            new[rows, slots[:, None]] = each("twisted_mutate", t, parent, z_move,
+                                             out=np.empty(parent.shape, new.dtype))
+            inc[:, p] = inc_q - _logmeanexp(each("log_psi", p, new, out=lw), ws)[0]
         elif auxiliary or sis:
-            lpsi = twist.log_psi(window, p, new)
-            lv = -lpsi if auxiliary else lw - lpsi
+            lpsi = twist.log_psi(window, p, new, out=ws.take("log_psi", shape))
+            lv = np.negative(lpsi, out=lpsi) if auxiliary else np.subtract(lw, lpsi, out=lpsi)
             if sis:
                 chains[:, p] = lv
             # the terminal correction of an auxiliary run (at every p), the
             # mean chain weight of SIS
-            inc[:, p] = _logmeanexp(lv)
+            inc[:, p], w, w_sum = _logmeanexp(lv, ws)
         pos = new
-        record(p, pos, lv)
-    aux["final_positions"] = pos
+        record(p, pos, w, w_sum)
     log_z = log_w = np.cumsum(inc_w, axis=1)
     log_phi = inc - inc_w if twisted else np.zeros((n_rows, n_steps + 1))
     if twisted:
         log_z = np.cumsum(inc, axis=1)
-        aux["log_z_standard"] = log_w
     elif auxiliary:
-        aux["log_mu0_weight"] = log_mu0_w = twist.log_mu0_psi(window)
+        log_mu0_w = twist.log_mu0_psi(window)
         log_z = log_mu0_w + inc + log_w
         log_z[:, 0] = 0.0
-        aux.update({f"filter_est_{name}": est[name] for name in tf})
     elif sis:
         log_z = inc
+    if step is not None:
+        # copies, so no cut trace holds its block's whole arrays
+        return RunTrace(n_steps, n_particles, log_z[:, step].copy(), log_phi[:, step].copy(),
+                        {name: v[:, step].copy() for name, v in eta.items()})
+    aux["final_positions"] = pos.copy()  # the clouds' buffers serve the next block
+    if twisted:
+        aux["log_z_standard"] = log_w
+    elif auxiliary:
+        aux["log_mu0_weight"] = log_mu0_w
+        aux.update({f"filter_est_{name}": est[name] for name in tf})
+    elif sis:
         aux["chain_log_weights"] = chains
         aux.update({f"selfnorm_{name}": est[name] for name in tf})
     return RunTrace(n_steps, n_particles, log_z, log_phi, eta, aux)
@@ -264,10 +318,17 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
 
 def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, window,
                      n_steps: int, n_particles: int, seed: int, replicates,
-                     test_functions: dict | None = None, initial=None, workers: int = 1):
+                     test_functions: dict | None = None, initial=None, workers: int = 1,
+                     step: int | None = None):
     """Yield one :class:`RunTrace` per block of the given replicate indices,
     in replicate order, with a leading replicate axis on every array; row
     ``i`` equals :func:`run_filter` on ``replicates[i]`` bit for bit.
+
+    A study that reads one step names it: with ``step`` the test functions
+    run at that step alone, and each block's trace carries only that step's
+    column of ``log_z``, ``log_phi`` and ``eta``, one value per row, and no
+    ``aux`` (no clouds); its rows equal column ``step`` of the full traces
+    bit for bit. A worker cuts the traces before it sends them back.
 
     A block holds ``BLOCK_ELEMENTS // (L * n_particles)`` replicates (at
     least one), ``L = 1`` unless ``twist`` is a grid: for ``twisted``, a list
@@ -276,22 +337,29 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
     block's ``i``-th replicate bit for bit, and each replicate's draws are
     made once and shared by its ``L`` rows.
 
+    Every step of every block writes its particle-sized arrays (the log
+    weights, their exponentials and CDF, the guide table, the ancestors, the
+    gathered and the moved clouds, the draws) into one set of buffers, the
+    running thread's (:func:`_workspace`), so a step allocates none.
+
     With ``workers > 1`` a block holds at most ``ceil(len(replicates) /
     workers)`` replicates, so small studies still use every worker, and the
     blocks run on a ``fork`` pool of ``min(workers, blocks, os.cpu_count())``
-    processes; a task gets the engine objects pickled and sends the whole
-    traces of up to ``_TASK_BLOCKS`` blocks back. The checks of a serial run
-    come first, in this process; closing the generator early cancels the
-    pending blocks and joins every worker. No block boundary or worker count
-    changes a row."""
+    processes; a task gets the engine objects pickled and sends the traces
+    of up to ``_TASK_BLOCKS`` blocks back. The checks of a serial run come
+    first, in this process; closing the generator early cancels the pending
+    blocks and joins every worker. No block boundary or worker count changes
+    a row."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if step is not None and not 0 <= step <= n_steps:
+        raise ValueError(f"step must lie in [0, {n_steps}], got {step}")
     n_grid = len(_grid(kind, model, twist, window, n_steps))
     reps = list(replicates)
     size = max(1, min(BLOCK_ELEMENTS // (n_grid * n_particles), -(-len(reps) // workers)))
     spans = [reps[lo : lo + size] for lo in range(0, len(reps), size)]
     run = partial(_run_block, kind, model, twist, window, n_steps, n_particles, seed,
-                  test_functions=test_functions, initial=initial)
+                  test_functions=test_functions, initial=initial, step=step)
     processes = min(workers, len(spans), os.cpu_count() or 1)
     if processes <= 1:
         yield from map(run, spans)

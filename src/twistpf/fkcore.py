@@ -38,20 +38,25 @@ class FKModel:
     generator, and ``mutate`` maps positions of any shape plus noise of the
     same shape to new positions, elementwise. Particle runs draw the noise per
     replicate stream and transform a whole block of replicates at once.
+
+    ``noise``, ``log_g`` and ``mutate`` write their result into ``out`` when
+    one is given (an array of the result's shape and dtype, which the call
+    returns), so a run's steps reuse buffers instead of allocating; never
+    into ``x`` or ``noise``.
     """
 
     def sample_initial(self, size: int, gen: np.random.Generator):
         raise NotImplementedError("subclass must implement sample_initial")
 
-    def log_g(self, window, t: int, x):
+    def log_g(self, window, t: int, x, out=None):
         """log G_t at the particle positions ``x`` (vectorized)."""
         raise NotImplementedError("subclass must implement log_g")
 
-    def noise(self, gen: np.random.Generator, size: int) -> np.ndarray:
+    def noise(self, gen: np.random.Generator, size: int, out=None) -> np.ndarray:
         """The draws one mutation of ``size`` particles consumes."""
-        return gen.random(size)
+        return gen.random(size, out=out)
 
-    def mutate(self, window, t: int, x, noise):
+    def mutate(self, window, t: int, x, noise, out=None):
         """M_t(x, .) driven by ``noise`` (from :meth:`noise`), elementwise."""
         raise NotImplementedError("subclass must implement mutate")
 
@@ -103,26 +108,49 @@ class FiniteFK(FKModel):
         y = int(window.y(t, context="potential evaluation"))
         return self.log_emit[:, y]
 
-    def log_g(self, window, t: int, x):
-        return self.log_g_grid(window, t)[np.asarray(x, dtype=np.int64)]
+    def log_g(self, window, t: int, x, out=None):
+        return lookup(self.log_g_grid(window, t), x, out)
 
     def sample_initial(self, size: int, gen) -> np.ndarray:
         cdf = np.cumsum(self.mu0)
         cdf[-1] = 1.0
-        return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
+        return count_at_or_below(cdf, gen.random(size))
 
-    def mutate(self, window, t: int, x, noise) -> np.ndarray:
-        return categorical_counts(self.trans_cdf, x, noise)
+    def mutate(self, window, t: int, x, noise, out=None) -> np.ndarray:
+        return categorical_counts(self.trans_cdf, x, noise, out)
 
 
-def categorical_counts(cdf, x, u) -> np.ndarray:
+def lookup(table, x, out=None) -> np.ndarray:
+    """``table[x]`` for states ``x``, into ``out`` when given; states written
+    by a run are in range, and there the take skips the bounds check, which
+    would copy through a temporary."""
+    x = np.asarray(x, dtype=np.int64)
+    return table[x] if out is None else table.take(x, out=out, mode="clip")
+
+
+def count_at_or_below(cdf, u) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for a non-decreasing CDF
+    ending at 1.0 and uniforms in [0, 1): the number of entries at or below
+    each uniform, by ``k - 1`` comparisons per uniform instead of a binary
+    search per unsorted key. The last entry, 1.0, is never at or below one."""
+    return np.add.reduce(cdf[:-1, None] <= u, axis=0, dtype=np.int64)
+
+
+def categorical_counts(cdf, x, u, out=None) -> np.ndarray:
     """Categorical draws by table lookup: for each particle, the number of
     entries of its state's row ``cdf[x]`` (a ``k x k`` table of row CDFs)
-    strictly below its uniform ``u``. Each column is gathered for all
-    particles and the k comparisons are summed over the leading axis, which
-    is much faster than reducing a short last axis of per-particle rows."""
+    strictly below its uniform ``u``, into ``out`` when given. Each column is
+    gathered for all particles and its comparisons added to the counts, which
+    is much faster than reducing a short last axis of per-particle rows.
+    Every row ends at 1.0, which no uniform in [0, 1) exceeds, so the last
+    column is skipped."""
+    assert (cdf[:, -1] == 1.0).all(), "every CDF row must end at 1.0"
     x = np.asarray(x, dtype=np.int64)
-    return np.add.reduce(cdf.T.take(x, axis=1) < u, axis=0, dtype=np.int64)
+    counts = np.empty(x.shape, dtype=np.int64) if out is None else out
+    counts.fill(0)
+    for column in cdf.T[:-1]:
+        counts += column.take(x) < u
+    return counts
 
 
 class ARGaussianFK(FKModel):
@@ -141,11 +169,11 @@ class ARGaussianFK(FKModel):
     def sample_initial(self, size: int, gen) -> np.ndarray:
         return self.mu0_mean + np.sqrt(self.mu0_var) * gen.standard_normal(size)
 
-    def noise(self, gen, size: int) -> np.ndarray:
-        return gen.standard_normal(size)
+    def noise(self, gen, size: int, out=None) -> np.ndarray:
+        return gen.standard_normal(size, out=out)
 
-    def mutate(self, window, t: int, x, noise) -> np.ndarray:
-        return self.a * np.asarray(x, dtype=float) + np.sqrt(self.q) * noise
+    def mutate(self, window, t: int, x, noise, out=None) -> np.ndarray:
+        return np.add(self.a * np.asarray(x, dtype=float), np.sqrt(self.q) * noise, out=out)
 
 
 def q_apply_log(model: FiniteFK, window, t, log_phi) -> np.ndarray:

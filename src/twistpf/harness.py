@@ -92,38 +92,40 @@ def _growth_bound(config: ExperimentConfig, window, twist):
 
 
 def _replicates(config: ExperimentConfig, window, filter_kind: str, twists=None,
-                particles=None, eta=False):
-    """Per twist of ``twists`` (default: the config's twist), the log_z
-    matrix (R, steps+1) and, with ``eta``, the eta-at-n dict of (R,) arrays of
-    ``config.replicates`` replicates of one filter, in replicate order.
+                particles=None, step=None, eta=False):
+    """Per twist of ``twists`` (default: the config's twist), the log_z of
+    ``config.replicates`` replicates of one filter, in replicate order: the
+    (R, steps+1) matrix, or with ``step`` its (R,) column at that step and,
+    with ``eta``, the dict of (R,) eta columns there.
 
     The twists run as one grid: one engine pass, whose rows share each
-    replicate's draws, on ``config.workers`` processes. Each block's clouds
-    are dropped as soon as its rows are taken; no block boundary or worker
-    count changes a byte of the result.
+    replicate's draws, on ``config.workers`` processes. A study that names
+    its step gets only that column from the engine; no block boundary or
+    worker count changes a byte of the result.
     """
     if twists is None:
         twists = [_build_twist(config, window, config.twist_spec, filter_kind)]
     particles = config.particles if particles is None else particles
     if filter_kind == "sis":
         # one run whose chains are the replicates; they share its stream
+        at = slice(None) if step is None else step
         return [(run_filter("sis", config.params.fk(), twist, window, config.steps,
                             config.replicates, config.seed,
-                            test_functions={}).aux["chain_log_weights"].T, {})
+                            test_functions={}).aux["chain_log_weights"][at].T, {})
                 for twist in twists]
-    log_z, eta_n = [[] for _ in twists], [{} for _ in twists]
+    log_z, eta_at = [[] for _ in twists], [{} for _ in twists]
     for block in replicate_blocks(
         filter_kind, config.params.fk(), twists, window, config.steps, particles, config.seed,
-        range(config.replicates), None if eta else {}, workers=config.workers,
+        range(config.replicates), None if eta else {}, workers=config.workers, step=step,
     ):
         size = len(block.log_z) // len(twists)  # the rows are twist-major
         for i in range(len(twists)):
             rows = slice(i * size, (i + 1) * size)
             log_z[i].append(block.log_z[rows])
             for name, arr in block.eta.items():
-                eta_n[i].setdefault(name, []).append(arr[rows, config.steps])
+                eta_at[i].setdefault(name, []).append(arr[rows])
     return [(np.concatenate(z), {name: np.concatenate(v) for name, v in e.items()})
-            for z, e in zip(log_z, eta_n)]
+            for z, e in zip(log_z, eta_at)]
 
 
 def _logmeanexp_rows(mat: np.ndarray) -> np.ndarray:
@@ -131,15 +133,28 @@ def _logmeanexp_rows(mat: np.ndarray) -> np.ndarray:
     return m + np.log(np.mean(np.exp(mat - m[None, :]), axis=0))
 
 
-def _second_moment_stats(log_z_col: np.ndarray, log_ref: float):
-    """Relative second moment around a reference and its standard error."""
-    x = 2.0 * (log_z_col - log_ref)
-    m = x.max()
-    u = np.exp(x - m)
-    mean_u = float(u.mean())
-    se_rel = float(u.std(ddof=1) / np.sqrt(u.size) / mean_u) if u.size > 1 else float("nan")
-    v = float(np.exp(m) * mean_u)
-    return v, v * se_rel
+# bytes of one chunk of horizons the second-moment statistics reduce at once;
+# their temporaries are a few chunks, so a study's peak memory stays its own
+_STATS_BYTES = 1 << 18
+
+
+def _second_moment_stats(log_z: np.ndarray, log_ref: np.ndarray):
+    """For each horizon ``n >= 1`` of an (R, steps + 1) matrix of log
+    normalizers, the relative second moment around ``log_ref[n]`` and its
+    standard error. Horizons are reduced as the rows of contiguous
+    (horizons, R) chunks, each row giving the bits it gives alone."""
+    r = len(log_z)
+    span = max(1, _STATS_BYTES // (8 * r))
+    v, se = [], []
+    for lo in range(1, log_z.shape[1], span):
+        x = 2.0 * (np.ascontiguousarray(log_z[:, lo:lo + span].T) - log_ref[lo:lo + span, None])
+        m = x.max(axis=1)
+        u = np.exp(x - m[:, None])
+        mean_u = u.mean(axis=1)
+        se_rel = u.std(axis=1, ddof=1) / np.sqrt(r) / mean_u if r > 1 else np.full(len(u), np.nan)
+        v.append(np.exp(m) * mean_u)
+        se.append(v[-1] * se_rel)
+    return np.concatenate(v), np.concatenate(se)
 
 
 def _mean_ratio_stats(log_z_col: np.ndarray, log_ref: float):
@@ -292,10 +307,10 @@ def _variance_growth(config: ExperimentConfig, window) -> _Output:
     n_col = config.particles if config.filter_kind != "sis" else 1
     rows = []
     for ell, log_z in zip(ells, log_zs):
-        for n in range(1, config.steps + 1):
-            v, se = _second_moment_stats(log_z[:, n], float(log_ref[n]))
-            rows.append([n, repr(float(v) - 1.0), repr(float(np.log(v) / n)), repr(float(se)),
-                         n_col, ell, config.filter_kind])
+        v_hat, se_hat = _second_moment_stats(log_z, log_ref)
+        for n, v, se in zip(range(1, config.steps + 1), v_hat.tolist(), se_hat.tolist()):
+            rows.append([n, repr(v - 1.0), repr(float(np.log(v) / n)), repr(se), n_col, ell,
+                         config.filter_kind])
     return _Output({"": (["n", "v_hat_minus_1", "log_v_over_n", "se", "N", "ell", "filter"],
                          rows)})
 
@@ -317,9 +332,9 @@ def _clt_check(config: ExperimentConfig, window) -> _Output:
     log_z = float(fwd.log_z[n])
     rows = []
     for n_particles in config.raw.get("N_grid", [config.particles]):
-        ((log_z_mat, eta_n),) = _replicates(config, window, config.filter_kind, [twist],
-                                            particles=n_particles, eta=True)
-        rel_z = np.exp(log_z_mat[:, n] - log_z)
+        ((log_z_n, eta_n),) = _replicates(config, window, config.filter_kind, [twist],
+                                           particles=n_particles, step=n, eta=True)
+        rel_z = np.exp(log_z_n - log_z)
         for name, vec in phi_vecs.items():
             eta_exact = float(fwd.pred[n] @ vec)
             emp_eta = float((np.sqrt(n_particles) * (eta_n[name] - eta_exact)).var(ddof=1))
@@ -337,14 +352,12 @@ def _unbiasedness(config: ExperimentConfig, window) -> _Output:
     """Replicate-mean of Z_hat_n against the exact Z_n, or against a bootstrap
     companion (stochastic volatility), with a 4-standard-error verdict."""
     n = config.steps
-    ((log_z, _),) = _replicates(config, window, config.filter_kind)
-    log_z_col = log_z[:, n]
+    ((log_z_col, _),) = _replicates(config, window, config.filter_kind, step=n)
     exact = _exact_log_z(config, window)
     if exact is not None:
         mean, se = _mean_ratio_stats(log_z_col, float(exact[n]))
     else:
-        ((ref, _),) = _replicates(config, window, "bootstrap")
-        ref = ref[:, n]
+        ((ref, _),) = _replicates(config, window, "bootstrap", step=n)
         anchor = float(_logmeanexp_rows(ref[:, None])[0])
         mean_a, se_a = _mean_ratio_stats(log_z_col, anchor)
         mean_b, se_b = _mean_ratio_stats(ref, anchor)

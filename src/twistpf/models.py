@@ -149,10 +149,11 @@ class LinearGaussianFK(ARGaussianFK):
         self.r_obs = float(params.r_obs)
         self.params = params
 
-    def log_g(self, window, t, x):
+    def log_g(self, window, t, x, out=None):
         y = float(window.y(t, context="potential evaluation"))
         x = np.asarray(x, dtype=float)
-        return -0.5 * (np.log(2.0 * np.pi * self.r_obs) + (y - x) ** 2 / self.r_obs)
+        return np.multiply(-0.5, np.log(2.0 * np.pi * self.r_obs) + (y - x) ** 2 / self.r_obs,
+                           out=out)
 
 
 class StochasticVolatilityFK(ARGaussianFK):
@@ -163,12 +164,12 @@ class StochasticVolatilityFK(ARGaussianFK):
         self.obs_scale2 = float(params.scale) ** 2
         self.params = params
 
-    def log_g(self, window, t, x):
+    def log_g(self, window, t, x, out=None):
         y = float(window.y(t, context="potential evaluation"))
         x = np.asarray(x, dtype=float)
-        return -0.5 * (
-            np.log(2.0 * np.pi * self.obs_scale2) + x + y * y * np.exp(-x) / self.obs_scale2
-        )
+        return np.multiply(
+            -0.5, np.log(2.0 * np.pi * self.obs_scale2) + x + y * y * np.exp(-x) / self.obs_scale2,
+            out=out)
 
 
 def simulate(params, n: int, seed: int, replicate: int = 0):

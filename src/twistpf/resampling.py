@@ -1,23 +1,60 @@
-"""Multinomial resampling from log weights."""
+"""Multinomial resampling from log weights, the weights pass it shares with
+the estimators, and the step buffers both write into."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["resample_rows"]
+__all__ = ["Workspace", "weights_pass", "ancestors", "resample_rows"]
 
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
-def resample_rows(log_weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Ancestor indices for a block of clouds: row ``r`` maps the uniforms
-    ``uniforms[r]`` through the CDF of ``exp(log_weights[r])``: each index is
-    the number of CDF entries at or below its uniform
-    (``searchsorted(side="right")``). The weights are normalized after
-    subtracting the row max, so a common additive constant in a row cancels.
+class Workspace:
+    """Named scratch arrays that a particle step writes into instead of
+    allocating: a buffer is made on first request and reused by every later
+    one of its name and dtype, grown when a larger shape is asked for. A
+    buffer's contents are never read before its caller writes them."""
 
-    Every row needs a finite weight and none may be NaN, and every uniform
-    must lie in [0, 1) (``ValueError``).
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        buf = self._buffers.get((name, dtype))
+        if buf is None or buf.size < size:
+            buf = self._buffers[(name, dtype)] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def weights_pass(log_weights: np.ndarray, ws: Workspace | None = None):
+    """The row max ``m`` of a block of log weights, ``(R, N)``, and the shifted
+    exponentials ``exp(log_weights - m[:, None])``, written into ``ws``'s
+    ``"exp"`` buffer when one is given. One pass serves an estimator's log
+    mean exp and the resampling CDF (:func:`ancestors`).
+
+    Every row needs a finite weight and none may be NaN (``ValueError``)."""
+    m = np.maximum.reduce(log_weights, axis=1)  # NaN where a row has one
+    if not np.logical_and.reduce(np.isfinite(m)):
+        if np.isnan(m).any():
+            raise ValueError("log weights contain NaN")
+        raise ValueError("every row needs at least one finite log weight")
+    e = np.subtract(log_weights, m[:, None],
+                    out=None if ws is None else ws.take("exp", log_weights.shape))
+    return m, np.exp(e, out=e)
+
+
+def ancestors(exps: np.ndarray, uniforms: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Ancestor indices from the shifted exponentials of :func:`weights_pass`,
+    which become the row CDFs in place: row ``r`` maps the uniforms
+    ``uniforms[r]`` through the normalized CDF of ``exps[r]``, and each index
+    is the number of CDF entries at or below its uniform
+    (``searchsorted(side="right")``). Every uniform must lie in [0, 1)
+    (``ValueError``). With ``ws`` the indices and every temporary live in its
+    buffers, the indices in ``"anc"`` (one uniform per row: a new array).
 
     With one uniform per row the entries at or below it are counted. Otherwise
     a guide table (Chen & Asau 1974) makes the search linear in the block
@@ -25,12 +62,6 @@ def resample_rows(log_weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     (searching all rows at once in one offset CDF would lose precision as the
     row count grows); see :func:`_guide_table_search`.
     """
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    m = np.maximum.reduce(log_weights, axis=1, keepdims=True)  # NaN where a row has one
-    if not np.logical_and.reduce(np.isfinite(m), axis=None):
-        if np.isnan(m).any():
-            raise ValueError("log weights contain NaN")
-        raise ValueError("resampling needs at least one finite log weight")
     # the guide table bins each uniform by its value, so one outside [0, 1)
     # would read another row's bins; a count would give index N for 1.0 and
     # 0 for NaN. As unsigned integers the bit patterns of the doubles in
@@ -38,18 +69,28 @@ def resample_rows(log_weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     # above it. One reduction, not a min and a max.
     if np.maximum.reduce(uniforms.view(np.uint64), axis=None, initial=0) >= _ONE_BITS:
         raise ValueError("resampling uniforms must lie in [0, 1)")
-    cdf = np.exp(log_weights - m)
-    np.add.accumulate(cdf, axis=1, out=cdf)
+    ws = Workspace() if ws is None else ws
+    cdf = np.add.accumulate(exps, axis=1, out=exps)
     cdf /= cdf[:, -1:]
     cdf[:, -1] = 1.0
     if uniforms.shape[1] == 1:
         # the CDF is non-decreasing, so counting its entries at or below the
         # draw gives searchsorted's index, without a call per row
-        return np.add.reduce(cdf <= uniforms, axis=1, keepdims=True)
-    return _guide_table_search(cdf, uniforms)
+        below = np.less_equal(cdf, uniforms, out=ws.take("le", cdf.shape, bool))
+        return np.add.reduce(below, axis=1, keepdims=True)
+    return _guide_table_search(cdf, uniforms, ws)
 
 
-def _guide_table_search(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def resample_rows(log_weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Ancestor indices for a block of clouds: :func:`weights_pass` then
+    :func:`ancestors`, the particle step's own two calls. The weights are
+    normalized after subtracting the row max, so a common additive constant
+    in a row cancels."""
+    _, exps = weights_pass(log_weights)
+    return ancestors(exps, np.asarray(uniforms, dtype=np.float64))
+
+
+def _guide_table_search(cdf: np.ndarray, uniforms: np.ndarray, ws: Workspace) -> np.ndarray:
     """``cdf[r].searchsorted(uniforms[r], side="right")`` for every row at once,
     in time linear in the block size.
 
@@ -57,28 +98,36 @@ def _guide_table_search(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     two is exact, so ``floor(c * M)`` bins every CDF entry and every uniform
     with no rounding, and an entry in a lower bin than a uniform is below it,
     one in a higher bin above it. A uniform's index is therefore the count of
-    entries in lower bins (the bin's first index, from one bincount and a
-    cumulative sum over all rows, in integers) plus the entries of its own bin
-    at or below it. Those are contiguous and resolved by comparing the same
-    doubles as ``searchsorted``, so the indices are identical: one linear
-    step, then a binary search bounded by the end of the bin for the few
-    keys still open. The entry ending the bin is always above the uniform
-    (each row ends at 1.0 > u), which bounds both.
+    entries in lower bins (the bin's first index, from one count per bin and
+    a cumulative sum over all rows, in integers) plus the entries of its own
+    bin at or below it. Those are contiguous and resolved by comparing the
+    same doubles as ``searchsorted``, so the indices are identical: one
+    linear step, then a binary search bounded by the end of the bin for the
+    few keys still open. The entry ending the bin is always above the uniform
+    (each row ends at 1.0 > u), which bounds both, so every index taken is in
+    range and the takes into buffers may skip their bounds check.
     """
     n_rows, n = cdf.shape
     m = 1 << (n - 1).bit_length()
     offset = np.arange(0, n_rows * (m + 1), m + 1)[:, None]  # row r owns bins r(M+1) .. r(M+1)+M
-    cbin = (cdf * m).astype(np.int64)
+    cbin = np.multiply(cdf, m, out=ws.take("bins", cdf.shape, np.int64), casting="unsafe")
     cbin += offset + 1
     # first[b]: flat index of the first entry in global bin b or above
-    first = np.bincount(cbin.ravel(), minlength=n_rows * (m + 1) + 1)
+    first = ws.take("first", (n_rows * (m + 1) + 1,), np.int64)
+    first.fill(0)
+    np.add.at(first, cbin.ravel(), 1)
     np.add.accumulate(first, out=first)
-    ubin = (uniforms * m).astype(np.int64)
+    # the entries' bins are spent: the uniforms' bins take their buffer
+    ubin = np.multiply(uniforms, m, out=ws.take("bins", uniforms.shape, np.int64),
+                       casting="unsafe")
     ubin += offset
     flat = cdf.ravel()
-    pos = first.take(ubin)
-    pos += flat.take(pos) <= uniforms  # most bins hold at most one entry
-    todo = np.flatnonzero(flat.take(pos) <= uniforms)
+    pos = first.take(ubin, out=ws.take("anc", ubin.shape, np.int64), mode="clip")
+    vals, below = ws.take("vals", ubin.shape), ws.take("le", ubin.shape, bool)
+    # most bins hold at most one entry
+    pos += np.less_equal(flat.take(pos, out=vals, mode="clip"), uniforms, out=below)
+    todo = np.flatnonzero(np.less_equal(flat.take(pos, out=vals, mode="clip"), uniforms,
+                                        out=below))
     if todo.size:
         key = uniforms.ravel()[todo]
         lo = pos.ravel()[todo] + 1  # flat[lo - 1] <= key < flat[hi] throughout
@@ -89,5 +138,6 @@ def _guide_table_search(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
             lo = np.where(go, mid + 1, lo)
             hi = np.where(go, hi, mid)
         pos.ravel()[todo] = lo
-    pos -= np.arange(0, n_rows * n, n)[:, None]
+    if n_rows > 1:
+        pos -= np.arange(0, n_rows * n, n)[:, None]
     return pos

@@ -17,6 +17,9 @@ The interface every twist implements:
 * ``lookahead``: largest future offset read, i.e. evaluating at time ``t``
   touches observation indices up to ``t + lookahead``.
 
+The four methods write their result into an ``out=`` array when one is
+given, as the models' methods do.
+
 Twists that can also be integrated against the initial law (needed by the
 auxiliary filter) provide ``log_mu0_psi(window)`` and
 ``sample_twisted_initial(window, size, gen)``.
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fkcore import categorical_counts, logsumexp, q_apply_log
+from .fkcore import categorical_counts, count_at_or_below, logsumexp, lookup, q_apply_log
 from .models import FiniteHMMParams, LinearGaussianParams, SVParams
 
 __all__ = [
@@ -80,16 +83,16 @@ class TwistFunction:
 
     lookahead = 0
 
-    def log_psi(self, window, t: int, x):
+    def log_psi(self, window, t: int, x, out=None):
         raise NotImplementedError
 
-    def log_q_psi(self, window, t: int, x):
+    def log_q_psi(self, window, t: int, x, out=None):
         raise NotImplementedError
 
-    def noise(self, gen, size: int):
-        return gen.random(size)
+    def noise(self, gen, size: int, out=None):
+        return gen.random(size, out=out)
 
-    def twisted_mutate(self, window, t: int, x, noise):
+    def twisted_mutate(self, window, t: int, x, noise, out=None):
         raise NotImplementedError
 
     def log_mu0_psi(self, window) -> float:
@@ -111,17 +114,20 @@ class ConstantTwist(TwistFunction):
     def __init__(self, model):
         self.model = model
 
-    def log_psi(self, window, t, x):
-        return np.zeros(np.shape(x), dtype=float)
+    def log_psi(self, window, t, x, out=None):
+        if out is None:
+            return np.zeros(np.shape(x), dtype=float)
+        out.fill(0.0)
+        return out
 
-    def log_q_psi(self, window, t, x):
-        return self.model.log_g(window, t, x)
+    def log_q_psi(self, window, t, x, out=None):
+        return self.model.log_g(window, t, x, out)
 
-    def noise(self, gen, size):
-        return self.model.noise(gen, size)
+    def noise(self, gen, size, out=None):
+        return self.model.noise(gen, size, out)
 
-    def twisted_mutate(self, window, t, x, noise):
-        return self.model.mutate(window, t, x, noise)
+    def twisted_mutate(self, window, t, x, noise, out=None):
+        return self.model.mutate(window, t, x, noise, out)
 
     def log_mu0_psi(self, window):
         return 0.0
@@ -144,16 +150,17 @@ def _q_rows(fk, window, ts, log_phi) -> np.ndarray:
     return out
 
 
-def _categorical_rows(logits: np.ndarray, x, u) -> np.ndarray:
+def _categorical_rows(logits: np.ndarray, x, u, out=None) -> np.ndarray:
     """One categorical draw per uniform in ``u`` for a particle in state
     ``x``, from the unnormalized log masses in row ``x`` of the ``k x k``
-    table ``logits``. The CDF of each state's row is built once per call."""
+    table ``logits``, into ``out`` when given. The CDF of each state's row is
+    built once per call."""
     z = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp(z)
     cdf = np.cumsum(p, axis=-1)
     cdf /= cdf[..., -1:]
     cdf[..., -1] = 1.0
-    return categorical_counts(cdf, x, u)
+    return categorical_counts(cdf, x, u, out)
 
 
 class _FiniteTableTwist(TwistFunction):
@@ -164,20 +171,21 @@ class _FiniteTableTwist(TwistFunction):
     ``_mu0_psi(window)`` (mu0 * psi_0 up to a constant factor) and
     ``log_mu0_psi``."""
 
-    def log_psi(self, window, t, x):
-        return self._log_table(window, t)[np.asarray(x, dtype=np.int64)]
+    def log_psi(self, window, t, x, out=None):
+        return lookup(self._log_table(window, t), x, out)
 
-    def log_q_psi(self, window, t, x):
-        return self._log_table(window, t, q=True)[np.asarray(x, dtype=np.int64)]
+    def log_q_psi(self, window, t, x, out=None):
+        return lookup(self._log_table(window, t, q=True), x, out)
 
-    def twisted_mutate(self, window, t, x, noise):
-        return _categorical_rows(self.model.log_trans + self._log_table(window, t + 1), x, noise)
+    def twisted_mutate(self, window, t, x, noise, out=None):
+        return _categorical_rows(self.model.log_trans + self._log_table(window, t + 1), x, noise,
+                                 out)
 
     def sample_twisted_initial(self, window, size, gen):
         cdf = np.cumsum(self._mu0_psi(window))
         cdf /= cdf[-1]
         cdf[-1] = 1.0
-        return np.searchsorted(cdf, gen.random(size), side="right").astype(np.int64)
+        return count_at_or_below(cdf, gen.random(size))
 
 
 class _LagTwist(TwistFunction):
@@ -278,29 +286,29 @@ class _GaussianQuadTwist(_LagTwist):
         return np.stack(self._integrate(*quad.T), axis=1)
 
     @staticmethod
-    def _eval(quad, x):
+    def _eval(quad, x, out=None):
         c, d, e = quad
         x = np.asarray(x, dtype=float)
-        return -0.5 * c * x * x + d * x + e
+        return np.add(-0.5 * c * x * x + d * x, e, out=out)
 
-    def log_psi(self, window, t, x):
-        return self._eval(self._log_table(window, t), x)
+    def log_psi(self, window, t, x, out=None):
+        return self._eval(self._log_table(window, t), x, out)
 
-    def log_q_psi(self, window, t, x):
+    def log_q_psi(self, window, t, x, out=None):
         mid = self._log_table(window, t, q=True)
-        return self.model.log_g(window, t, x) + self._eval(mid, x)
+        return np.add(self.model.log_g(window, t, x), self._eval(mid, x), out=out)
 
-    def noise(self, gen, size):
-        return gen.standard_normal(size)
+    def noise(self, gen, size, out=None):
+        return gen.standard_normal(size, out=out)
 
-    def twisted_mutate(self, window, t, x, noise):
+    def twisted_mutate(self, window, t, x, noise, out=None):
         c, d, _ = self._log_table(window, t + 1)
         a, q = self.model.a, self.model.q
         x = np.asarray(x, dtype=float)
         prec = c + 1.0 / q
         var = 1.0 / prec
         mean = (a * x / q + d) * var
-        return mean + np.sqrt(var) * noise
+        return np.add(mean, np.sqrt(var) * noise, out=out)
 
     def log_mu0_psi(self, window):
         c, d, e = self._log_table(window, 0)

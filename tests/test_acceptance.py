@@ -230,17 +230,17 @@ def test_criterion_06_clt_variances():
     notes = []
     exact_store = {}
     for tw_name, tw in twists.items():
-        # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r);
-        # the default test functions of a finite model are the phis, id and is0
+        # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
+        # at step n; the default test functions of a finite model are the phis, id and is0
         blocks = replicate_blocks(
             "twisted", model, tw, w, n, n_particles, seed=11, replicates=range(reps),
-            workers=WORKERS,
+            workers=WORKERS, step=n,
         )
         lz, eta_n = [], {k: [] for k in phis}
         for block in blocks:
-            lz.append(block.log_z[:, n])
+            lz.append(block.log_z)
             for k in phis:
-                eta_n[k].append(block.eta[k][:, n])
+                eta_n[k].append(block.eta[k])
         lz = np.concatenate(lz)
         eta_n = {k: np.concatenate(v) for k, v in eta_n.items()}
         rel = np.exp(lz - fwd.log_z[n])
@@ -338,13 +338,14 @@ def test_criterion_08_lag_cuts_variance_growth():
     exact = kalman_run(params, w, n).log_z[n]
     lags = [0, 1, 2, 5]
     # the replicate engine, the lags as one grid: row l * R + r of each block
-    # of R replicates is run_filter("twisted", ..., replicate=r) under lag l's twist
-    # (lag 0 is the constant twist, see the test above)
+    # of R replicates is run_filter("twisted", ..., replicate=r) at step n under
+    # lag l's twist (lag 0 is the constant twist, see the test above)
     blocks = replicate_blocks(
         "twisted", model, [LinearGaussianLagTwist(params, ell) for ell in lags], w, n,
         n_particles, seed=12, replicates=range(reps), test_functions={}, workers=WORKERS,
+        step=n,
     )
-    parts = [np.split(block.log_z[:, n], len(lags)) for block in blocks]
+    parts = [np.split(block.log_z, len(lags)) for block in blocks]
     rates = {}
     ses = {}
     for i, ell in enumerate(lags):

@@ -8,6 +8,7 @@ through the per-generator samplers. Every comparison is bit for bit.
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,83 @@ def test_block_size_never_changes_a_row(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# studies that name the step they read
+
+
+def _by_twist(blocks, n_grid):
+    """Per twist, the rows of twist-major blocks in replicate order."""
+    return [np.concatenate([np.split(v, n_grid)[lag] for v in blocks]) for lag in range(n_grid)]
+
+
+@pytest.mark.parametrize("case", CASES[:2], ids=[c[0] for c in CASES[:2]])
+def test_rows_at_a_named_step_equal_the_full_traces(case):
+    # a study that names its step gets that step's column of the full traces,
+    # bit for bit, and no clouds, from every worker count
+    _, params, w, tw = case
+    model = params.fk()
+    n_steps, n, reps = 9, 12, [0, 5, 2, 7, 3]
+    for kind in filters._KINDS:
+        full = list(replicate_blocks(kind, model, tw, w, n_steps, n, 4, reps))
+        want = {f: np.concatenate([getattr(b, f) for b in full]) for f in ("log_z", "log_phi")}
+        want_eta = {k: np.concatenate([b.eta[k] for b in full]) for k in full[0].eta}
+        for step in (0, 4, n_steps):
+            for workers in (1, 2, 3) if step == 4 else (1,):
+                blocks = list(replicate_blocks(kind, model, tw, w, n_steps, n, 4, reps,
+                                               workers=workers, step=step))
+                assert all(b.aux == {} for b in blocks)
+                for f, arr in want.items():
+                    got = np.concatenate([getattr(b, f) for b in blocks])
+                    assert got.shape == (len(reps),) and np.array_equal(got, arr[:, step])
+                assert set(blocks[0].eta) == set(want_eta)
+                for k, arr in want_eta.items():
+                    got = np.concatenate([b.eta[k] for b in blocks])
+                    assert np.array_equal(got, arr[:, step]), (kind, step, workers, k)
+    with pytest.raises(ValueError, match="step"):
+        next(replicate_blocks("twisted", model, tw, w, n_steps, n, 4, reps, step=n_steps + 1))
+
+
+def test_step_rows_of_a_twist_grid_equal_the_full_traces():
+    _, params, w, grid = GRID_CASES[1]
+    model = params.fk()
+    reps, step = range(7), 6
+    full = list(replicate_blocks("twisted", model, grid, w, 8, 9, 2, reps))
+    want = _by_twist([b.log_z for b in full], len(grid))
+    for workers in (1, 2, 3):
+        blocks = list(replicate_blocks("twisted", model, grid, w, 8, 9, 2, reps,
+                                       workers=workers, step=step))
+        got = _by_twist([b.log_z for b in blocks], len(grid))
+        assert all(np.array_equal(g, v[:, step]) for g, v in zip(got, want)), workers
+
+
+def test_a_warmed_step_allocates_no_particle_array():
+    # the large-N twisted step (eigenfunction twist, 8192 particles, one
+    # replicate a block): once the thread's buffers exist, a step's transient
+    # bytes are the categorical move's one column at a time and small arrays,
+    # 75,784 bytes on numpy 2.4 (the bound is twice that); allocating every
+    # temporary afresh, a step took 404,040
+    _, params, w, tw = CASES[3]
+    model = params.fk()
+    log_g, marks = model.log_g, []
+
+    def marked(window, t, x, out=None):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return log_g(window, t, x, out)
+
+    model.log_g = marked
+    for _ in range(2):  # the first run makes the buffers
+        marks.clear()
+        tracemalloc.start()
+        try:
+            list(replicate_blocks("twisted", model, tw, w, 6, 8192, 3, [0], step=6))
+        finally:
+            tracemalloc.stop()
+    # step p runs from its potential's evaluation to the next one's
+    transient = [peak - current for (current, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(transient) == 5 and max(transient[1:]) <= 2 * 75_784, transient
+
+
+# ---------------------------------------------------------------------------
 # twist grids: one block, L twists of one class, each replicate's draws shared
 
 
@@ -447,8 +525,8 @@ def test_nan_weight_in_one_replicate_of_a_block_raises():
     model = params.fk()
     log_g = model.log_g
 
-    def poisoned(window, t, x):
-        lg = np.array(log_g(window, t, x), dtype=float)
+    def poisoned(window, t, x, out=None):
+        lg = log_g(window, t, x, out)
         if t == 3:
             lg[..., -1, 5] = np.nan
         return lg
@@ -535,8 +613,11 @@ def test_categorical_transform_matches_gather_and_reduce(case, monkeypatch):
     # auxiliary runs move the whole cloud by the twisted kernel: the same
     # runs, bit for bit, with the reference transform patched in
     runs = [run_filter("apf", model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
-    monkeypatch.setattr(tw, "twisted_mutate", lambda window, t, x, noise: _gather_and_reduce(
-        _row_logits(tw, window, t, np.asarray(x, dtype=np.int64)), noise))
+    def reference(window, t, x, noise, out=None):
+        moved = _gather_and_reduce(_row_logits(tw, window, t, np.asarray(x, dtype=np.int64)), noise)
+        return moved if out is None else np.copyto(out, moved) or out
+
+    monkeypatch.setattr(tw, "twisted_mutate", reference)
     refs = [run_filter("apf", model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
     for tr, ref in zip(runs, refs):
         assert _same((tr.log_z, tr.eta, tr.aux), (ref.log_z, ref.eta, ref.aux))
@@ -549,7 +630,7 @@ def test_guide_table_changes_no_run(case, monkeypatch):
     _, params, w, tw = case
     model = params.fk()
 
-    def per_row_search(cdf, uniforms):
+    def per_row_search(cdf, uniforms, ws):
         return np.array([c.searchsorted(u, side="right") for c, u in zip(cdf, uniforms)])
 
     traces = []

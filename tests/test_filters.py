@@ -32,11 +32,11 @@ class OffsetLagTwist(FiniteLagTwist):
         super().__init__(params, ell)
         self.offset = offset
 
-    def log_psi(self, window, t, x):
-        return super().log_psi(window, t, x) + self.offset
+    def log_psi(self, window, t, x, out=None):
+        return np.add(super().log_psi(window, t, x), self.offset, out=out)
 
-    def log_q_psi(self, window, t, x):
-        return super().log_q_psi(window, t, x) + self.offset
+    def log_q_psi(self, window, t, x, out=None):
+        return np.add(super().log_q_psi(window, t, x), self.offset, out=out)
 
     def log_mu0_psi(self, window):
         return super().log_mu0_psi(window) + self.offset
@@ -319,8 +319,10 @@ def test_non_finite_weights_are_named():
             super().__init__(params.mu0, params.trans, params.emit)
             self.value = value
 
-        def log_g(self, window, t, x):
-            return np.full(np.shape(x), self.value)
+        def log_g(self, window, t, x, out=None):
+            out = np.empty(np.shape(x)) if out is None else out
+            out.fill(self.value)
+            return out
 
     with pytest.raises(ValueError, match="NaN"):
         run_filter("bootstrap", Poisoned(np.nan), None, w, 4, 8, seed=1)

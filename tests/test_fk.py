@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twistpf.fkcore import ARGaussianFK, FiniteFK, q_apply_log
+from twistpf.fkcore import (ARGaussianFK, FiniteFK, categorical_counts, count_at_or_below,
+                            q_apply_log)
 from twistpf.rng import INIT, MUTATE, RngStream
 from twistpf.windows import ObservationWindow
 
@@ -125,3 +126,37 @@ def test_ar_mutation_moments():
     assert abs(nxt.mean() - 1.8) < 0.005
     assert abs(nxt.var() - 0.25) < 0.005
 
+
+
+# the unit interval's ends: the least uniform, and the largest double below 1.0
+U_ENDS = (0.0, 1.0 - 2.0**-53)
+
+
+def test_categorical_counts_skip_the_last_column():
+    # every CDF row ends at 1.0, which no uniform in [0, 1) exceeds, so the
+    # counts without that column equal the full comparison, at both ends of
+    # the interval too, and where a row reaches 1.0 or 1 - 2^-53 early
+    cdf = np.array([[0.2, 0.5, 0.9, 1.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+                    [0.25, 0.25, U_ENDS[1], 1.0]])
+    x = np.tile(np.arange(4), 3)
+    for u in U_ENDS:
+        u = np.full(x.shape, u)
+        want = np.add.reduce(cdf[x] < u[:, None], axis=-1)
+        assert np.array_equal(categorical_counts(cdf, x, u), want)
+        out = np.full(x.shape, 7, dtype=np.int64)
+        assert categorical_counts(cdf, x, u, out) is out and np.array_equal(out, want)
+    with pytest.raises(AssertionError):
+        categorical_counts(cdf[:, :-1], x[:3], np.zeros(3))
+
+
+def test_count_at_or_below_is_searchsorted():
+    # initial draws count the CDF entries at or below each uniform: the
+    # index of a right-sided search, ties and the interval's ends included
+    rng = np.random.default_rng(8)
+    for cdf in ([0.1, 0.1 + 0.2, 1.0], [0.0, 0.0, 0.5, 1.0], [0.5, 1.0, 1.0], [1.0]):
+        cdf = np.array(cdf)
+        u = np.concatenate([rng.random(500), cdf[:-1], np.nextafter(cdf, 0.0), U_ENDS])
+        u = u[u < 1.0]
+        got = count_at_or_below(cdf, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))

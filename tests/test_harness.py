@@ -729,3 +729,22 @@ def test_artifact_digest_set_covers_every_experiment_and_filter_kind():
     assert any("ell_grid" in cfg for _, cfg in cases)
     stems = [cfg["name"] for _, cfg in cases]
     assert len(set(stems)) == len(stems)
+
+
+def test_second_moment_stats_match_the_per_column_loop():
+    # variance-growth reduces chunks of horizons as the rows of contiguous
+    # matrices; each row gives the bits the per-horizon reduction gave
+    rng = np.random.default_rng(11)
+    for r in (2, 3, 32, 1000, 10_000):
+        log_z = rng.normal(scale=3.0, size=(r, 41)).cumsum(axis=1)
+        log_ref = rng.normal(size=41)
+        v, se = harness._second_moment_stats(log_z, log_ref)
+        assert v.shape == se.shape == (40,)
+        for n in range(1, 41):
+            x = 2.0 * (log_z[:, n] - float(log_ref[n]))
+            m = x.max()
+            u = np.exp(x - m)
+            mean_u = float(u.mean())
+            want = float(np.exp(m) * mean_u)
+            assert v[n - 1] == want, (r, n)
+            assert se[n - 1] == want * float(u.std(ddof=1) / np.sqrt(u.size) / mean_u), (r, n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistpf.resampling import resample_rows
+from twistpf.resampling import Workspace, ancestors, resample_rows, weights_pass
 from twistpf.rng import RESAMPLE, RngStream
 
 from scalar_draws import multinomial_resample
@@ -175,3 +175,41 @@ def test_resample_rows_rejects_uniforms_outside_unit_interval(count):
     u[0, 0] = 0.0
     idx = resample_rows(lw, u)
     assert idx[0, 0] == 0 and (idx[1] == 7).all()
+
+
+# ---------------------------------------------------------------------------
+# the particle step's two calls: one weights pass, its exponentials resampled
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_shared_exponentials_give_resample_rows_ancestors(kind):
+    # the step's weights pass, whose exponentials also give its log mean exp,
+    # then ancestors() in one reused workspace: the indices of resample_rows
+    # and of a per-row searchsorted, at one uniform per row and at N
+    rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+    ws = Workspace()
+    for rows, n in ((1, 10_000), (128, 100), (3, 1)):
+        lw = _weights(rng, kind, rows, n)
+        for count in (1, n):
+            u = _uniforms(rng, _cdf(lw), count)
+            m, exps = weights_pass(lw, ws)
+            assert np.array_equal(m, lw.max(axis=1))
+            assert np.array_equal(exps, np.exp(lw - lw.max(axis=1, keepdims=True)))
+            got = ancestors(exps, u, ws)
+            assert got.dtype == np.int64 and got.shape == u.shape
+            assert np.array_equal(got, resample_rows(lw, u)), (rows, n, count)
+            assert np.array_equal(got, _per_row_search(lw, u)), (rows, n, count)
+
+
+def test_weights_pass_raises_as_resampling_does():
+    # a NaN, or a row with no finite weight, stops the weights pass with the
+    # error resample_rows gives
+    for lw in (np.array([[0.0, 1.0], [np.nan, 0.0]]), np.array([[0.0, 1.0], [-np.inf, -np.inf]])):
+        messages = []
+        for call in (lambda: weights_pass(lw, Workspace()),
+                     lambda: resample_rows(lw, np.full((2, 3), 0.5))):
+            with pytest.raises(ValueError) as raised:
+                call()
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert ("NaN" if np.isnan(lw).any() else "at least one finite log weight") in messages[0]
