@@ -37,10 +37,8 @@ unbiased for the marginal likelihood for any strictly positive bounded psi.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -113,6 +111,7 @@ BLOCK_ELEMENTS = 1 << 14
 _TASK_BLOCKS = 16
 _KINDS = ("bootstrap", "twisted", "apf", "sis")
 _THREAD = threading.local()
+ProcessPoolExecutor = None  # concurrent.futures' class, once a pooled study has run
 
 
 def _logmeanexp(v: np.ndarray, ws: Workspace):
@@ -121,8 +120,7 @@ def _logmeanexp(v: np.ndarray, ws: Workspace):
     their row sums."""
     m, e = weights_pass(v, ws)
     s = np.add.reduce(e, axis=1)
-    n = v.shape[1]
-    return np.array([mi + math.log(si / n) for mi, si in zip(m.tolist(), s.tolist())]), e, s
+    return m + np.array(list(map(math.log, (s / v.shape[1]).tolist()))), e, s
 
 
 def _workspace(elements: int) -> Workspace:
@@ -199,8 +197,9 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     of ``L`` twists: row ``l * R + r`` is twist ``l`` on replicate ``r``.
     With ``step`` the test functions are evaluated at that step alone and the
     trace keeps only that step's column of ``log_z``, ``log_phi`` and
-    ``eta``, and no ``aux``. The step's particle-sized temporaries live in
-    the buffers of :func:`_workspace`."""
+    ``eta``, and of ``aux`` only SIS's chain log weights at that step. The
+    step's particle-sized temporaries live in the buffers of
+    :func:`_workspace`."""
     twisted, auxiliary, sis = kind == "twisted", kind == "apf", kind == "sis"
     grid = _grid(kind, model, twist, window, n_steps)
     twist = grid[0]
@@ -208,6 +207,7 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     streams = [RngStream(seed, r).session() for r in replicates]
     n_grid, n = len(grid), n_particles
     n_rows = n_grid * len(streams)
+    shape = (n_rows, n)
     ws = _workspace(n_rows * n)
     spans = [slice(i * len(streams), (i + 1) * len(streams)) for i in range(n_grid)]
 
@@ -242,17 +242,18 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
         for name, fn in tf.items():
             f = fn(pos)
             if eta:
-                eta[name][:, p] = np.mean(f, axis=1)
+                # np.mean's sum and divide, its float accumulator for integers
+                eta[name][:, p] = np.add.reduce(f, 1, float if f.dtype.kind in "biu" else None) / n
             if est:
-                est[name][:, p] = np.sum(f * w, axis=1) / w_sum
+                est[name][:, p] = np.add.reduce(f * w, 1) / w_sum
 
-    # SIS chains carry their log weights across steps
-    chains = np.zeros((n_rows, n_steps + 1, n)) if sis else None
-    lv = -twist.log_psi(window, 0, pos) if auxiliary else chains[:, 0] if sis else None
+    # SIS chains carry their log weights across steps; a study that names
+    # its step keeps that step's alone
+    chains = np.zeros((n_rows, n_steps + 1 if step is None else 1, n)) if sis else None
+    lv = -twist.log_psi(window, 0, pos) if auxiliary else np.zeros(shape) if sis else None
     _, w, w_sum = _logmeanexp(lv, ws) if est else (None,) * 3
     record(0, pos, w, w_sum)
     rows = np.arange(n_rows)[:, None]
-    shape = (n_rows, n)
     for p in range(1, n_steps + 1):
         t = p - 1
         # the step's log weights: the potential, or log Q_t(psi_{t+1}) plus
@@ -283,8 +284,8 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
         elif auxiliary or sis:
             lpsi = twist.log_psi(window, p, new, out=ws.take("log_psi", shape))
             lv = np.negative(lpsi, out=lpsi) if auxiliary else np.subtract(lw, lpsi, out=lpsi)
-            if sis:
-                chains[:, p] = lv
+            if sis and (step is None or p == step):
+                chains[:, p if step is None else 0] = lv
             # the terminal correction of an auxiliary run (at every p), the
             # mean chain weight of SIS
             inc[:, p], w, w_sum = _logmeanexp(lv, ws)
@@ -303,7 +304,8 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     if step is not None:
         # copies, so no cut trace holds its block's whole arrays
         return RunTrace(n_steps, n_particles, log_z[:, step].copy(), log_phi[:, step].copy(),
-                        {name: v[:, step].copy() for name, v in eta.items()})
+                        {name: v[:, step].copy() for name, v in eta.items()},
+                        {"chain_log_weights": chains[:, 0]} if sis else {})
     aux["final_positions"] = pos.copy()  # the clouds' buffers serve the next block
     if twisted:
         aux["log_z_standard"] = log_w
@@ -327,8 +329,9 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
     A study that reads one step names it: with ``step`` the test functions
     run at that step alone, and each block's trace carries only that step's
     column of ``log_z``, ``log_phi`` and ``eta``, one value per row, and no
-    ``aux`` (no clouds); its rows equal column ``step`` of the full traces
-    bit for bit. A worker cuts the traces before it sends them back.
+    ``aux`` (no clouds) but, for SIS, ``chain_log_weights`` at that step,
+    ``(rows, n_particles)``; its rows equal column ``step`` of the full
+    traces bit for bit. A worker cuts the traces before it sends them back.
 
     A block holds ``BLOCK_ELEMENTS // (L * n_particles)`` replicates (at
     least one), ``L = 1`` unless ``twist`` is a grid: for ``twisted``, a list
@@ -364,6 +367,13 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
     if processes <= 1:
         yield from map(run, spans)
         return
+    # the pool's modules (and the logging concurrent.futures loads) are
+    # imported by the first pooled study, so serial runs never load them
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+
     chunk = max(1, min(len(spans) // (8 * processes), _TASK_BLOCKS))
     with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
         # closing this generator closes the map's iterator, which cancels the

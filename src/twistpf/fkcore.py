@@ -188,25 +188,63 @@ def q_apply_log(model: FiniteFK, window, t, log_phi) -> np.ndarray:
     return model.log_g_grid(window, t) + logsumexp(lt, axis=-1)
 
 
+# a row max below this in magnitude keeps every shift a - amax within the float range
+_SHIFT_MAX = 2.0**969
+
+
 def logsumexp(a, axis: int = -1) -> np.ndarray:
     """``log(sum(exp(a)))`` along one axis, by ``scipy.special.logsumexp``'s
     formula and with its results, without its array-API dispatch.
 
     The maximal entries are taken out of the sum for precision:
     ``log1p(s / m) + log(m) + amax`` with ``m`` the number of maximal entries
-    and ``s`` the sum of the shifted exponentials of the others. Where that is
-    not finite (all ``-inf``, an ``inf`` or a NaN) the direct formula decides.
+    and ``s`` the sum of the shifted exponentials of the others. With every
+    row max finite and below ``_SHIFT_MAX`` in magnitude that is
+    :func:`logsumexp_bounded`. Otherwise (an ``inf``, a NaN, an all ``-inf``
+    row or a huge max) the same formula is computed with floating-point
+    errors ignored, and where it is not finite the direct one decides.
     """
     a = np.asarray(a, dtype=float)
-    amax = a.max(axis=axis, keepdims=True)
+    amax = np.maximum.reduce(a, axis, None, None, True)
+    if not np.maximum.reduce(np.abs(amax), None) < _SHIFT_MAX:  # False for a NaN too
+        return _logsumexp_guarded(a, axis, amax)
+    return logsumexp_bounded(a, amax, axis)
+
+
+def logsumexp_bounded(a: np.ndarray, amax: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`logsumexp` of a float array whose row maxima ``amax`` (kept
+    dimensions) the caller knows to be finite and below ``_SHIFT_MAX`` in
+    magnitude, so that no step can overflow or divide by zero.
+
+    An entry is maximal exactly where its shifted value is 0, whose
+    exponential is 1: ``m`` and ``s`` are the sums of one ``(2, ...)`` block,
+    the indicator of the maximal entries and the exponentials less that
+    indicator, reduced in one call. Its rows are the summands of the two
+    separate sums, so the bits are theirs.
+    """
+    parts = np.empty((2,) + a.shape)
+    d = np.subtract(a, amax, out=parts[1])
+    is_max = np.heaviside(d, 1.0, out=parts[0])  # d <= 0: 1.0 exactly where d == 0
+    np.exp(d, out=d)
+    d -= is_max
+    sums = np.add.reduce(parts, axis if axis < 0 else axis + 1)
+    m, out = sums[0, ...], sums[1, ...]
+    np.log1p(np.divide(out, m, out=out), out=out)
+    out += np.log(m, out=m)
+    out += amax.squeeze(axis)
+    return out
+
+
+def _logsumexp_guarded(a, axis, amax):
+    """:func:`logsumexp` as scipy computes it, for rows whose max is not
+    finite or is huge."""
     is_max = a == amax
-    m = is_max.sum(axis=axis, keepdims=True, dtype=float)
+    m = np.add.reduce(is_max, axis, float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(is_max, -np.inf, a) - amax).sum(axis=axis, keepdims=True)
+        s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - amax), axis)
         # m >= 1 unless the max is NaN, whose result the fallback decides
-        out = np.log1p(s / m) + np.log(m) + amax
+        out = np.log1p(s / m) + np.log(m) + amax.squeeze(axis)
         finite = np.isfinite(out)
         if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return np.squeeze(out, axis=axis)
-
+            out = np.where(finite, out, np.log(np.add.reduce(np.exp(a), axis)))
+    return out

@@ -107,12 +107,12 @@ def _replicates(config: ExperimentConfig, window, filter_kind: str, twists=None,
         twists = [_build_twist(config, window, config.twist_spec, filter_kind)]
     particles = config.particles if particles is None else particles
     if filter_kind == "sis":
-        # one run whose chains are the replicates; they share its stream
-        at = slice(None) if step is None else step
-        return [(run_filter("sis", config.params.fk(), twist, window, config.steps,
-                            config.replicates, config.seed,
-                            test_functions={}).aux["chain_log_weights"][at].T, {})
-                for twist in twists]
+        # one run whose chains are the replicates; they share its stream, and
+        # a study that names its step keeps that step's weights alone
+        return [(block.aux["chain_log_weights"][0].T, {}) for twist in twists
+                for block in replicate_blocks("sis", config.params.fk(), twist, window,
+                                              config.steps, config.replicates, config.seed,
+                                              [0], {}, step=step)]
     log_z, eta_at = [[] for _ in twists], [{} for _ in twists]
     for block in replicate_blocks(
         filter_kind, config.params.fk(), twists, window, config.steps, particles, config.seed,

@@ -261,20 +261,22 @@ def finite_forward(params: FiniteHMMParams, window, n: int) -> ForwardResult:
     layer in :mod:`twistpf.fkcore`.
     """
     window.require(0, n - 1, context="finite_forward")
-    k = params.k
-    pred = np.empty((n + 1, k))
-    log_z = np.zeros(n + 1)
+    # the emission column of each observation, and the logs of the step
+    # masses, taken for all steps at once
+    emit = params.emit.T[window.values[np.arange(n) - window.origin].astype(np.int64)]
+    pred = np.empty((n + 1, params.k))
+    norms = np.empty(n)
     alpha = params.mu0.copy()
     for t in range(n):
         pred[t] = alpha
-        y = int(window.y(t))
-        weighted = alpha * params.emit[:, y]
-        norm = weighted.sum()
+        weighted = alpha * emit[t]
+        norm = norms[t] = np.add.reduce(weighted)
         if not norm > 0:
             raise ValueError(f"zero likelihood at step {t}")
-        log_z[t + 1] = log_z[t] + np.log(norm)
         alpha = (weighted / norm) @ params.trans
-        alpha = alpha / alpha.sum()
+        alpha = alpha / np.add.reduce(alpha)
     pred[n] = alpha
+    log_z = np.zeros(n + 1)
+    np.cumsum(np.log(norms), out=log_z[1:])
     return ForwardResult(pred, log_z)
 

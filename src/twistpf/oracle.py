@@ -18,7 +18,11 @@ importance ratio and the second-moment kernel all collapse onto ``m_bold``:
 psi_bold``. So both moment recursions are one ``(2, S) @ m_bold`` product per
 step, built in row chunks of ``exp(log mix @ counts.T + log coef)`` that each
 fit ``_CHUNK_BYTES``; ``log coef`` is read from a log-factorial table, ``log
-i!`` for ``i = 0..N``, made once per call. A step costs time in S^2; chains
+i!`` for ``i = 0..N``, made once per call. What depends on the horizon
+alone (the potentials, ``mix``, psi and its two contractions, and m_bold
+itself when all its rows fit one chunk) is built for a batch of horizons at
+once, so a step keeps only the recursions' own update: scale, multiply by
+m_bold, divide by psi_bold and renormalize. A step costs time in S^2; chains
 over ``_MAX_STATES`` states are refused with a ``ValueError`` naming N, k, the
 state count and the bytes a dense kernel would take, before anything is
 allocated. The ordered product-space view of the same kernels (k^N particle
@@ -94,21 +98,13 @@ def _log0(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.full(x.shape, -1e300), where=x > 0)
 
 
-def _times_m_bold(w: np.ndarray, mix: np.ndarray, counts_t: np.ndarray,
-                  log_coef: np.ndarray) -> np.ndarray:
-    """``w @ m_bold`` for the rows of ``w``, building m_bold in row chunks
-    in one reused buffer."""
-    log_mix = _log0(mix)
-    n_states = len(log_coef)
-    buf = np.empty((min(n_states, max(1, _CHUNK_BYTES // (8 * n_states))), n_states))
-    out = np.zeros((len(w), n_states))
-    for lo in range(0, n_states, len(buf)):
-        hi = min(lo + len(buf), n_states)
-        block = np.matmul(log_mix[lo:hi], counts_t, out=buf[:hi - lo])
-        block += log_coef
-        np.exp(block, out=block)
-        out += w[:, lo:hi] @ block
-    return out
+def _m_bold_rows(log_mix: np.ndarray, counts_t: np.ndarray, log_coef: np.ndarray, lo: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Rows ``lo:lo + out.shape[1]`` of m_bold for each horizon of a batch,
+    ``exp(log mix @ counts.T + log coef)``, into ``out`` (horizons, rows, S)."""
+    block = np.matmul(log_mix[:, lo:lo + out.shape[1]], counts_t, out=out)
+    block += log_coef
+    return np.exp(block, out=block)
 
 
 @dataclass
@@ -160,23 +156,44 @@ def exact_moments(
         raise ValueError("mu0 override must be a probability vector on the grid")
     fk = params.fk()
     grid = np.arange(params.k)
+    n_states = len(states)
+    # m_bold is built in chunks of rows that fit _CHUNK_BYTES; when one
+    # chunk holds all S rows, the chunk buffer holds the kernels of a batch
+    # of horizons, and everything a horizon alone decides is built for the
+    # batch at once; otherwise a batch is one horizon
+    rows = min(n_states, max(1, _CHUNK_BYTES // (8 * n_states)))
+    batch = max(1, min(n_steps, _CHUNK_BYTES // (8 * n_states * rows))) if rows == n_states else 1
+    kern = np.empty((batch, rows, n_states))
     alpha = np.exp(log_coef + counts @ _log0(init))
     alpha = np.stack([alpha, alpha])  # first- and second-moment laws
-    log_m = np.zeros((2, n_steps + 1))
-    for p in range(1, n_steps + 1):
-        cg = counts * np.exp(fk.log_g_grid(window, p - 1))         # (S, k)
-        cg_sum = cg.sum(axis=1)
+    sums = np.ones((2, n_steps + 1))  # per horizon, the mass each law is renormalized by
+    for p0 in range(1, n_steps + 1, batch):
+        ps = range(p0, min(p0 + batch, n_steps + 1))
+        times = np.arange(p0 - 1, ps.stop - 1)
+        cg = counts * np.exp(fk.log_g_grid(window, times))[:, None, :]   # (B, S, k)
+        cg_sum = cg.sum(axis=2)
         g_bold = cg_sum / n_particles
-        mix = cg @ fk.trans / cg_sum[:, None]                      # (S, k)
-        lp = twist.log_psi(window, p, grid)
-        psi = np.exp(lp - lp.max())
-        alpha[0] *= g_bold
-        alpha[1] *= g_bold**2 * (mix @ psi)
-        v = _times_m_bold(alpha, mix, counts_t, log_coef)
-        v[1] /= counts @ psi / n_particles                         # psi_bold at p
-        s = v.sum(axis=1)
-        log_m[:, p] = log_m[:, p - 1] + np.log(s)
-        alpha = v / s[:, None]
+        mix = cg @ fk.trans / cg_sum[:, :, None]
+        lp = np.array([twist.log_psi(window, p, grid) for p in ps], dtype=float)
+        psi = np.exp(lp - lp.max(axis=1, keepdims=True))[:, :, None]
+        # the laws' factors before the step, and after it 1 and psi_bold at p
+        fac = np.stack([g_bold, g_bold**2 * (mix @ psi)[:, :, 0]], axis=1)
+        den = np.stack([np.ones_like(g_bold), (counts @ psi)[:, :, 0] / n_particles], axis=1)
+        log_mix = _log0(mix)
+        first = _m_bold_rows(log_mix, counts_t, log_coef, 0, kern[:len(ps)])
+        for b, p in enumerate(ps):
+            alpha *= fac[b]
+            v = alpha[:, :rows] @ first[b]
+            # more row chunks only where a batch is one horizon: each reuses
+            # the buffer the first was read from
+            for lo in range(rows, n_states, rows):
+                block = _m_bold_rows(log_mix, counts_t, log_coef, lo, kern[:, :n_states - lo])
+                v += alpha[:, lo:lo + rows] @ block[0]
+            v /= den[b]
+            s = sums[:, p:p + 1]
+            np.add.reduce(v, 1, None, s, True)
+            alpha = np.divide(v, s, out=v)
+    log_m = np.cumsum(np.log(sums), axis=1)
     log_z = finite_forward(params, window, n_steps).log_z
     return OracleReport(
         n_particles=n_particles,
@@ -314,19 +331,19 @@ def upsilon_bound(triple, twist: TwistFunction, window, ts, n_particles: int) ->
     if n_particles < 2:
         raise ValueError("the bound needs at least 2 particles")
     grid = np.arange(triple.params.k)
-    per_t = []
+    lh, lpsi = [], []
     for t in ts:
-        lh = triple.log_h[triple.row(t)]
-        lpsi = np.asarray(twist.log_psi(window, t, grid), dtype=float)
-        lpsi_c = lpsi - lpsi.max()
-        lh_c = lh - lh.max()
-        sup_psi_ratio = float(np.exp(-lpsi_c.min()))
-        sup_psi_over_h = float(np.exp((lpsi_c - lh_c).max()))
-        h_over_psi = np.exp(lh_c - lpsi_c)
-        osc = float(h_over_psi.max() - h_over_psi.min())
-        c_t = (2.0 * sup_psi_ratio - 1.0) * sup_psi_over_h
-        per_t.append(c_t * osc)
-    per_t = np.asarray(per_t)
+        lh.append(triple.log_h[triple.row(t)])
+        lpsi.append(twist.log_psi(window, t, grid))
+    # one row per t; each row is reduced on its own, so it keeps its per-t bits
+    lh, lpsi = np.array(lh), np.array(lpsi, dtype=float)
+    lpsi_c = lpsi - lpsi.max(axis=1, keepdims=True)
+    lh_c = lh - lh.max(axis=1, keepdims=True)
+    sup_psi_ratio = np.exp(-lpsi_c.min(axis=1))
+    sup_psi_over_h = np.exp((lpsi_c - lh_c).max(axis=1))
+    h_over_psi = np.exp(lh_c - lpsi_c)
+    osc = h_over_psi.max(axis=1) - h_over_psi.min(axis=1)
+    per_t = (2.0 * sup_psi_ratio - 1.0) * sup_psi_over_h * osc
     d_sup = float(per_t.max())
     return BoundReport(
         d_sup=d_sup,

@@ -56,7 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fkcore import categorical_counts, count_at_or_below, logsumexp, lookup, q_apply_log
+from .fkcore import (categorical_counts, count_at_or_below, logsumexp, logsumexp_bounded,
+                     lookup, q_apply_log)
 from .models import FiniteHMMParams, LinearGaussianParams, SVParams
 
 __all__ = [
@@ -448,21 +449,31 @@ def eigen_triple(
             f"evaluation range [{t_lo}, {t_hi}] must sit inside [{o}, {e_idx - 1}]"
         )
     k = params.k
-    # rows of log u_t and eta_t are indexed t - o; only [t_lo, t_hi] is read
-    inner = slice(t_lo - o, t_hi - o + 1)
+    n_in = t_hi - t_lo + 1
 
     # two backward sweeps as one (2, k) block, from the right edge down to
-    # t_lo: row 0 starts from the right edge, row 1 one step earlier
-    back = np.empty((2, e_idx - o, k))
-    u = np.zeros((2, k))
-    u[0] = q_apply_log(fk, window, e_idx - 1, u[0])
-    u[0] -= u[0].max()
-    back[:, -1] = u
-    for t in range(e_idx - 2, t_lo - 1, -1):
-        u = q_apply_log(fk, window, t, u)
-        u = u - u.max(axis=1, keepdims=True)
-        back[:, t - o] = u
-    gap_h = _centered_gap(back[0, inner], back[1, inner])
+    # t_lo: row 0 starts from the right edge, row 1 one step earlier. A step
+    # is q_apply_log on the block, max-centered per row (each row gets the
+    # bits it gets alone), with the sweep's potentials read in one lookup,
+    # top down, and its log kernel terms added into one (2, k, k) buffer.
+    # Their row maxima lie in [log 1e-300, 0], since log_trans does and u is
+    # max-centered (its max is 0), so logsumexp's bound check is skipped.
+    # back[t - t_lo] holds both rows of log u_t.
+    log_g_back = fk.log_g_grid(window, np.arange(e_idx - 1, t_lo - 1, -1))
+    back = np.empty((e_idx - t_lo, 2, k))
+    terms = np.empty((2, k, k))
+
+    def q_step(i, u, out):
+        lt = np.add(fk.log_trans, u[:, None, :], out=terms[:len(u)])
+        lse = logsumexp_bounded(lt, np.maximum.reduce(lt, -1, None, None, True))
+        np.add(log_g_back[i], lse, out=out)
+        out -= np.maximum.reduce(out, 1, None, None, True)
+
+    back[-1, 1] = 0.0
+    q_step(0, back[-1, 1:], back[-1, :1])  # row 0 steps from row 1's zeros
+    for i in range(1, len(back)):
+        q_step(i, back[-i], back[-i - 1])
+    gap_h = _centered_gap(back[:n_in, 0], back[:n_in, 1])
     if gap_h > tol:
         raise ConvergenceError(
             f"eigenfunction not converged on [{t_lo}, {t_hi}]: certificate "
@@ -471,19 +482,23 @@ def eigen_triple(
         )
 
     # two forward sweeps as one (2, k) block, from the left edge up to t_hi:
-    # row 0 from the uniform law, row 1 from a law nearly all on state 0
-    log_g = np.stack([fk.log_g_grid(window, t) for t in range(o, t_hi + 1)])
+    # row 0 from the uniform law, row 1 from a law nearly all on state 0.
+    # The potentials are read and exponentiated once; fwd[t - o] holds both
+    # rows of eta_t, and a step is one vector-matrix product per row
+    g = np.exp(fk.log_g_grid(window, np.arange(o, t_hi + 1)))
+    inner = slice(t_lo - o, t_hi - o + 1)
     init_b = np.full(k, 1e-12)
     init_b[0] = 1.0
-    fwd = np.empty((2, t_hi - o + 1, k))
-    p = np.stack([np.full(k, 1.0 / k), init_b / init_b.sum()])
-    fwd[:, 0] = p
+    fwd = np.empty((t_hi - o + 1, 2, k))
+    fwd[0, 0] = 1.0 / k
+    fwd[0, 1] = init_b / init_b.sum()
+    w, p = np.empty((2, 2, 1, k))
+    w_rows, p_rows = w[:, 0], p[:, 0]
     for i in range(t_hi - o):
-        w = p * np.exp(log_g[i])
-        p = (w[:, None, :] @ fk.trans)[:, 0]  # one vector-matrix product per row
-        p = p / p.sum(axis=1, keepdims=True)
-        fwd[:, i + 1] = p
-    gap_eta = _centered_gap(np.log(fwd[0, inner]), np.log(fwd[1, inner]))
+        np.multiply(fwd[i], g[i], out=w_rows)
+        np.matmul(w, fk.trans, out=p)
+        np.divide(p_rows, np.add.reduce(p, 2), out=fwd[i + 1])
+    gap_eta = _centered_gap(np.log(fwd[inner, 0]), np.log(fwd[inner, 1]))
     if gap_eta > tol:
         raise ConvergenceError(
             f"eigenmeasure not converged on [{t_lo}, {t_hi}]: certificate "
@@ -493,10 +508,11 @@ def eigen_triple(
 
     # per-row dot products as stacked (1, k) @ (k, 1) products, so every row
     # is the same vector product it would be on its own
-    eta = fwd[0, inner].copy()
-    h_lin = np.exp(back[0, inner] - back[0, inner].max(axis=1, keepdims=True))
+    eta = fwd[inner, 0].copy()
+    log_u = back[:n_in, 0]
+    h_lin = np.exp(log_u - log_u.max(axis=1, keepdims=True))
     h = h_lin / (eta[:, None, :] @ h_lin[:, :, None])[:, 0]
-    g = np.exp(log_g[inner])
+    g = g[inner]
     lam = (eta[:, None, :] @ g[:, :, None])[:, 0, 0]
 
     # residuals of the defining identities, measured on the interior

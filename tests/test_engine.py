@@ -284,7 +284,8 @@ def _by_twist(blocks, n_grid):
 @pytest.mark.parametrize("case", CASES[:2], ids=[c[0] for c in CASES[:2]])
 def test_rows_at_a_named_step_equal_the_full_traces(case):
     # a study that names its step gets that step's column of the full traces,
-    # bit for bit, and no clouds, from every worker count
+    # bit for bit, and no clouds, from every worker count; of aux, SIS keeps
+    # its chain log weights at the step
     _, params, w, tw = case
     model = params.fk()
     n_steps, n, reps = 9, 12, [0, 5, 2, 7, 3]
@@ -296,6 +297,10 @@ def test_rows_at_a_named_step_equal_the_full_traces(case):
             for workers in (1, 2, 3) if step == 4 else (1,):
                 blocks = list(replicate_blocks(kind, model, tw, w, n_steps, n, 4, reps,
                                                workers=workers, step=step))
+                if kind == "sis":
+                    chains = np.concatenate([b.aux.pop("chain_log_weights") for b in blocks])
+                    want_chains = np.concatenate([b.aux["chain_log_weights"] for b in full])
+                    assert np.array_equal(chains, want_chains[:, step]), (step, workers)
                 assert all(b.aux == {} for b in blocks)
                 for f, arr in want.items():
                     got = np.concatenate([getattr(b, f) for b in blocks])
@@ -556,7 +561,12 @@ def test_resample_rows_equals_multinomial_resample_per_row():
 
 
 def test_logsumexp_matches_scipy_bit_for_bit():
+    # rows along the last axis of 2-d arrays and of the (2, k, k) blocks the
+    # eigen sweep reduces, and single rows; the rows with an inf, a NaN, all
+    # -inf or a max near the float range take the guarded formula, alone or
+    # beside other rows, and no row raises a floating-point error
     rng = np.random.default_rng(2)
+    big = np.finfo(float).max
     with np.errstate(divide="ignore"):
         rows = [
             rng.normal(size=(50, 7)),
@@ -565,11 +575,22 @@ def test_logsumexp_matches_scipy_bit_for_bit():
             np.log(rng.uniform(1e-300, 1e-290, size=(20, 4))),      # near-zero masses
             np.array([[0.0, -np.inf, -np.inf], [-np.inf] * 3, [5.0, 5.0, 5.0]]),
             np.log(np.where(rng.uniform(size=(20, 3)) < 0.3, 0.0, rng.uniform(size=(20, 3)))),
+            np.array([[big, big, 0.0], [big, -big, 700.0], [709.0, 709.5, 710.0]]),  # overflow
+            np.array([[np.inf, 1.0, 2.0], [np.inf, np.inf, -np.inf], [np.nan, 0.0, 1.0],
+                      [-np.inf] * 3, [1.0, 2.0, 3.0]]),
         ]
-    for a in rows:
-        assert np.array_equal(logsumexp(a, axis=1), scipy_logsumexp(a, axis=1))
-        for row in a:
-            assert np.array_equal(logsumexp(row), scipy_logsumexp(row))
+    blocks = [rng.normal(size=(2, k, k)) for k in (2, 3, 5)]
+    blocks += [np.round(rng.normal(size=(2, 3, 3)), 0), rows[6].reshape(1, 3, 3)]
+    blocks += [np.stack([rows[7][:3], rows[7][2:]])]
+    for a in rows + blocks:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = [logsumexp(a, axis=-1)] + [logsumexp(row) for row in a.reshape(-1, a.shape[-1])]
+        with np.errstate(all="ignore"):  # scipy warns of the overflow it ignores
+            want = [scipy_logsumexp(a, axis=-1)] + [scipy_logsumexp(row)
+                                                    for row in a.reshape(-1, a.shape[-1])]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True), a
+    assert np.array_equal(logsumexp(rows[0], axis=1), scipy_logsumexp(rows[0], axis=1))
 
 
 # ---------------------------------------------------------------------------

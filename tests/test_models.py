@@ -68,6 +68,36 @@ def test_finite_forward_uniform_emissions():
         law = law @ params.trans
 
 
+def per_step_forward(params, window, n):
+    # the forward recursion reading one observation and taking one log per
+    # step: the reference the hoisted reads and logs must equal bit for bit
+    pred, log_z = np.empty((n + 1, params.k)), np.zeros(n + 1)
+    alpha = params.mu0.copy()
+    for t in range(n):
+        pred[t] = alpha
+        weighted = alpha * params.emit[:, int(window.y(t))]
+        norm = weighted.sum()
+        log_z[t + 1] = log_z[t] + np.log(norm)
+        alpha = (weighted / norm) @ params.trans
+        alpha = alpha / alpha.sum()
+    pred[n] = alpha
+    return pred, log_z
+
+
+def test_finite_forward_matches_per_step_recursion_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for k in (2, 3, 5):
+        params = FiniteHMMParams(mu0=rng.dirichlet(np.ones(k)),
+                                 trans=rng.dirichlet(np.ones(k), size=k),
+                                 emit=rng.uniform(0.01, 1.0, size=(k, 4)))
+        _, w0 = simulate(params, 300, seed=k)
+        for w in (w0, w0.shift(40), w0.shift(-3).shift(3)):
+            for n in (0, 1, 7, 250):
+                res = finite_forward(params, w, n)
+                pred, log_z = per_step_forward(params, w, n)
+                assert np.array_equal(res.pred, pred) and np.array_equal(res.log_z, log_z)
+
+
 def test_kalman_one_step_closed_form():
     params = LinearGaussianParams(a=0.9, q=1.0, r_obs=1.0)
     v0 = 1.0 / (1.0 - 0.81)

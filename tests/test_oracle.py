@@ -209,6 +209,34 @@ def test_eigen_twist_zeroes_growth_and_bound():
     assert bound.bound == 0.0
 
 
+def per_t_bound_terms(triple, twist, window, ts):
+    # the bound's discrepancy one t at a time: the reference its rows must
+    # equal bit for bit
+    grid = np.arange(triple.params.k)
+    per_t = []
+    for t in ts:
+        lh_c = triple.log_h[triple.row(t)] - triple.log_h[triple.row(t)].max()
+        lpsi = twist.log_psi(window, t, grid)
+        lpsi_c = lpsi - lpsi.max()
+        h_over_psi = np.exp(lh_c - lpsi_c)
+        c_t = (2.0 * float(np.exp(-lpsi_c.min())) - 1.0) * float(np.exp((lpsi_c - lh_c).max()))
+        per_t.append(c_t * float(h_over_psi.max() - h_over_psi.min()))
+    return np.array(per_t)
+
+
+def test_bound_rows_equal_per_t_terms_bit_for_bit():
+    params = gentle_params()
+    _, w0 = simulate(params, 300, seed=11)
+    w = w0.shift(100)
+    tri = eigen_triple(params, w, t_lo=-10, t_hi=90)
+    twists = [ConstantTwist(params.fk()), tri.as_twist()]
+    twists += [FiniteLagTwist(params, ell) for ell in range(1, 7)]
+    for twist in twists:
+        rep = upsilon_bound(tri, twist, w, range(1, 61), 3)
+        assert np.array_equal(rep.per_t, per_t_bound_terms(tri, twist, w, range(1, 61)))
+    assert upsilon_bound(tri, tri.as_twist(), w, range(1, 61), 3).d_sup == 0.0
+
+
 def test_upsilon_slope_below_mixing_bound():
     params = gentle_params()
     _, w0 = simulate(params, 260, seed=10)
@@ -384,6 +412,73 @@ def test_count_space_moments_match_product_chain():
                     label = (params.k, type(twist).__name__, n_particles, init is None)
                     assert np.allclose(rep.log_first, want1, rtol=0, atol=1e-12), label
                     assert np.allclose(rep.log_second, want2, rtol=0, atol=1e-12), label
+
+
+def per_horizon_moments(params, twist, n_particles, window, n_steps, mu0=None):
+    # the count-space recursions one horizon at a time, m_bold built in row
+    # chunks of oracle._CHUNK_BYTES: the oracle's loop before it batched its
+    # horizons, kept as the reference the batches must equal bit for bit
+    states = occupation_states(params.k, n_particles)
+    log_coef = oracle._log_multinomial(states, n_particles)
+    counts = states.astype(float)
+    counts_t = np.ascontiguousarray(counts.T)
+    fk = params.fk()
+    grid = np.arange(params.k)
+    alpha = np.exp(log_coef + counts @ oracle._log0(params.mu0 if mu0 is None else mu0))
+    alpha = np.stack([alpha, alpha])
+    n_states = len(states)
+    rows = min(n_states, max(1, oracle._CHUNK_BYTES // (8 * n_states)))
+    log_m = np.zeros((2, n_steps + 1))
+    for p in range(1, n_steps + 1):
+        cg = counts * np.exp(fk.log_g_grid(window, p - 1))
+        cg_sum = cg.sum(axis=1)
+        g_bold = cg_sum / n_particles
+        mix = cg @ fk.trans / cg_sum[:, None]
+        lp = twist.log_psi(window, p, grid)
+        psi = np.exp(lp - lp.max())
+        alpha[0] *= g_bold
+        alpha[1] *= g_bold**2 * (mix @ psi)
+        log_mix = oracle._log0(mix)
+        v = np.zeros((2, n_states))
+        for lo in range(0, n_states, rows):
+            v += alpha[:, lo:lo + rows] @ np.exp(log_mix[lo:lo + rows] @ counts_t + log_coef)
+        v[1] /= counts @ psi / n_particles
+        s = v.sum(axis=1)
+        log_m[:, p] = log_m[:, p - 1] + np.log(s)
+        alpha = v / s[:, None]
+    return log_m
+
+
+def random_params(k, seed):
+    rng = np.random.default_rng(seed)
+    return FiniteHMMParams(mu0=rng.dirichlet(np.ones(k)), trans=rng.dirichlet(np.ones(k), size=k),
+                           emit=rng.uniform(0.1, 1.0, size=(k, k)))
+
+
+@pytest.mark.parametrize("budget", [None, 2**12, 2**9],
+                         ids=["default", "row-chunks", "small-batches"])
+def test_horizon_batches_equal_per_horizon_recursion_bit_for_bit(budget, monkeypatch):
+    # N = 1..7 on k = 2..4 states under the constant, a lag and the eigen
+    # twist; the small budgets make several horizon batches, one-horizon
+    # batches and row chunks of m_bold (k = 4, N = 7: 120 states, 4 rows a
+    # chunk at 2**12 bytes)
+    if budget is not None:
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", budget)
+    n = 13
+    for k in (2, 3, 4):
+        params = random_params(k, seed=30 + k)
+        _, w0 = simulate(params, 160, seed=k)
+        w = w0.shift(60)
+        tri = eigen_triple(params, w, t_lo=-10, t_hi=n + 30)
+        mu0 = np.linspace(1.0, 2.0, k)
+        for twist in (ConstantTwist(params.fk()), FiniteLagTwist(params, 2), tri.as_twist()):
+            for n_particles in range(1, 8):
+                init = mu0 / mu0.sum() if n_particles == 3 else None
+                want = per_horizon_moments(params, twist, n_particles, w, n, init)
+                rep = exact_moments(params, twist, n_particles, w, n, mu0=init)
+                label = (k, type(twist).__name__, n_particles)
+                assert np.array_equal(rep.log_first, want[0]), label
+                assert np.array_equal(rep.log_second, want[1]), label
 
 
 def test_single_particle_moments_reproduce_forward_recursion():

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from twistpf import twists
 from twistpf.filters import run_filter
-from twistpf.fkcore import q_apply_log
+from twistpf.fkcore import FiniteFK, logsumexp_bounded, q_apply_log
 
 from twistpf.models import (
     FiniteHMMParams,
@@ -417,35 +417,33 @@ def test_eigen_triple_convergence_errors_match_two_sweep_reference():
         "eigenfunction", "eigenfunction", "eigenmeasure"]
 
 
-class RecordingWindow(ObservationWindow):
-    """A window that records every observation index it is asked for."""
-
-    def __init__(self, window):
-        super().__init__(window.origin, window.values, _copy=False)
-        self.reads = []
-
-    def y(self, t, context=""):
-        self.reads.append(t)
-        return super().y(t, context)
-
-
 def test_eigen_sweeps_stop_at_the_evaluation_range(monkeypatch):
-    # the backward sweep runs from the right edge down to t_lo, one call per
-    # index, and the forward sweep reads from the left edge up to t_hi
-    calls = []
+    # the backward sweep runs from the right edge down to t_lo, one step (one
+    # logsumexp_bounded call, its row maxima within the bounds the sweep
+    # relies on) per index, and the forward sweep reads from the left edge up
+    # to t_hi; each sweep reads its potentials in one lookup, whose times are
+    # recorded in the order the sweep reads them
+    steps, reads = [], []
 
-    def counted(model, window, t, log_phi):
-        calls.append(t)
-        return q_apply_log(model, window, t, log_phi)
+    def counted(a, amax, axis=-1):
+        steps.append(a.shape)
+        assert (amax <= 0.0).all() and (amax >= np.log(1e-300)).all()
+        return logsumexp_bounded(a, amax, axis)
 
-    monkeypatch.setattr(twists, "q_apply_log", counted)
+    def recorded(self, window, t):
+        reads.append(np.asarray(t).tolist())
+        return log_g_grid(self, window, t)
+
+    log_g_grid = FiniteFK.log_g_grid
+    monkeypatch.setattr(twists, "logsumexp_bounded", counted)
+    monkeypatch.setattr(FiniteFK, "log_g_grid", recorded)
     params = acceptance_params()
     _, w0 = simulate(params, 300, seed=21)
     cases = [(w0.shift(80), {}), (w0.shift(80), {"t_lo": 0, "t_hi": 61}),
              (w0.shift(150).shift(-7), {"t_lo": -40, "t_hi": 40}), (w0, {})]
-    for base, kw in cases:
-        window = RecordingWindow(base)
-        calls.clear()
+    for window, kw in cases:
+        steps.clear()
+        reads.clear()
         tri = eigen_triple(params, window, **kw)
         if kw:
             assert (tri.t_lo, tri.t_hi) == (kw["t_lo"], kw["t_hi"])
@@ -453,9 +451,11 @@ def test_eigen_sweeps_stop_at_the_evaluation_range(monkeypatch):
             margin = window.length // 4
             assert (tri.t_lo, tri.t_hi) == (window.origin + margin, window.end - 1 - margin)
         backward = list(range(window.end - 1, tri.t_lo - 1, -1))
-        assert calls == backward and len(calls) == window.end - tri.t_lo, kw
-        assert window.reads[:len(backward)] == backward, kw
-        assert window.reads[len(backward):] == list(range(window.origin, tri.t_hi + 1)), kw
+        k = params.k
+        # the right edge steps row 0 alone, every later index both rows
+        assert steps == [(1, k, k)] + [(2, k, k)] * (len(backward) - 1), kw
+        assert len(steps) == window.end - tri.t_lo, kw
+        assert reads == [backward, list(range(window.origin, tri.t_hi + 1))], kw
 
 
 def per_t_lag_table(params, ell, window, t):
