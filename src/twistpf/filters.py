@@ -138,26 +138,33 @@ def _workspace(elements: int) -> Workspace:
 
 
 def _step_draws(streams, p: int, n: int, kind: str, move, twist, n_grid: int, ws: Workspace):
-    """The draws of step ``p``, made per replicate stream: the resampling
-    uniforms (None for SIS, which makes no RESAMPLE draw) and the mutation
-    noise, into ``ws``'s buffers, and in a twisted run the slot, its
-    ancestor's uniform and its move. The ``L = n_grid`` rows of a replicate
-    repeat its draws."""
+    """The draws of step ``p``, made per replicate stream into ``ws``'s
+    buffers: the resampling uniforms (None for SIS, which makes no RESAMPLE
+    draw), the mutation noise, and in a twisted run the slot, its ancestor's
+    uniform and its move, one of each per row. The ``L = n_grid`` rows of a
+    replicate repeat its draws."""
     n_rep = len(streams)
     u = None if kind == "sis" else ws.take("uniforms", (n_grid * n_rep, n))
     noise = ws.take("noise", (n_grid * n_rep, n))
-    slot = []
+    draws = [u, noise]
+    if kind == "twisted":
+        slots = ws.take("slots", (n_grid * n_rep, 1), np.intp)
+        u_anc = ws.take("u_anc", (n_grid * n_rep, 1))
+        z_move = ws.take("z_move", (n_grid * n_rep, 1))
+        draws += [slots, u_anc, z_move]
     for i, stream in enumerate(streams):
         if u is not None:
             stream.generator(p, RESAMPLE).random(out=u[i])
         move.noise(stream.generator(p, MUTATE), n, out=noise[i])
         if kind == "twisted":
             gen = stream.generator(p, TWIST)
-            slot.append((gen.integers(n), gen.random(1), twist.noise(gen, 1)))
-    if n_grid > 1:
-        for a in (noise,) if u is None else (u, noise):
-            a.reshape(n_grid, n_rep, n)[1:] = a[:n_rep]
-    return u, noise, *(np.array(c * n_grid) for c in zip(*slot))
+            slots[i] = gen.integers(n)
+            gen.random(out=u_anc[i])
+            twist.noise(gen, 1, out=z_move[i])
+    if n_grid > 1:  # a grid is twisted, so it makes every draw
+        for a in draws:
+            a.reshape(n_grid, n_rep, -1)[1:] = a[:n_rep]
+    return draws
 
 
 def _gather(pos: np.ndarray, anc: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -191,15 +198,16 @@ def _grid(kind, model, twist, window, n_steps) -> list:
 
 
 def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicates,
-               test_functions, initial, step=None) -> RunTrace:
+               test_functions, initial, step=None, on_step=None) -> RunTrace:
     """The step loop for one block of replicates; every array of the returned
     trace has a leading row axis. ``twist`` may be a grid (see :func:`_grid`)
     of ``L`` twists: row ``l * R + r`` is twist ``l`` on replicate ``r``.
     With ``step`` the test functions are evaluated at that step alone and the
     trace keeps only that step's column of ``log_z``, ``log_phi`` and
-    ``eta``, and of ``aux`` only SIS's chain log weights at that step. The
-    step's particle-sized temporaries live in the buffers of
-    :func:`_workspace`."""
+    ``eta``, and of ``aux`` only SIS's chain log weights at that step. With
+    ``on_step`` an SIS block calls ``on_step(p, lv)`` at each step ``p >= 1``
+    with its chains' log weights, and keeps none of them. The step's
+    particle-sized temporaries live in the buffers of :func:`_workspace`."""
     twisted, auxiliary, sis = kind == "twisted", kind == "apf", kind == "sis"
     grid = _grid(kind, model, twist, window, n_steps)
     twist = grid[0]
@@ -248,8 +256,10 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
                 est[name][:, p] = np.add.reduce(f * w, 1) / w_sum
 
     # SIS chains carry their log weights across steps; a study that names
-    # its step keeps that step's alone
-    chains = np.zeros((n_rows, n_steps + 1 if step is None else 1, n)) if sis else None
+    # its step keeps that step's alone, and one that reduces them as they
+    # come (on_step) keeps none
+    chains = (np.zeros((n_rows, n_steps + 1 if step is None else 1, n))
+              if sis and on_step is None else None)
     lv = -twist.log_psi(window, 0, pos) if auxiliary else np.zeros(shape) if sis else None
     _, w, w_sum = _logmeanexp(lv, ws) if est else (None,) * 3
     record(0, pos, w, w_sum)
@@ -278,13 +288,15 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
             slots, u_anc, z_move = slot_draws
             inc_q, w, _ = _logmeanexp(each("log_q_psi", t, pos, out=lw), ws)
             parent = pos[rows, ancestors(w, u_anc, ws)]
-            new[rows, slots[:, None]] = each("twisted_mutate", t, parent, z_move,
-                                             out=np.empty(parent.shape, new.dtype))
+            new[rows, slots] = each("twisted_mutate", t, parent, z_move,
+                                    out=np.empty(parent.shape, new.dtype))
             inc[:, p] = inc_q - _logmeanexp(each("log_psi", p, new, out=lw), ws)[0]
         elif auxiliary or sis:
             lpsi = twist.log_psi(window, p, new, out=ws.take("log_psi", shape))
             lv = np.negative(lpsi, out=lpsi) if auxiliary else np.subtract(lw, lpsi, out=lpsi)
-            if sis and (step is None or p == step):
+            if on_step is not None:
+                on_step(p, lv)
+            elif chains is not None and (step is None or p == step):
                 chains[:, p if step is None else 0] = lv
             # the terminal correction of an auxiliary run (at every p), the
             # mean chain weight of SIS
@@ -305,7 +317,7 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
         # copies, so no cut trace holds its block's whole arrays
         return RunTrace(n_steps, n_particles, log_z[:, step].copy(), log_phi[:, step].copy(),
                         {name: v[:, step].copy() for name, v in eta.items()},
-                        {"chain_log_weights": chains[:, 0]} if sis else {})
+                        {} if chains is None else {"chain_log_weights": chains[:, 0]})
     aux["final_positions"] = pos.copy()  # the clouds' buffers serve the next block
     if twisted:
         aux["log_z_standard"] = log_w
@@ -313,7 +325,8 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
         aux["log_mu0_weight"] = log_mu0_w
         aux.update({f"filter_est_{name}": est[name] for name in tf})
     elif sis:
-        aux["chain_log_weights"] = chains
+        if chains is not None:
+            aux["chain_log_weights"] = chains
         aux.update({f"selfnorm_{name}": est[name] for name in tf})
     return RunTrace(n_steps, n_particles, log_z, log_phi, eta, aux)
 
@@ -321,7 +334,7 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
 def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, window,
                      n_steps: int, n_particles: int, seed: int, replicates,
                      test_functions: dict | None = None, initial=None, workers: int = 1,
-                     step: int | None = None):
+                     step: int | None = None, on_step=None):
     """Yield one :class:`RunTrace` per block of the given replicate indices,
     in replicate order, with a leading replicate axis on every array; row
     ``i`` equals :func:`run_filter` on ``replicates[i]`` bit for bit.
@@ -332,6 +345,14 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
     ``aux`` (no clouds) but, for SIS, ``chain_log_weights`` at that step,
     ``(rows, n_particles)``; its rows equal column ``step`` of the full
     traces bit for bit. A worker cuts the traces before it sends them back.
+
+    A study that reduces SIS chain weights as the chains reach each step
+    passes ``on_step``: an SIS block then calls ``on_step(p, lv)`` at each
+    step ``p >= 1``, ``lv`` its chains' log weights, ``(rows,
+    n_particles)``, a view of the step buffers that the callback reads and
+    must not keep or write; the block allocates no chain weights and its
+    ``aux`` carries none. A callback runs in this process, so it needs
+    ``kind="sis"`` and ``workers=1`` (``ValueError`` otherwise).
 
     A block holds ``BLOCK_ELEMENTS // (L * n_particles)`` replicates (at
     least one), ``L = 1`` unless ``twist`` is a grid: for ``twisted``, a list
@@ -357,12 +378,15 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
         raise ValueError(f"workers must be at least 1, got {workers}")
     if step is not None and not 0 <= step <= n_steps:
         raise ValueError(f"step must lie in [0, {n_steps}], got {step}")
+    if on_step is not None and (kind != "sis" or workers > 1):
+        raise ValueError("on_step needs filter kind 'sis' and workers=1, "
+                         f"got {kind!r} and workers={workers}")
     n_grid = len(_grid(kind, model, twist, window, n_steps))
     reps = list(replicates)
     size = max(1, min(BLOCK_ELEMENTS // (n_grid * n_particles), -(-len(reps) // workers)))
     spans = [reps[lo : lo + size] for lo in range(0, len(reps), size)]
     run = partial(_run_block, kind, model, twist, window, n_steps, n_particles, seed,
-                  test_functions=test_functions, initial=initial, step=step)
+                  test_functions=test_functions, initial=initial, step=step, on_step=on_step)
     processes = min(workers, len(spans), os.cpu_count() or 1)
     if processes <= 1:
         yield from map(run, spans)

@@ -53,8 +53,10 @@ class FKModel:
         raise NotImplementedError("subclass must implement log_g")
 
     def noise(self, gen: np.random.Generator, size: int, out=None) -> np.ndarray:
-        """The draws one mutation of ``size`` particles consumes."""
-        return gen.random(size, out=out)
+        """The draws one mutation of ``size`` particles consumes, into ``out``
+        (of that size) when given; numpy then takes the shape from ``out``
+        instead of checking ``size`` against it, a fifth of a small call."""
+        return gen.random(size if out is None else None, out=out)
 
     def mutate(self, window, t: int, x, noise, out=None):
         """M_t(x, .) driven by ``noise`` (from :meth:`noise`), elementwise."""
@@ -170,7 +172,7 @@ class ARGaussianFK(FKModel):
         return self.mu0_mean + np.sqrt(self.mu0_var) * gen.standard_normal(size)
 
     def noise(self, gen, size: int, out=None) -> np.ndarray:
-        return gen.standard_normal(size, out=out)
+        return gen.standard_normal(size if out is None else None, out=out)
 
     def mutate(self, window, t: int, x, noise, out=None) -> np.ndarray:
         return np.add(self.a * np.asarray(x, dtype=float), np.sqrt(self.q) * noise, out=out)

@@ -101,18 +101,17 @@ def _replicates(config: ExperimentConfig, window, filter_kind: str, twists=None,
     The twists run as one grid: one engine pass, whose rows share each
     replicate's draws, on ``config.workers`` processes. A study that names
     its step gets only that column from the engine; no block boundary or
-    worker count changes a byte of the result.
+    worker count changes a byte of the result. SIS serves only a named step
+    (``unbiasedness``): its replicates are the chains of one run, which
+    share its stream, and the run keeps their weights at that step alone.
     """
     if twists is None:
         twists = [_build_twist(config, window, config.twist_spec, filter_kind)]
     particles = config.particles if particles is None else particles
     if filter_kind == "sis":
-        # one run whose chains are the replicates; they share its stream, and
-        # a study that names its step keeps that step's weights alone
-        return [(block.aux["chain_log_weights"][0].T, {}) for twist in twists
-                for block in replicate_blocks("sis", config.params.fk(), twist, window,
-                                              config.steps, config.replicates, config.seed,
-                                              [0], {}, step=step)]
+        (block,) = replicate_blocks("sis", config.params.fk(), twists[0], window, config.steps,
+                                    config.replicates, config.seed, [0], {}, step=step)
+        return [(block.aux["chain_log_weights"][0], {})]
     log_z, eta_at = [[] for _ in twists], [{} for _ in twists]
     for block in replicate_blocks(
         filter_kind, config.params.fk(), twists, window, config.steps, particles, config.seed,
@@ -133,28 +132,51 @@ def _logmeanexp_rows(mat: np.ndarray) -> np.ndarray:
     return m + np.log(np.mean(np.exp(mat - m[None, :]), axis=0))
 
 
+def _moment_rows(log_z: np.ndarray, log_ref: np.ndarray):
+    """For each row of an (h, R) contiguous matrix of log normalizers, the
+    relative second moment ``V`` around ``log_ref`` (h,), its standard error,
+    and ``log V`` in the log domain, which stays finite where ``V``
+    underflows to 0. Each row gives the bits it gives alone."""
+    r = log_z.shape[1]
+    x = 2.0 * (log_z - log_ref[:, None])
+    m = x.max(axis=1)
+    u = np.exp(x - m[:, None])
+    mean_u = u.mean(axis=1)
+    se_rel = u.std(axis=1, ddof=1) / np.sqrt(r) / mean_u if r > 1 else np.full(len(u), np.nan)
+    v = np.exp(m) * mean_u
+    return v, v * se_rel, m + np.log(mean_u)
+
+
 # bytes of one chunk of horizons the second-moment statistics reduce at once;
 # their temporaries are a few chunks, so a study's peak memory stays its own
 _STATS_BYTES = 1 << 18
 
 
 def _second_moment_stats(log_z: np.ndarray, log_ref: np.ndarray):
-    """For each horizon ``n >= 1`` of an (R, steps + 1) matrix of log
-    normalizers, the relative second moment around ``log_ref[n]`` and its
-    standard error. Horizons are reduced as the rows of contiguous
-    (horizons, R) chunks, each row giving the bits it gives alone."""
-    r = len(log_z)
-    span = max(1, _STATS_BYTES // (8 * r))
-    v, se = [], []
-    for lo in range(1, log_z.shape[1], span):
-        x = 2.0 * (np.ascontiguousarray(log_z[:, lo:lo + span].T) - log_ref[lo:lo + span, None])
-        m = x.max(axis=1)
-        u = np.exp(x - m[:, None])
-        mean_u = u.mean(axis=1)
-        se_rel = u.std(axis=1, ddof=1) / np.sqrt(r) / mean_u if r > 1 else np.full(len(u), np.nan)
-        v.append(np.exp(m) * mean_u)
-        se.append(v[-1] * se_rel)
-    return np.concatenate(v), np.concatenate(se)
+    """:func:`_moment_rows` for each horizon ``n >= 1`` of an (R, steps + 1)
+    matrix of log normalizers, around ``log_ref[n]``. Horizons are reduced as
+    the rows of contiguous (horizons, R) chunks."""
+    span = max(1, _STATS_BYTES // (8 * len(log_z)))
+    chunks = [_moment_rows(np.ascontiguousarray(log_z[:, lo:lo + span].T), log_ref[lo:lo + span])
+              for lo in range(1, log_z.shape[1], span)]
+    return tuple(np.concatenate(stat) for stat in zip(*chunks))
+
+
+def _sis_moment_stats(config: ExperimentConfig, window, twist, log_ref):
+    """:func:`_moment_rows` for each horizon ``n >= 1`` of an SIS run whose
+    chains are the replicates, reduced as the chains reach it: no step keeps
+    the chains' weights. Without an exact ``log_ref`` (stochastic volatility)
+    a horizon's reference is the log mean of its own chain weights."""
+    stats = np.empty((3, config.steps))
+
+    def reduce(p, lv):
+        ref = _logmeanexp_rows(lv[0][:, None]) if log_ref is None else log_ref[p:p + 1]
+        stats[:, p - 1:p] = _moment_rows(lv, ref)
+
+    for _ in replicate_blocks("sis", config.params.fk(), twist, window, config.steps,
+                              config.replicates, config.seed, [0], {}, on_step=reduce):
+        pass
+    return stats
 
 
 def _mean_ratio_stats(log_z_col: np.ndarray, log_ref: float):
@@ -300,16 +322,22 @@ def _variance_growth(config: ExperimentConfig, window) -> _Output:
     spec = config.twist_spec
     ells = _lag_grid(config) or [spec["ell"]]
     twists = [_build_twist(config, window, dict(spec, ell=e), config.filter_kind) for e in ells]
-    log_zs = [log_z for log_z, _ in _replicates(config, window, config.filter_kind, twists)]
     log_ref = _exact_log_z(config, window)
-    if log_ref is None:
-        log_ref = _logmeanexp_rows(np.concatenate(log_zs, axis=0))
+    if config.filter_kind == "sis":
+        stats = [_sis_moment_stats(config, window, twists[0], log_ref)]
+    else:
+        log_zs = [log_z for log_z, _ in _replicates(config, window, config.filter_kind, twists)]
+        if log_ref is None:
+            log_ref = _logmeanexp_rows(np.concatenate(log_zs, axis=0))
+        stats = [_second_moment_stats(log_z, log_ref) for log_z in log_zs]
     n_col = config.particles if config.filter_kind != "sis" else 1
     rows = []
-    for ell, log_z in zip(ells, log_zs):
-        v_hat, se_hat = _second_moment_stats(log_z, log_ref)
-        for n, v, se in zip(range(1, config.steps + 1), v_hat.tolist(), se_hat.tolist()):
-            rows.append([n, repr(v - 1.0), repr(float(np.log(v) / n)), repr(se), n_col, ell,
+    for ell, (v_hat, se_hat, log_v) in zip(ells, stats):
+        for n, v, se, lv in zip(range(1, config.steps + 1), v_hat.tolist(), se_hat.tolist(),
+                                log_v.tolist()):
+            # log V from V itself, but from the log domain where V underflows
+            log_v_n = float(np.log(v)) if v > 0.0 else lv
+            rows.append([n, repr(v - 1.0), repr(log_v_n / n), repr(se), n_col, ell,
                          config.filter_kind])
     return _Output({"": (["n", "v_hat_minus_1", "log_v_over_n", "se", "N", "ell", "filter"],
                          rows)})
@@ -425,7 +453,8 @@ run_simulate = Experiment("simulate", "path", "simulate a path and write t,x,y",
 run_single = Experiment("run", "runtrace", "one filter run; per-step trace CSV", _single)
 run_variance_growth = Experiment(
     "variance-growth", "variance_growth",
-    "relative second moment of the normalizer vs horizon", _variance_growth)
+    "relative second moment of the normalizer vs horizon", _variance_growth,
+    requires=(_at_least("steps", 1, "its first horizon is n = 1"),))
 run_clt_check = Experiment(
     "clt-check", "clt_check", "empirical vs exact asymptotic variances (finite models)",
     _clt_check, finite_only=True, requires=(_SPREAD,))

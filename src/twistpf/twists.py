@@ -91,7 +91,7 @@ class TwistFunction:
         raise NotImplementedError
 
     def noise(self, gen, size: int, out=None):
-        return gen.random(size, out=out)
+        return gen.random(size if out is None else None, out=out)
 
     def twisted_mutate(self, window, t: int, x, noise, out=None):
         raise NotImplementedError
@@ -300,7 +300,7 @@ class _GaussianQuadTwist(_LagTwist):
         return np.add(self.model.log_g(window, t, x), self._eval(mid, x), out=out)
 
     def noise(self, gen, size, out=None):
-        return gen.standard_normal(size, out=out)
+        return gen.standard_normal(size if out is None else None, out=out)
 
     def twisted_mutate(self, window, t, x, noise, out=None):
         c, d, _ = self._log_table(window, t + 1)

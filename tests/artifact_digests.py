@@ -3,11 +3,13 @@
     python tests/artifact_digests.py [--out DIR] [OTHER_TREE]
 
 runs every case of ``CASES`` through the ``twistpf`` command line of this
-checkout, each in its own output stem, and prints the sha256 of every file
-written (CSVs and manifests) and one digest of the whole set. With
-``OTHER_TREE``, the root of a second checkout, the same cases run on that
-tree's ``src/`` as well, and the script lists the files whose bytes differ;
-it exits 1 if any does. Each tree runs in its own process.
+checkout, each in its own output stem, and every script of ``DEMOS``, and
+prints the sha256 of every file written (CSVs and manifests) and of every
+demo's stdout, one digest of the set of files and one of the demos' stdout.
+With ``OTHER_TREE``, the root of a second checkout, the same cases and that
+tree's demos run on its ``src/`` as well, and the script lists the files
+whose bytes differ; it exits 1 if any does. Each tree runs in its own
+processes.
 
 The set: the configs under ``demos/configs`` (and ``bound`` on the oracle
 config); ``run`` and ``variance-growth`` for every filter kind on the finite
@@ -16,7 +18,8 @@ the stochastic volatility model; twisted lag grids; ``clt-check``,
 ``unbiasedness``, ``oracle-check`` and ``bound`` at lags 0-3 and ``exact_h``;
 ``simulate`` per model; and replicate studies on pools of two and three
 workers.
-Sizes are small: a tree takes a few seconds on two cores.
+Sizes are small: a tree's files take a few seconds on two cores, its demos
+about forty.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ TWISTS = {
 }
 MODELS = {"finite": FINITE, "lg": LG, "sv": SV}
 SIZES = {"steps": 8, "particles": 16, "replicates": 12, "seed": 5}
+# the scripts under demos/ whose stdout the set digests; written out, so the
+# coverage test notices a new one
+DEMOS = ("apf_fully_adapted.py", "bootstrap_vs_kalman.py", "clt_check.py",
+         "eigen_twist_finite.py", "sis_vs_bootstrap.py", "twisted_variance_growth.py")
 
 
 def _cases() -> list:
@@ -125,8 +132,9 @@ def write_set(out_dir: str) -> None:
             sys.exit(f"{command} {cfg['name']}: exit {code}")
 
 
-def digests(tree: str, out_dir: str) -> dict:
-    """sha256 of every artifact the set writes on ``tree``, by file name."""
+def digests(tree: str, out_dir: str) -> tuple:
+    """sha256 of every artifact the set writes on ``tree``, by file name, and
+    of the stdout of each of ``tree``'s demos, by script name."""
     src = os.path.join(tree, "src")
     env = dict(os.environ, PYTHONPATH=src)
     check = "import twistpf, sys; print(twistpf.__file__)"
@@ -141,7 +149,12 @@ def digests(tree: str, out_dir: str) -> dict:
     for name in sorted(os.listdir(art_dir)):
         with open(os.path.join(art_dir, name), "rb") as fh:
             out[name] = hashlib.sha256(fh.read()).hexdigest()
-    return out
+    demos = {}
+    for name in DEMOS:
+        stdout = subprocess.run([sys.executable, os.path.join(tree, "demos", name)], env=env,
+                                cwd=out_dir, check=True, capture_output=True).stdout
+        demos[f"demos/{name}"] = hashlib.sha256(stdout).hexdigest()
+    return out, demos
 
 
 def set_digest(files: dict) -> str:
@@ -162,12 +175,14 @@ def main(argv=None) -> int:
     if args.other:
         trees["other"] = os.path.abspath(args.other)
     results = {label: digests(tree, os.path.join(out, label)) for label, tree in trees.items()}
-    for name, digest in results["this"].items():
-        print(f"{digest}  {name}")
-    for label, files in results.items():
+    for files in results["this"]:
+        for name, digest in files.items():
+            print(f"{digest}  {name}")
+    for label, (files, demos) in results.items():
         print(f"set {set_digest(files)}  {len(files)} files  {trees[label]}")
+        print(f"demos {set_digest(demos)}  {len(demos)} stdouts  {trees[label]}")
     if args.other:
-        this, other = results["this"], results["other"]
+        this, other = ({**files, **demos} for files, demos in results.values())
         differ = sorted(n for n in set(this) | set(other) if this.get(n) != other.get(n))
         for name in differ:
             print(f"differs: {name}")

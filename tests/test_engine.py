@@ -259,6 +259,53 @@ def test_sis_matches_scalar_runs(case):
                 assert len(rows) == len(refs) and all(map(_same, rows, refs)), (n_steps, n)
 
 
+@pytest.mark.parametrize("case", SIS_CASES[:3], ids=[
+    f"{c[0]}-{type(c[3]).__name__ if c[3] else 'none'}" for c in SIS_CASES[:3]])
+def test_sis_on_step_passes_each_step_of_chain_weights_and_keeps_none(case):
+    # a study that reduces the chains' weights as they come sees, at each
+    # step, the rows the whole traces keep, in one reused buffer, and its
+    # blocks carry no chain weights and the same estimates otherwise
+    _, params, w, tw = case
+    model = params.fk()
+    n_steps, n, reps = 9, 37, [0, 5, 2]
+    (full,) = replicate_blocks("sis", model, tw, w, n_steps, n, 4, reps)
+    seen, buffers = {}, set()
+
+    def on_step(p, lv):
+        assert lv.shape == (len(reps), n)
+        buffers.add(lv.__array_interface__["data"][0])
+        seen[p] = lv.copy()
+
+    (block,) = replicate_blocks("sis", model, tw, w, n_steps, n, 4, reps, on_step=on_step)
+    assert sorted(seen) == list(range(1, n_steps + 1)) and len(buffers) == 1
+    for p, lv in seen.items():
+        assert np.array_equal(lv, full.aux["chain_log_weights"][:, p]), p
+    assert "chain_log_weights" not in block.aux
+    assert set(block.aux) == set(full.aux) - {"chain_log_weights"}
+    assert np.array_equal(block.log_z, full.log_z)
+    for name, arr in block.aux.items():
+        assert np.array_equal(arr, full.aux[name]), name
+
+
+def test_on_step_needs_sis_in_one_process(monkeypatch):
+    # a callback cannot run in a worker or see a resampled cloud's weights;
+    # either misuse fails before any block runs or any pool starts
+    _, params, w, tw = CASES[0]
+    model = params.fk()
+
+    def no_run(*args, **kw):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(filters, "_run_block", no_run)
+    monkeypatch.setattr(filters, "ProcessPoolExecutor", no_run)
+    for kind in ("bootstrap", "twisted", "apf"):
+        with pytest.raises(ValueError, match="on_step needs filter kind 'sis'"):
+            next(replicate_blocks(kind, model, tw, w, 4, 8, 1, range(3), on_step=print))
+    with pytest.raises(ValueError, match="workers=1"):
+        next(replicate_blocks("sis", model, tw, w, 4, 8, 1, range(3), workers=2,
+                              on_step=print))
+
+
 def test_block_size_never_changes_a_row(monkeypatch):
     _, params, w, tw = CASES[1]
     model = params.fk()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,14 @@ def test_spread_studies_need_two_replicates(tmp_path, run):
     cfg = finite_cfg(filter="twisted", steps=3, N_grid=[8], replicates=1)
     with pytest.raises(ConfigError, match="'replicates' must be >= 2"):
         run(cfg, str(tmp_path))
+
+
+@pytest.mark.parametrize("filter_kind", ["bootstrap", "sis"])
+def test_variance_growth_needs_a_horizon(tmp_path, filter_kind):
+    # at steps = 0 there is no horizon n >= 1: a ConfigError, not an empty
+    # table (SIS) or numpy's error on the empty reduction (the others)
+    with pytest.raises(ConfigError, match="'steps' must be >= 1 for variance-growth"):
+        run_variance_growth(finite_cfg(filter=filter_kind, steps=0), str(tmp_path))
 
 
 @pytest.mark.parametrize("cfg, field, run", [
@@ -769,6 +778,14 @@ def test_artifact_digest_set_covers_every_experiment_and_filter_kind():
     assert len(set(stems)) == len(stems)
 
 
+def test_artifact_digest_set_covers_every_demo():
+    # the set digests each demo's stdout; a new script under demos/ cannot be
+    # left out of it unnoticed (read, not run)
+    demo_dir = os.path.join(artifact_digests.ROOT, "demos")
+    assert set(artifact_digests.DEMOS) == {
+        os.path.basename(path) for path in glob.glob(os.path.join(demo_dir, "*.py"))}
+
+
 def test_second_moment_stats_match_the_per_column_loop():
     # variance-growth reduces chunks of horizons as the rows of contiguous
     # matrices; each row gives the bits the per-horizon reduction gave
@@ -776,8 +793,8 @@ def test_second_moment_stats_match_the_per_column_loop():
     for r in (2, 3, 32, 1000, 10_000):
         log_z = rng.normal(scale=3.0, size=(r, 41)).cumsum(axis=1)
         log_ref = rng.normal(size=41)
-        v, se = harness._second_moment_stats(log_z, log_ref)
-        assert v.shape == se.shape == (40,)
+        v, se, log_v = harness._second_moment_stats(log_z, log_ref)
+        assert v.shape == se.shape == log_v.shape == (40,)
         for n in range(1, 41):
             x = 2.0 * (log_z[:, n] - float(log_ref[n]))
             m = x.max()
@@ -786,3 +803,73 @@ def test_second_moment_stats_match_the_per_column_loop():
             want = float(np.exp(m) * mean_u)
             assert v[n - 1] == want, (r, n)
             assert se[n - 1] == want * float(u.std(ddof=1) / np.sqrt(u.size) / mean_u), (r, n)
+            assert log_v[n - 1] == m + np.log(mean_u), (r, n)
+
+
+SIS_MODELS = {
+    "lg": ({"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0}, {"kind": "lag", "ell": 1}),
+    "finite": (finite_cfg()["model"], {"kind": "constant"}),
+    "sv": ({"kind": "sv"}, {"kind": "sv_approx", "ell": 2}),
+}
+
+
+@pytest.mark.parametrize("model", SIS_MODELS)
+def test_streamed_sis_moments_equal_the_materialized_ones(model):
+    # SIS variance-growth reduces each horizon as the chains reach it; its
+    # statistics are those of the whole chain-weight trace, bit for bit, and
+    # so is the stochastic volatility reference, each horizon's log mean
+    # chain weight, which the whole trace's transpose reduces pairwise
+    spec, twist_spec = SIS_MODELS[model]
+    for chains in (2, 3, 37, 10_000):
+        cfg = {"model": spec, "filter": "sis", "twist": twist_spec, "steps": 12,
+               "particles": 8, "replicates": chains, "seed": 4}
+        config = load_config(cfg)
+        window = harness.draw_window(config.params, config.window_length, config.burn_in, 4)
+        twist = harness._build_twist(config, window, config.twist_spec, "sis")
+        log_ref = harness._exact_log_z(config, window)
+        assert (log_ref is None) == (model == "sv")
+        got = harness._sis_moment_stats(config, window, twist, log_ref)
+        whole = run_filter("sis", config.params.fk(), twist, window, 12, chains, 4,
+                           test_functions={})
+        log_w = whole.aux["chain_log_weights"].T
+        ref = harness._logmeanexp_rows(log_w) if log_ref is None else log_ref
+        want = harness._second_moment_stats(log_w, ref)
+        assert got.shape == (3, 12)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (model, chains)
+
+
+def _sis_lg_cfg(steps):
+    return {"model": SIS_MODELS["lg"][0], "filter": "sis", "steps": steps, "particles": 100,
+            "replicates": 10_000, "seed": 3, "window": {"length": steps + 10, "burn_in": 20}}
+
+
+def test_sis_variance_growth_keeps_no_chain_weights(tmp_path):
+    # 10^4 chains: a study keeps each step's statistics, not its chains'
+    # weights, so its traced peak (about 0.42 MB at 100 steps and 0.43 MB at
+    # 400 on numpy 2.x) does not grow with the horizon; the whole weight
+    # traces took 9.1 and 33.1 MB
+    run_variance_growth(_sis_lg_cfg(100), str(tmp_path))  # the step buffers, kept from here on
+    peaks = []
+    for steps in (100, 400):
+        tracemalloc.start()
+        try:
+            run_variance_growth(_sis_lg_cfg(steps), str(tmp_path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1_000_000, peaks
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_sis_variance_growth_rate_stays_finite_where_v_underflows(tmp_path):
+    # at 400 steps the relative second moment of 10^4 chains underflows to 0
+    # from some horizon on; its log is then taken in the log domain, with no
+    # divide-by-zero warning and no -inf in the table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_variance_growth(_sis_lg_cfg(400), str(tmp_path))
+    _, rows = read_csv(res.csv_path)
+    assert len(rows) == 400
+    assert any(float(row[1]) == -1.0 for row in rows)  # V underflowed
+    assert all(np.isfinite(float(row[2])) for row in rows)
