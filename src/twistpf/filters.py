@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -46,7 +45,7 @@ import numpy as np
 
 from .fkcore import FiniteFK, FKModel
 from .models import StochasticVolatilityFK
-from .resampling import Workspace, ancestors, weights_pass
+from .resampling import BLOCK_ELEMENTS, Workspace, ancestors, step_buffers, weights_pass
 from .rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
 from .twists import ConstantTwist, TwistFunction
 
@@ -83,34 +82,38 @@ class RunTrace:
         return self.eta[name] * np.exp(self.log_z)
 
 
+def _identity(x):
+    return np.asarray(x, dtype=float)
+
+
+def _is_zero(s):
+    return (np.asarray(s) == 0).astype(float)
+
+
+def _clipped(x):
+    return np.clip(np.asarray(x, dtype=float), -8.0, 8.0)
+
+
+def _is_nonpositive(x):
+    return (np.asarray(x) <= 0.0).astype(float)
+
+
 def default_test_functions(model: FKModel) -> dict:
-    """Bounded test functions registered by default."""
+    """Bounded test functions registered by default; module-level functions,
+    so a pooled study can pickle them."""
     if isinstance(model, FiniteFK):
-        return {
-            "id": lambda s: np.asarray(s, dtype=float),
-            "is0": lambda s: (np.asarray(s) == 0).astype(float),
-        }
+        return {"id": _identity, "is0": _is_zero}
     if isinstance(model, StochasticVolatilityFK):
-        return {
-            "id": lambda x: np.clip(np.asarray(x, dtype=float), -8.0, 8.0),
-            "neg": lambda x: (np.asarray(x) <= 0.0).astype(float),
-        }
-    return {
-        "id": lambda x: np.asarray(x, dtype=float),
-        "neg": lambda x: (np.asarray(x) <= 0.0).astype(float),
-    }
+        return {"id": _clipped, "neg": _is_nonpositive}
+    return {"id": _identity, "neg": _is_nonpositive}
 
 
-# particles x replicates per block: small clouds share each step's array calls
-# among many replicates, a cloud of over 2**13 particles runs alone
-BLOCK_ELEMENTS = 1 << 14
 # blocks per task of the process pool, at most: enough to hide a task's round
 # trip (one block per task ran a criterion-6 slice 1.4x slower), few enough
 # that the whole traces a task sends back stay small (2.5 MB at N = 10^4);
 # smaller studies get eight tasks per process, which load them evenly
 _TASK_BLOCKS = 16
 _KINDS = ("bootstrap", "twisted", "apf", "sis")
-_THREAD = threading.local()
 ProcessPoolExecutor = None  # concurrent.futures' class, once a pooled study has run
 
 
@@ -121,20 +124,6 @@ def _logmeanexp(v: np.ndarray, ws: Workspace):
     m, e = weights_pass(v, ws)
     s = np.add.reduce(e, axis=1)
     return m + np.array(list(map(math.log, (s / v.shape[1]).tolist()))), e, s
-
-
-def _workspace(elements: int) -> Workspace:
-    """The step buffers for a block of ``elements`` particles: this thread's
-    own, kept from call to call, for blocks within ``BLOCK_ELEMENTS`` (a few
-    MB at most); a larger block's, made for its run alone. Temporaries freed
-    every step, or buffers freed after every study, leave glibc to trim and
-    regrow the heap top or not by incidental layout, and a run's page
-    faults and time swing with it."""
-    if elements > BLOCK_ELEMENTS:
-        return Workspace()
-    if not hasattr(_THREAD, "workspace"):
-        _THREAD.workspace = Workspace()
-    return _THREAD.workspace
 
 
 def _step_draws(streams, p: int, n: int, kind: str, move, twist, n_grid: int, ws: Workspace):
@@ -207,7 +196,8 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     ``eta``, and of ``aux`` only SIS's chain log weights at that step. With
     ``on_step`` an SIS block calls ``on_step(p, lv)`` at each step ``p >= 1``
     with its chains' log weights, and keeps none of them. The step's
-    particle-sized temporaries live in the buffers of :func:`_workspace`."""
+    particle-sized temporaries live in the buffers of
+    :func:`~twistpf.resampling.step_buffers`."""
     twisted, auxiliary, sis = kind == "twisted", kind == "apf", kind == "sis"
     grid = _grid(kind, model, twist, window, n_steps)
     twist = grid[0]
@@ -216,11 +206,14 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
     n_grid, n = len(grid), n_particles
     n_rows = n_grid * len(streams)
     shape = (n_rows, n)
-    ws = _workspace(n_rows * n)
+    ws = step_buffers(n_rows * n)
     spans = [slice(i * len(streams), (i + 1) * len(streams)) for i in range(n_grid)]
 
     def each(method, t, *arrays, out):
-        # a twist method of every twist of the grid on its own rows of out
+        # a twist method of every twist of the grid on its own rows of out;
+        # a grid of one calls it once, on every row
+        if n_grid == 1:
+            return getattr(twist, method)(window, t, *arrays, out=out)
         for tw, span in zip(grid, spans):
             getattr(tw, method)(window, t, *(a[span] for a in arrays), out=out[span])
         return out
@@ -289,7 +282,7 @@ def _run_block(kind, model, twist, window, n_steps, n_particles, seed, replicate
             inc_q, w, _ = _logmeanexp(each("log_q_psi", t, pos, out=lw), ws)
             parent = pos[rows, ancestors(w, u_anc, ws)]
             new[rows, slots] = each("twisted_mutate", t, parent, z_move,
-                                    out=np.empty(parent.shape, new.dtype))
+                                    out=ws.take("slot_moved", parent.shape, new.dtype))
             inc[:, p] = inc_q - _logmeanexp(each("log_psi", p, new, out=lw), ws)[0]
         elif auxiliary or sis:
             lpsi = twist.log_psi(window, p, new, out=ws.take("log_psi", shape))
@@ -363,8 +356,10 @@ def replicate_blocks(kind: str, model: FKModel, twist: TwistFunction | None, win
 
     Every step of every block writes its particle-sized arrays (the log
     weights, their exponentials and CDF, the guide table, the ancestors, the
-    gathered and the moved clouds, the draws) into one set of buffers, the
-    running thread's (:func:`_workspace`), so a step allocates none.
+    gathered and the moved clouds, the draws, and the temporaries of the
+    models' and twists' formulas) into one set of buffers, the running
+    thread's (:func:`~twistpf.resampling.step_buffers`), so a step allocates
+    none.
 
     With ``workers > 1`` a block holds at most ``ceil(len(replicates) /
     workers)`` replicates, so small studies still use every worker, and the

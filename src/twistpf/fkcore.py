@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .resampling import cast_into, scratch
+
 __all__ = [
     "FKModel",
     "FiniteFK",
@@ -98,6 +100,8 @@ class FiniteFK(FKModel):
         self.trans_cdf = np.cumsum(trans, axis=1)
         self.trans_cdf[:, -1] = 1.0
         self.log_emit = np.log(emit)
+        for a in (self.log_trans, self.trans_cdf, self.log_emit):
+            a.flags.writeable = False
         self.k = k
 
     def log_g_grid(self, window, t) -> np.ndarray:
@@ -142,17 +146,24 @@ def categorical_counts(cdf, x, u, out=None) -> np.ndarray:
     """Categorical draws by table lookup: for each particle, the number of
     entries of its state's row ``cdf[x]`` (a ``k x k`` table of row CDFs)
     strictly below its uniform ``u``, into ``out`` when given. Each column is
-    gathered for all particles and its comparisons added to the counts, which
-    is much faster than reducing a short last axis of per-particle rows.
-    Every row ends at 1.0, which no uniform in [0, 1) exceeds, so the last
-    column is skipped."""
+    gathered for all particles and compared, and the comparisons are tallied,
+    which is much faster than reducing a short last axis of per-particle
+    rows. Every row ends at 1.0, which no uniform in [0, 1) exceeds, so the
+    last column is skipped. States must be in range.
+
+    The gathered column, its comparison and the tally are step buffers
+    (:func:`~twistpf.resampling.scratch`). The tally is of bytes, to which a
+    comparison adds with no cast (k - 1 <= 255 columns fit; more take 64-bit
+    integers), copied into the counts at the end."""
     assert (cdf[:, -1] == 1.0).all(), "every CDF row must end at 1.0"
     x = np.asarray(x, dtype=np.int64)
-    counts = np.empty(x.shape, dtype=np.int64) if out is None else out
-    counts.fill(0)
+    gathered, below = scratch("term", x), scratch("le", x, bool)
+    tally = scratch("tally", x, np.uint8 if len(cdf) <= 256 else np.int64)
+    tally.fill(0)
     for column in cdf.T[:-1]:
-        counts += column.take(x) < u
-    return counts
+        np.less(column.take(x, out=gathered, mode="clip"), u, out=below)
+        tally += below.view(np.uint8)
+    return tally.astype(np.int64) if out is None else cast_into(out, tally)
 
 
 class ARGaussianFK(FKModel):
@@ -175,7 +186,10 @@ class ARGaussianFK(FKModel):
         return gen.standard_normal(size if out is None else None, out=out)
 
     def mutate(self, window, t: int, x, noise, out=None) -> np.ndarray:
-        return np.add(self.a * np.asarray(x, dtype=float), np.sqrt(self.q) * noise, out=out)
+        # a x + sqrt(q) noise, the scaled noise in a step buffer
+        moved = np.multiply(self.a, np.asarray(x, dtype=float), out=out)
+        moved += np.multiply(np.sqrt(self.q), noise, out=scratch("term", noise))
+        return moved
 
 
 def q_apply_log(model: FiniteFK, window, t, log_phi) -> np.ndarray:

@@ -219,9 +219,9 @@ def _write_manifest(out_dir, stem: str, experiment: str, config: ExperimentConfi
     manifest = {"experiment": experiment, "config": config.raw, "seed": config.seed,
                 "version": __version__, "artifacts": list(artifacts), **(extra or {})}
     path = os.path.join(out_dir, f"{stem}_manifest.json")
+    # one write: json.dump would write the encoder's chunks one by one
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

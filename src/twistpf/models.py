@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fkcore import ARGaussianFK, FiniteFK
+from .resampling import scratch
 from .rng import SIMULATE, RngStream
 from .windows import ObservationWindow
 
@@ -86,6 +87,8 @@ class FiniteHMMParams:
 
     ``trans`` rows and ``mu0`` must be probability vectors; ``emit`` rows are
     per-state distributions over symbols and must be strictly positive.
+    The model is built, and so checked, once with the params; ``fk()``
+    returns that one model, whose tables are read-only.
     """
 
     mu0: np.ndarray
@@ -96,7 +99,7 @@ class FiniteHMMParams:
         object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float))
         object.__setattr__(self, "trans", np.asarray(self.trans, dtype=float))
         object.__setattr__(self, "emit", np.asarray(self.emit, dtype=float))
-        FiniteFK(self.mu0, self.trans, self.emit)  # validates
+        object.__setattr__(self, "_fk", FiniteFK(self.mu0, self.trans, self.emit))
 
     @property
     def k(self) -> int:
@@ -107,7 +110,7 @@ class FiniteHMMParams:
         return bool((self.trans > 0).all())
 
     def fk(self) -> FiniteFK:
-        return FiniteFK(self.mu0, self.trans, self.emit)
+        return self._fk
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,14 @@ class LinearGaussianFK(ARGaussianFK):
         self.params = params
 
     def log_g(self, window, t, x, out=None):
+        # -(log(2 pi r) + (y - x)^2 / r) / 2, every step into the result
         y = float(window.y(t, context="potential evaluation"))
-        x = np.asarray(x, dtype=float)
-        return np.multiply(-0.5, np.log(2.0 * np.pi * self.r_obs) + (y - x) ** 2 / self.r_obs,
-                           out=out)
+        v = np.subtract(y, np.asarray(x, dtype=float), out=out)
+        v *= v
+        v /= self.r_obs
+        v += np.log(2.0 * np.pi * self.r_obs)
+        v *= -0.5
+        return v
 
 
 class StochasticVolatilityFK(ARGaussianFK):
@@ -165,11 +172,18 @@ class StochasticVolatilityFK(ARGaussianFK):
         self.params = params
 
     def log_g(self, window, t, x, out=None):
+        # -(log(2 pi b^2) + x + y^2 exp(-x) / b^2) / 2, in that order, the
+        # exponential term in a step buffer
         y = float(window.y(t, context="potential evaluation"))
         x = np.asarray(x, dtype=float)
-        return np.multiply(
-            -0.5, np.log(2.0 * np.pi * self.obs_scale2) + x + y * y * np.exp(-x) / self.obs_scale2,
-            out=out)
+        term = np.negative(x, out=scratch("term", x))
+        np.exp(term, out=term)
+        np.multiply(y * y, term, out=term)
+        term /= self.obs_scale2
+        v = np.add(np.log(2.0 * np.pi * self.obs_scale2), x, out=out)
+        v += term
+        v *= -0.5
+        return v
 
 
 def simulate(params, n: int, seed: int, replicate: int = 0):

@@ -59,6 +59,7 @@ import numpy as np
 from .fkcore import (categorical_counts, count_at_or_below, logsumexp, logsumexp_bounded,
                      lookup, q_apply_log)
 from .models import FiniteHMMParams, LinearGaussianParams, SVParams
+from .resampling import scratch
 
 __all__ = [
     "TwistFunction",
@@ -151,26 +152,30 @@ def _q_rows(fk, window, ts, log_phi) -> np.ndarray:
     return out
 
 
-def _categorical_rows(logits: np.ndarray, x, u, out=None) -> np.ndarray:
-    """One categorical draw per uniform in ``u`` for a particle in state
-    ``x``, from the unnormalized log masses in row ``x`` of the ``k x k``
-    table ``logits``, into ``out`` when given. The CDF of each state's row is
-    built once per call."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    cdf = np.cumsum(p, axis=-1)
-    cdf /= cdf[..., -1:]
-    cdf[..., -1] = 1.0
-    return categorical_counts(cdf, x, u, out)
-
-
 class _FiniteTableTwist(TwistFunction):
     """A twist on the states ``0..k-1`` of a finite model (``self.model``),
     given per time by two log tables with a shared per-time constant:
     ``_log_table(window, t)``, log psi_t, and ``_log_table(window, t,
     q=True)``, log Q_t(psi_{t+1}). A subclass supplies both tables,
     ``_mu0_psi(window)`` (mu0 * psi_0 up to a constant factor) and
-    ``log_mu0_psi``."""
+    ``log_mu0_psi``.
+
+    What a window and a time decide is built on first use and kept for the
+    window (:meth:`_window_row`): the CDFs of the twisted kernel's rows at
+    ``t``, and of the twisted initial law; a twist keeps one window's rows,
+    as the lag twists keep their tables."""
+
+    _rows_window = None
+
+    def _window_row(self, window, key, build):
+        """Row ``key`` of ``window``, ``build()`` on its first use; met with
+        another window, the twist drops the last one's rows."""
+        if window is not self._rows_window:
+            self._rows_window, self._rows = window, {}
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = build()
+        return row
 
     def log_psi(self, window, t, x, out=None):
         return lookup(self._log_table(window, t), x, out)
@@ -179,14 +184,24 @@ class _FiniteTableTwist(TwistFunction):
         return lookup(self._log_table(window, t, q=True), x, out)
 
     def twisted_mutate(self, window, t, x, noise, out=None):
-        return _categorical_rows(self.model.log_trans + self._log_table(window, t + 1), x, noise,
-                                 out)
+        def build():
+            # per state, the CDF of M_t(x, z) psi_{t+1}(z) over z, normalized
+            logits = self.model.log_trans + self._log_table(window, t + 1)
+            cdf = np.cumsum(np.exp(logits - logits.max(axis=1, keepdims=True)), axis=1)
+            cdf /= cdf[:, -1:]
+            cdf[:, -1] = 1.0
+            return cdf
+
+        return categorical_counts(self._window_row(window, ("move", t), build), x, noise, out)
 
     def sample_twisted_initial(self, window, size, gen):
-        cdf = np.cumsum(self._mu0_psi(window))
-        cdf /= cdf[-1]
-        cdf[-1] = 1.0
-        return count_at_or_below(cdf, gen.random(size))
+        def build():
+            cdf = np.cumsum(self._mu0_psi(window))
+            cdf /= cdf[-1]
+            cdf[-1] = 1.0
+            return cdf
+
+        return count_at_or_below(self._window_row(window, "initial", build), gen.random(size))
 
 
 class _LagTwist(TwistFunction):
@@ -288,16 +303,23 @@ class _GaussianQuadTwist(_LagTwist):
 
     @staticmethod
     def _eval(quad, x, out=None):
+        # ((-c / 2) x) x + d x + e, the order of the formula, d x in a step buffer
         c, d, e = quad
         x = np.asarray(x, dtype=float)
-        return np.add(-0.5 * c * x * x + d * x, e, out=out)
+        v = np.multiply(-0.5 * c, x, out=out)
+        v *= x
+        v += np.multiply(d, x, out=scratch("term", x))
+        v += e
+        return v
 
     def log_psi(self, window, t, x, out=None):
         return self._eval(self._log_table(window, t), x, out)
 
     def log_q_psi(self, window, t, x, out=None):
         mid = self._log_table(window, t, q=True)
-        return np.add(self.model.log_g(window, t, x), self._eval(mid, x), out=out)
+        lg = self.model.log_g(window, t, x, out)
+        lg += self._eval(mid, x, scratch("quad_eval", lg))
+        return lg
 
     def noise(self, gen, size, out=None):
         return gen.standard_normal(size if out is None else None, out=out)
@@ -308,8 +330,13 @@ class _GaussianQuadTwist(_LagTwist):
         x = np.asarray(x, dtype=float)
         prec = c + 1.0 / q
         var = 1.0 / prec
-        mean = (a * x / q + d) * var
-        return np.add(mean, np.sqrt(var) * noise, out=out)
+        # (a x / q + d) var + sqrt(var) noise, the scaled noise in a step buffer
+        mean = np.multiply(a, x, out=out)
+        mean /= q
+        mean += d
+        mean *= var
+        mean += np.multiply(np.sqrt(var), noise, out=scratch("term", noise))
+        return mean
 
     def log_mu0_psi(self, window):
         c, d, e = self._log_table(window, 0)
@@ -563,8 +590,12 @@ class EigenTwist(_FiniteTableTwist):
     def _log_table(self, window, t, q=False):
         if not q:
             return self.triple.log_h[self._row(window, t)]
-        h = self.triple.h[self._row(window, t + 1)]
-        return self.model.log_g_grid(window, t) + np.log(self.model.trans @ h)
+
+        def build():
+            h = self.triple.h[self._row(window, t + 1)]
+            return self.model.log_g_grid(window, t) + np.log(self.model.trans @ h)
+
+        return self._window_row(window, ("q", t), build)
 
     def _mu0_psi(self, window):
         return self.params.mu0 * self.triple.h[self._row(window, 0)]

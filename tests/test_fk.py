@@ -149,6 +149,26 @@ def test_categorical_counts_skip_the_last_column():
         categorical_counts(cdf[:, :-1], x[:3], np.zeros(3))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 256, 257, 300])
+def test_categorical_counts_tally_any_number_of_states(k):
+    # the comparisons are tallied in bytes up to 256 states and in 64-bit
+    # integers beyond: the counts are the full comparison's either way, up
+    # to k - 1 where a uniform lies above every entry but the last
+    rng = np.random.default_rng(k)
+    cdf = np.cumsum(rng.random((k, k)), axis=1)
+    cdf /= cdf[:, -1:]
+    cdf[:, -1] = 1.0
+    cdf[0, :-1] = 0.0                       # state 0 always moves to k - 1
+    x = np.concatenate([np.zeros(5, np.int64), rng.integers(0, k, 300)])
+    u = rng.random(x.shape)
+    want = np.add.reduce(cdf[x] < u[:, None], axis=-1)
+    assert want[0] == k - 1
+    got = categorical_counts(cdf, x, u)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    out = np.empty(x.shape, dtype=np.int64)
+    assert categorical_counts(cdf, x, u, out) is out and np.array_equal(out, want)
+
+
 def test_count_at_or_below_is_searchsorted():
     # initial draws count the CDF entries at or below each uniform: the
     # index of a right-sided search, ties and the interval's ends included

@@ -268,3 +268,16 @@ def test_fk_builders_expose_model_dimensions():
         np.log(2 * np.pi * 0.63**2) + pts + (0.4 / 0.63) ** 2 * np.exp(-pts)
     )
     assert np.allclose(lg_dens, expect, atol=1e-12)
+
+
+def test_finite_params_build_one_read_only_model():
+    # fk() returns the model built, and checked, with the params; its tables
+    # and the ones derived from them cannot be written, so no caller can
+    # change what another reads
+    params = small_finite()
+    fk = params.fk()
+    assert params.fk() is fk
+    for name in ("mu0", "trans", "emit", "log_trans", "trans_cdf", "log_emit"):
+        table = getattr(fk, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5

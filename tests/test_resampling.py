@@ -130,23 +130,36 @@ def _weights(rng, kind, rows, n):
         lw = np.full((rows, n), -20.0)
         lw[np.arange(rows), rng.integers(0, n, rows)] = 0.0
         return lw
+    if kind == "flat-tail":                  # CDF entries at 1.0 well before the last
+        lw = rng.normal(size=(rows, n))
+        lw[:, (n + 1) // 2:] = -80.0         # each adds less than half an ulp of the sum
+        return lw
     raise AssertionError(kind)
 
 
-WEIGHT_KINDS = ("normal", "ties", "minus-inf", "subnormal", "one-heavy")
+WEIGHT_KINDS = ("normal", "ties", "minus-inf", "subnormal", "one-heavy", "flat-tail")
 
 
 @pytest.mark.parametrize("kind", WEIGHT_KINDS)
 def test_resample_rows_matches_per_row_search(kind):
     rng = np.random.default_rng(sum(map(ord, kind)))
-    for rows, n in ((1, 1), (3, 1), (1, 2), (5, 8), (1, 9), (40, 16), (7, 17), (200, 33),
-                    (1, 1024), (1, 1025), (2, 2000)):
+    for rows, n in ((1, 1), (3, 1), (1, 2), (1, 3), (5, 8), (1, 9), (40, 16), (7, 17),
+                    (1, 100), (200, 33), (1, 1024), (1, 1025), (2, 2000), (1, 10_000)):
         lw = _weights(rng, kind, rows, n)
         for count in (0, 1, 2, n, 3 * n + 1):
             u = _uniforms(rng, _cdf(lw), count)
             got = resample_rows(lw, u)
             assert got.dtype == np.int64 and got.shape == u.shape
             assert np.array_equal(got, _per_row_search(lw, u)), (rows, n, count)
+        if rows == 1:
+            # one row, one uniform (a twisted step's slot) is a bisection of
+            # the partial sums: CDF entries, the doubles just below them,
+            # both ends of [0, 1) and the doubles just below 1.0, where
+            # entries that round to 1.0 before the last one sit
+            ends = [0.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52]
+            for v in np.concatenate([_uniforms(rng, _cdf(lw), 300)[0], ends]):
+                u = np.array([[v]])
+                assert np.array_equal(resample_rows(lw, u), _per_row_search(lw, u)), (n, v)
 
 
 def test_resample_rows_one_heavy_row_dense_bin():
@@ -175,6 +188,23 @@ def test_resample_rows_rejects_uniforms_outside_unit_interval(count):
     u[0, 0] = 0.0
     idx = resample_rows(lw, u)
     assert idx[0, 0] == 0 and (idx[1] == 7).all()
+
+
+def test_workspace_gives_back_its_view_and_keeps_one_per_buffer():
+    # a repeated request gets the kept view itself; another shape gets a new
+    # view of the same buffer, a larger one a new buffer; a buffer keeps only
+    # its last view, and a name's dtypes are separate buffers
+    ws = Workspace()
+    a = ws.take("x", (2, 3))
+    assert ws.take("x", (2, 3)) is a and a.dtype == np.float64
+    b = ws.take("x", (3, 2))
+    assert b is not a and b.base is a.base and ws.take("x", (3, 2)) is b
+    c = ws.take("x", (4, 3))
+    assert c.base is not a.base and c.base.size == 12
+    assert ws.take("x", (2, 3)).base is c.base
+    d = ws.take("x", (2, 3), bool)
+    assert d.dtype == bool and d.base is not c.base
+    assert len(ws._views) == 2
 
 
 # ---------------------------------------------------------------------------

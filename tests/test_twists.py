@@ -9,7 +9,7 @@ from scipy import integrate
 
 from twistpf import twists
 from twistpf.filters import run_filter
-from twistpf.fkcore import FiniteFK, logsumexp_bounded, q_apply_log
+from twistpf.fkcore import FiniteFK, categorical_counts, logsumexp_bounded, q_apply_log
 
 from twistpf.models import (
     FiniteHMMParams,
@@ -21,6 +21,7 @@ from twistpf.models import (
 from twistpf.twists import (
     ConstantTwist,
     ConvergenceError,
+    EigenTwist,
     FiniteLagTwist,
     LinearGaussianLagTwist,
     StochasticVolatilityTwist,
@@ -720,3 +721,102 @@ def test_twist_memos_hold_one_window_at_a_time():
             assert np.array_equal(got.log_z, want.log_z)
             assert np.array_equal(got.log_phi, want.log_phi)
             assert all(np.array_equal(got.eta[n], want.eta[n]) for n in want.eta)
+
+
+def _fresh_row(twist, window, key):
+    """Row ``key`` of what a finite table twist keeps per window, built by
+    the expressions the twist builds it with, afresh."""
+    model = twist.model
+    if key == "initial":
+        cdf = np.cumsum(twist._mu0_psi(window))
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        return cdf
+    what, t = key
+    if what == "q":
+        h = twist.triple.h[twist._row(window, t + 1)]
+        return model.log_g_grid(window, t) + np.log(model.trans @ h)
+    logits = model.log_trans + twist.log_psi(window, t + 1, np.arange(model.k))
+    cdf = np.cumsum(np.exp(logits - logits.max(axis=-1, keepdims=True)), axis=-1)
+    cdf /= cdf[..., -1:]
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def test_finite_table_twist_rows_equal_fresh_ones_for_one_window():
+    # what a finite table twist keeps per window (its twisted kernel's row
+    # CDFs at each t, its twisted initial law's CDF and, for the eigen
+    # twist, the rows of log Q_t(h_{t+1})) equals the rows built afresh, bit
+    # for bit, and the moves drawn from them; a twist keeps the rows of the
+    # last window it met, and only those
+    params = finite_params()
+    _, w = simulate(params, 160, seed=21)
+    base = w.shift(60)
+    windows = [base, base.shift(3), ObservationWindow(base.origin, np.roll(base.values, 1))]
+    tri = eigen_triple(params, base, t_lo=-10, t_hi=40)
+    x = np.tile(np.arange(3), 5)
+    u = np.random.default_rng(3).random(x.size)
+    for twist in (tri.as_twist(), FiniteLagTwist(params, 2)):
+        for window in windows + windows[:1]:
+            for t in range(20):
+                moved = twist.twisted_mutate(window, t, x, u)
+                want = categorical_counts(_fresh_row(twist, window, ("move", t)), x, u)
+                assert np.array_equal(moved, want), (type(twist).__name__, t)
+                twist.log_q_psi(window, t, x)
+            twist.sample_twisted_initial(window, 5, np.random.default_rng(0))
+            keys = {("move", t) for t in range(20)} | {"initial"}
+            if isinstance(twist, EigenTwist):
+                keys |= {("q", t) for t in range(20)}
+            assert twist._rows_window is window and set(twist._rows) == keys
+            for key, row in twist._rows.items():
+                assert np.array_equal(row, _fresh_row(twist, window, key)), key
+
+
+@pytest.mark.parametrize("params", [
+    LinearGaussianParams(0.9, 1.0, 1.0),
+    LinearGaussianParams(-0.7, 0.3, 2.5, mu0_mean=0.4, mu0_var=2.0),
+    SVParams(),
+], ids=["lg", "lg-negative-a", "sv"])
+def test_gaussian_step_formulas_keep_their_bits_and_allocate_no_particle_array(params):
+    # the Gaussian potentials, moves and twist evaluations write through out
+    # and step buffers: each equals its formula as one expression, bit for
+    # bit, with and without out, and a warmed call into out allocates far
+    # less than one particle array (8 * 8192 bytes)
+    make = StochasticVolatilityTwist if isinstance(params, SVParams) else LinearGaussianLagTwist
+    model, twist = params.fk(), make(params, 2)
+    _, w = simulate(params, 20, seed=4)
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=3.0, size=(2, 4096))
+    noise = rng.standard_normal(x.shape)
+    t, a, q = 3, model.a, model.q
+    y = float(w.y(t))
+    if isinstance(params, SVParams):
+        b2 = model.obs_scale2
+        log_g = np.multiply(-0.5, np.log(2.0 * np.pi * b2) + x + y * y * np.exp(-x) / b2)
+    else:
+        r = params.r_obs
+        log_g = np.multiply(-0.5, np.log(2.0 * np.pi * r) + (y - x) ** 2 / r)
+    c0, d0, e0 = twist._log_table(w, t)
+    cm, dm, em = twist._log_table(w, t, q=True)
+    c, d, _ = twist._log_table(w, t + 1)
+    var = 1.0 / (c + 1.0 / q)
+    cases = [
+        (lambda out: model.log_g(w, t, x, out), log_g),
+        (lambda out: model.mutate(w, t, x, noise, out), np.add(a * x, np.sqrt(q) * noise)),
+        (lambda out: twist.log_psi(w, t, x, out), np.add(-0.5 * c0 * x * x + d0 * x, e0)),
+        (lambda out: twist.log_q_psi(w, t, x, out),
+         np.add(log_g, np.add(-0.5 * cm * x * x + dm * x, em))),
+        (lambda out: twist.twisted_mutate(w, t, x, noise, out),
+         np.add((a * x / q + d) * var, np.sqrt(var) * noise)),
+    ]
+    for i, (call, want) in enumerate(cases):
+        assert np.array_equal(call(None), want), i
+        out = np.empty_like(x)
+        assert call(out) is out and np.array_equal(out, want), i
+        tracemalloc.start()
+        try:
+            current = tracemalloc.get_traced_memory()[0]
+            call(out)
+            assert tracemalloc.get_traced_memory()[1] - current < 8 * 8192 // 8, i
+        finally:
+            tracemalloc.stop()
