@@ -30,7 +30,7 @@ _, window = simulate(params, n_steps + 2, seed=3)
 exact = finite_forward(params, window, n_steps)
 
 weights = {
-    "plain (bootstrap)": ConstantTwist(params.fk()),
+    "plain (bootstrap)": ConstantTwist(params),
     "fully adapted": FiniteLagTwist(params, 1),
     "two-step lookahead": FiniteLagTwist(params, 2),
 }
@@ -38,7 +38,7 @@ for name, weight in weights.items():
     ratios = np.empty(reps)
     for r in range(reps):
         trace = run_filter(
-            "apf", params.fk(), weight, window, n_steps, n_particles,
+            "apf", params, weight, window, n_steps, n_particles,
             seed=3, replicate=r, test_functions={},
         )
         ratios[r] = np.exp(trace.log_z[n_steps] - exact.log_z[n_steps])
@@ -52,7 +52,7 @@ print()
 print("all three cover 1 (unbiasedness); the lookahead weights cut the spread")
 
 # the 1/r-weighted cloud averages estimate the prediction filter
-trace = run_filter("apf", params.fk(), FiniteLagTwist(params, 1), window, n_steps, 20_000,
+trace = run_filter("apf", params, FiniteLagTwist(params, 1), window, n_steps, 20_000,
                    seed=3)
 est = trace.aux["filter_est_id"][n_steps]
 want = float(exact.pred[n_steps] @ np.arange(3))

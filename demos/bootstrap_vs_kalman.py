@@ -25,7 +25,7 @@ print(f"exact log Z_{n_steps} = {exact.log_z[n_steps]:.6f}")
 n_particles, reps = 200, 400
 estimates = np.empty(reps)
 for r in range(reps):
-    trace = run_filter("bootstrap", params.fk(), None, window, n_steps, n_particles, seed=1,
+    trace = run_filter("bootstrap", params, None, window, n_steps, n_particles, seed=1,
                        replicate=r)
     estimates[r] = trace.log_z[n_steps]
 
@@ -40,7 +40,7 @@ print(f"mean Z_hat / Z = {ratio.mean():.4f} +- {se:.4f}  (should cover 1)")
 
 # the per-step state estimates track the Kalman prediction means
 trace = run_filter(
-    "bootstrap", params.fk(), None, window, n_steps, 5000, seed=1,
+    "bootstrap", params, None, window, n_steps, 5000, seed=1,
     test_functions={"x": lambda v: np.asarray(v, dtype=float)},
 )
 worst = np.max(np.abs(trace.eta["x"] - exact.mean))

@@ -36,13 +36,13 @@ phi = np.arange(3, dtype=float)
 exact_eta = float(fwd.pred[n_steps] @ phi)
 tf = {"id": lambda v: np.asarray(v, dtype=float)}
 
-for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.as_twist())]:
+for name, twist in [("constant", ConstantTwist(params)), ("eigen", triple.as_twist())]:
     cv = exact_clt_variances(params, twist, phi, window, n_steps)
     eta = np.empty(reps)
     gam = np.empty(reps)
     for r in range(reps):
         trace = run_filter(
-            "twisted", params.fk(), twist, window, n_steps, n_particles,
+            "twisted", params, twist, window, n_steps, n_particles,
             seed=11, replicate=r, test_functions=tf,
         )
         scale = np.sqrt(n_particles)

@@ -41,14 +41,14 @@ print(f"exact (1/n) log Z_200:  {finite_forward(params, window, 200).log_z[200] 
 # 1. unbiasedness is exact, twisted or not: the first moment of the
 #    estimator on the 2-particle product chain equals Z to machine precision
 exact = finite_forward(params, window, n_steps).log_z
-for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.as_twist())]:
+for name, twist in [("constant", ConstantTwist(params)), ("eigen", triple.as_twist())]:
     rep = exact_moments(params, twist, 2, window, n_steps)
     gap = np.max(np.abs(rep.log_first - exact))
     print(f"{name:>8} twist: max |log E[Z_hat] - log Z| = {gap:.2e}")
 
 # 2. the second moment is what the twist changes: the growth rate of the
 #    relative second moment drops from ~1.6e-2 per step to ~0
-for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.as_twist())]:
+for name, twist in [("constant", ConstantTwist(params)), ("eigen", triple.as_twist())]:
     rep = exact_moments(params, twist, 2, window, 200)
     fit = fit_slope(rep.n, rep.log_v, n_lo=120, n_hi=200)
     print(f"{name:>8} twist: variance growth rate {fit.slope:+.2e} per step")
@@ -56,7 +56,7 @@ for name, twist in [("constant", ConstantTwist(params.fk())), ("eigen", triple.a
 # 3. with the eigenfunction the estimator is a deterministic function of the
 #    first and last particle cloud: log Z_tilde = sum log lambda
 #    + log mean h(start) - log mean h(end), run by run
-trace = run_filter("twisted", params.fk(), triple.as_twist(), window, n_steps, 8, seed=11)
+trace = run_filter("twisted", params, triple.as_twist(), window, n_steps, 8, seed=11)
 lam = float(np.sum(np.log(triple.lam[triple.row(0): triple.row(n_steps)])))
 h0 = np.log(triple.h[triple.row(0)][trace.aux["initial_positions"]].mean())
 hn = np.log(triple.h[triple.row(n_steps)][trace.aux["final_positions"]].mean())

@@ -26,7 +26,7 @@ log_z = finite_forward(params, window, n_max).log_z
 
 # SIS: one big run; every chain supplies a per-step running weight, so a
 # single call yields the relative second moment at every horizon at once.
-trace = run_filter("sis", params.fk(), None, window, n_max, 4000, seed=11)
+trace = run_filter("sis", params, None, window, n_max, 4000, seed=11)
 chain_lw = trace.aux["chain_log_weights"]          # (n_max + 1, n_chains)
 rel2_sis = np.array(
     [np.exp(2.0 * (chain_lw[n] - log_z[n])).mean() for n in range(n_max + 1)]
@@ -37,7 +37,7 @@ reps, n_particles = 400, 50
 lz = np.empty((reps, n_max + 1))
 for r in range(reps):
     lz[r] = run_filter(
-        "bootstrap", params.fk(), None, window, n_max, n_particles, seed=11, replicate=r
+        "bootstrap", params, None, window, n_max, n_particles, seed=11, replicate=r
     ).log_z
 rel2_boot = np.exp(2.0 * (lz - log_z)).mean(axis=0)
 

@@ -32,7 +32,7 @@ for ell in (0, 1, 2, 5):
     log_z = np.empty((reps, n_steps + 1))
     for r in range(reps):
         trace = run_filter(
-            "twisted", params.fk(), twist, window, n_steps, n_particles,
+            "twisted", params, twist, window, n_steps, n_particles,
             seed=12, replicate=r, test_functions={},
         )
         log_z[r] = trace.log_z

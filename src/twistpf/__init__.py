@@ -5,9 +5,12 @@ The library is organized in layers:
 
 - :mod:`twistpf.windows`, :mod:`twistpf.rng` -- observation indexing and
   counter-based random streams.
-- :mod:`twistpf.fkcore`, :mod:`twistpf.models` -- model interfaces, concrete
-  models (finite HMM, linear-Gaussian, stochastic volatility), and exact
-  references (forward recursion, Kalman).
+- :mod:`twistpf.fkcore` -- the model interface and the numeric kernels
+  (lookups, categorical draws, log-sum-exp) the models and twists share.
+- :mod:`twistpf.models` -- the models (finite HMM, linear-Gaussian,
+  stochastic volatility), each parameter class its own Feynman-Kac model,
+  checked once when built, and exact references (the finite operator,
+  forward recursion, Kalman).
 - :mod:`twistpf.twists` -- twist functions: constant, finite-lookahead,
   Gaussian and volatility approximations, and the time-varying
   eigenfunction with its convergence certificate.
@@ -23,7 +26,7 @@ The library is organized in layers:
 
 __version__ = "0.1.0"
 
-from .fkcore import FiniteFK, FKModel, q_apply_log
+from .fkcore import FKModel
 from .filters import RunTrace, default_test_functions, replicate_blocks, run_filter
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (
@@ -43,6 +46,7 @@ from .models import (
     SVParams,
     finite_forward,
     kalman_run,
+    q_apply_log,
     simulate,
 )
 from .oracle import (
@@ -76,7 +80,6 @@ __all__ = [
     "LookaheadError",
     "RngStream",
     "FKModel",
-    "FiniteFK",
     "q_apply_log",
     "LinearGaussianParams",
     "FiniteHMMParams",

@@ -23,8 +23,10 @@ _PARAMS = {"lg": LinearGaussianParams, "finite": FiniteHMMParams, "sv": SVParams
 _FIELDS = ("model", "filter", "twist", "steps", "particles", "replicates", "seed",
            "window", "workers", "name", "experiment", "ell_grid", "N_grid")
 _NESTED_FIELDS = {"twist": ("kind", "ell", "tol"), "window": ("length", "burn_in")}
-# integer fields and their lower bounds (None: any integer); the grids are
-# lists of such integers
+# integer fields and their lower bounds (None: any integer, the seed, which
+# the streams reduce modulo 2**64); a bounded field is a size, count or index
+# and must fit a signed 64-bit integer, as numpy's do. The grids are lists of
+# such integers
 _INTS = {"steps": 0, "particles": 1, "replicates": 1, "seed": None, "workers": 1,
          "twist.ell": 0, "window.length": 0, "window.burn_in": 0}
 _INT_LISTS = {"ell_grid": 0, "N_grid": 1}
@@ -74,6 +76,8 @@ def _check_int(value, field: str, low) -> None:
         raise ConfigError(f"config field '{field}' must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigError(f"config field '{field}' must be >= {low}")
+    if low is not None and value >= 2**63:
+        raise ConfigError(f"config field '{field}' must be < 2**63, a signed 64-bit integer")
 
 
 def _check_number(value, field: str) -> None:
@@ -132,8 +136,7 @@ def _build_params(cfg: dict):
         if f.default is MISSING:
             _need(cfg, f"model.{f.name}")
     try:
-        return cls(**{key: value if cls is FiniteHMMParams or value is None else float(value)
-                      for key, value in model.items() if key != "kind"})
+        return cls(**{key: value for key, value in model.items() if key != "kind"})
     except (TypeError, ValueError) as exc:
         # the model checks name the parameter they reject as their first word
         key = str(exc).split(" ", 1)[0]

@@ -43,8 +43,8 @@ from functools import partial
 
 import numpy as np
 
-from .fkcore import FiniteFK, FKModel
-from .models import StochasticVolatilityFK
+from .fkcore import FKModel
+from .models import FiniteHMMParams, SVParams
 from .resampling import BLOCK_ELEMENTS, Workspace, ancestors, step_buffers, weights_pass
 from .rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
 from .twists import ConstantTwist, TwistFunction
@@ -101,9 +101,9 @@ def _is_nonpositive(x):
 def default_test_functions(model: FKModel) -> dict:
     """Bounded test functions registered by default; module-level functions,
     so a pooled study can pickle them."""
-    if isinstance(model, FiniteFK):
+    if isinstance(model, FiniteHMMParams):
         return {"id": _identity, "is0": _is_zero}
-    if isinstance(model, StochasticVolatilityFK):
+    if isinstance(model, SVParams):
         return {"id": _clipped, "neg": _is_nonpositive}
     return {"id": _identity, "neg": _is_nonpositive}
 

@@ -1,4 +1,5 @@
-"""Core Feynman-Kac abstractions.
+"""Core Feynman-Kac abstractions: the model interface and the numeric
+kernels the models and twists share.
 
 A model couples an initial law ``mu0``, a mutation kernel ``M`` and a strictly
 positive potential ``G``, all indexed by absolute time through an observation
@@ -6,13 +7,11 @@ window. The one-step unnormalized operator is
 
     Q_t(phi)(x) = G_t(x) * integral M_t(x, dz) phi(z).
 
-For finite-state models it is evaluated exactly, in log domain, by
-``q_apply_log``; the exact references built on it (forward recursion, Kalman
-filter, eigenfunction sweeps) live in :mod:`twistpf.models` and
-:mod:`twistpf.twists`. A finite model's tables are checked once, when it is
-built, so the particle moves, the oracle and the eigen sweeps all read the
-same model: finite entries, ``mu0`` and the rows of ``trans`` probability
-vectors, ``emit`` strictly positive.
+The models themselves, and the exact references built on the operator
+(``q_apply_log`` on finite grids, forward recursion, Kalman filter,
+eigenfunction sweeps), live in :mod:`twistpf.models` and
+:mod:`twistpf.twists`. The kernels here are table lookups, categorical
+draws from row CDFs, and a log-sum-exp.
 """
 
 from __future__ import annotations
@@ -23,13 +22,8 @@ from .resampling import cast_into, scratch
 
 __all__ = [
     "FKModel",
-    "FiniteFK",
-    "ARGaussianFK",
-    "q_apply_log",
     "logsumexp",
 ]
-
-_PROB_TOL = 1e-12
 
 
 class FKModel:
@@ -47,6 +41,10 @@ class FKModel:
     into ``x`` or ``noise``.
     """
 
+    def fk(self) -> "FKModel":
+        """The model itself, for callers that build one from its parameters."""
+        return self
+
     def sample_initial(self, size: int, gen: np.random.Generator):
         raise NotImplementedError("subclass must implement sample_initial")
 
@@ -63,67 +61,6 @@ class FKModel:
     def mutate(self, window, t: int, x, noise, out=None):
         """M_t(x, .) driven by ``noise`` (from :meth:`noise`), elementwise."""
         raise NotImplementedError("subclass must implement mutate")
-
-
-class FiniteFK(FKModel):
-    """Finite-state model: categorical initial law, constant transition matrix,
-    potential given by an emission table indexed by the observed symbol.
-
-    Every check names the table it rejects (``mu0``, ``trans``, ``emit``) as
-    the first word of its ``ValueError``. All entries must be finite, since a
-    comparison with NaN is false and would pass the others."""
-
-    def __init__(self, mu0, trans, emit):
-        mu0 = np.asarray(mu0, dtype=float)
-        trans = np.asarray(trans, dtype=float)
-        emit = np.asarray(emit, dtype=float)
-        for name, table in (("mu0", mu0), ("trans", trans), ("emit", emit)):
-            if not np.isfinite(table).all():
-                raise ValueError(f"{name} entries must be finite numbers")
-        k = mu0.shape[0]
-        if trans.shape != (k, k):
-            raise ValueError(f"trans has shape {trans.shape}, need ({k}, {k})")
-        if emit.ndim != 2 or emit.shape[0] != k:
-            raise ValueError("emit must have one row per state")
-        if (emit <= 0).any():
-            raise ValueError("emit entries must be strictly positive")
-        if (trans < 0).any() or np.abs(trans.sum(axis=1) - 1.0).max() > _PROB_TOL:
-            raise ValueError("trans rows must be probability vectors")
-        if abs(mu0.sum() - 1.0) > _PROB_TOL or (mu0 < 0).any():
-            raise ValueError("mu0 must be a probability vector")
-        for a in (mu0, trans, emit):
-            a.flags.writeable = False
-        self.mu0 = mu0
-        self.trans = trans
-        self.emit = emit
-        self.log_trans = np.log(np.where(trans > 0, trans, 1e-300))
-        self.trans_cdf = np.cumsum(trans, axis=1)
-        self.trans_cdf[:, -1] = 1.0
-        self.log_emit = np.log(emit)
-        for a in (self.log_trans, self.trans_cdf, self.log_emit):
-            a.flags.writeable = False
-        self.k = k
-
-    def log_g_grid(self, window, t) -> np.ndarray:
-        """log G_t over the full state grid ``0..k-1``; for a 1-d integer
-        array of times, one such row per time."""
-        if isinstance(t, np.ndarray):
-            if t.size:
-                window.require(int(t.min()), int(t.max()), context="potential evaluation")
-            return self.log_emit.T[window.values[t - window.origin].astype(np.int64)]
-        y = int(window.y(t, context="potential evaluation"))
-        return self.log_emit[:, y]
-
-    def log_g(self, window, t: int, x, out=None):
-        return lookup(self.log_g_grid(window, t), x, out)
-
-    def sample_initial(self, size: int, gen) -> np.ndarray:
-        cdf = np.cumsum(self.mu0)
-        cdf[-1] = 1.0
-        return count_at_or_below(cdf, gen.random(size))
-
-    def mutate(self, window, t: int, x, noise, out=None) -> np.ndarray:
-        return categorical_counts(self.trans_cdf, x, noise, out)
 
 
 def lookup(table, x, out=None) -> np.ndarray:
@@ -164,44 +101,6 @@ def categorical_counts(cdf, x, u, out=None) -> np.ndarray:
         np.less(column.take(x, out=gathered, mode="clip"), u, out=below)
         tally += below.view(np.uint8)
     return tally.astype(np.int64) if out is None else cast_into(out, tally)
-
-
-class ARGaussianFK(FKModel):
-    """Scalar AR(1) state dynamics: X_{t+1} = a X_t + N(0, q)."""
-
-    def __init__(self, a, q, mu0_mean, mu0_var):
-        if not q > 0:
-            raise ValueError("state noise variance q must be > 0")
-        if not mu0_var > 0:
-            raise ValueError("initial variance must be > 0")
-        self.a = float(a)
-        self.q = float(q)
-        self.mu0_mean = float(mu0_mean)
-        self.mu0_var = float(mu0_var)
-
-    def sample_initial(self, size: int, gen) -> np.ndarray:
-        return self.mu0_mean + np.sqrt(self.mu0_var) * gen.standard_normal(size)
-
-    def noise(self, gen, size: int, out=None) -> np.ndarray:
-        return gen.standard_normal(size if out is None else None, out=out)
-
-    def mutate(self, window, t: int, x, noise, out=None) -> np.ndarray:
-        # a x + sqrt(q) noise, the scaled noise in a step buffer
-        moved = np.multiply(self.a, np.asarray(x, dtype=float), out=out)
-        moved += np.multiply(np.sqrt(self.q), noise, out=scratch("term", noise))
-        return moved
-
-
-def q_apply_log(model: FiniteFK, window, t, log_phi) -> np.ndarray:
-    """``log Q_t(exp(log_phi))`` on a finite grid, ``log G_t + log(M_t @ phi)``,
-    safe for long compositions. ``log_phi`` may hold several functions as
-    rows, shape (m, k), and ``t`` may then give one time per row, a 1-d array
-    of m times; each row gives the same bits it would on its own."""
-    if not isinstance(model, FiniteFK):
-        raise TypeError("q_apply_log is exact only for finite-state models")
-    log_phi = np.asarray(log_phi, dtype=float)
-    lt = model.log_trans + log_phi[..., None, :]
-    return model.log_g_grid(window, t) + logsumexp(lt, axis=-1)
 
 
 # a row max below this in magnitude keeps every shift a - amax within the float range

@@ -71,9 +71,19 @@ def _build_twist(config: ExperimentConfig, window, spec: dict, filter_kind="twis
     None for the bootstrap filter, which runs without one."""
     if filter_kind == "bootstrap":
         return None
-    if spec["kind"] == "exact_h":
+    if spec["kind"] != "exact_h":
+        return make_twist(config.params, spec)
+    try:
         return _eigen(config, window, spec["tol"]).as_twist()
-    return make_twist(config.params, spec)
+    except ConvergenceError as exc:
+        raise _short_margin(exc) from exc
+
+
+def _short_margin(exc: ConvergenceError) -> ConfigError:
+    """An eigen certificate's failure as the window field to widen."""
+    field = "window.burn_in" if exc.edge == "left" else "window.length"
+    return ConfigError(f"config field '{field}' leaves too short a margin for the eigen "
+                       f"elements: {exc}")
 
 
 def _lag_grid(config: ExperimentConfig):
@@ -109,12 +119,12 @@ def _replicates(config: ExperimentConfig, window, filter_kind: str, twists=None,
         twists = [_build_twist(config, window, config.twist_spec, filter_kind)]
     particles = config.particles if particles is None else particles
     if filter_kind == "sis":
-        (block,) = replicate_blocks("sis", config.params.fk(), twists[0], window, config.steps,
+        (block,) = replicate_blocks("sis", config.params, twists[0], window, config.steps,
                                     config.replicates, config.seed, [0], {}, step=step)
         return [(block.aux["chain_log_weights"][0], {})]
     log_z, eta_at = [[] for _ in twists], [{} for _ in twists]
     for block in replicate_blocks(
-        filter_kind, config.params.fk(), twists, window, config.steps, particles, config.seed,
+        filter_kind, config.params, twists, window, config.steps, particles, config.seed,
         range(config.replicates), None if eta else {}, workers=config.workers, step=step,
     ):
         size = len(block.log_z) // len(twists)  # the rows are twist-major
@@ -173,7 +183,7 @@ def _sis_moment_stats(config: ExperimentConfig, window, twist, log_ref):
         ref = _logmeanexp_rows(lv[0][:, None]) if log_ref is None else log_ref[p:p + 1]
         stats[:, p - 1:p] = _moment_rows(lv, ref)
 
-    for _ in replicate_blocks("sis", config.params.fk(), twist, window, config.steps,
+    for _ in replicate_blocks("sis", config.params, twist, window, config.steps,
                               config.replicates, config.seed, [0], {}, on_step=reduce):
         pass
     return stats
@@ -243,17 +253,22 @@ def _setup(source, experiment: Experiment):
                          window_length=window["length"], burn_in=window["burn_in"])
     if not experiment.windowed:
         return config, None
-    spec = config.twist_spec
-    need = config.steps + 1 + (0 if spec["kind"] == "exact_h" else spec["ell"])
+    lookahead = 0 if config.twist_spec["kind"] == "exact_h" else config.twist_spec["ell"]
+    need = config.steps + 1 + lookahead
     if config.window_length < need:
-        raise ConfigError(f"config field 'window.length' = {config.window_length} is too short: "
-                          f"steps + lookahead needs at least {need} observations")
+        raise ConfigError(f"config field 'window.length' = {config.window_length} is too short "
+                          f"for 'steps' = {config.steps} and 'twist.ell' = {lookahead}: "
+                          f"need at least {need} observations")
     grid = _lag_grid(config)
     if grid and config.window_length < config.steps + 1 + max(grid):
         raise ConfigError(f"config field 'ell_grid' = {grid} outruns the window: lag {max(grid)} "
                           f"needs window.length >= {config.steps + 1 + max(grid)}, "
                           f"got {config.window_length}")
-    return config, draw_window(config.params, config.window_length, config.burn_in, config.seed)
+    window = draw_window(config.params, config.window_length, config.burn_in, config.seed)
+    if not np.isfinite(window.values).all():
+        raise ConfigError(f"config field 'model': the observations drawn from {config.params!r} "
+                          "are not all finite; the parameters overflow float64")
+    return config, window
 
 
 @dataclass(frozen=True)
@@ -305,7 +320,7 @@ def _single(config: ExperimentConfig, window) -> _Output:
     twist = _build_twist(config, window, config.twist_spec, config.filter_kind)
     # the chains of an SIS run are its replicates
     n = config.replicates if config.filter_kind == "sis" else config.particles
-    trace = run_filter(config.filter_kind, config.params.fk(), twist, window, config.steps, n,
+    trace = run_filter(config.filter_kind, config.params, twist, window, config.steps, n,
                        config.seed)
     names = sorted(trace.eta)
     header = ["n", "log_Z", "log_phi", *(f"eta_phi_{n}" for n in names),
@@ -352,7 +367,7 @@ def _clt_check(config: ExperimentConfig, window) -> _Output:
     n, r = config.steps, config.replicates
     fwd = finite_forward(config.params, window, n)
     grid = np.arange(config.params.k)
-    tf = default_test_functions(config.params.fk())
+    tf = default_test_functions(config.params)
     phi_vecs = {name: np.asarray(tf[name](grid), dtype=float) for name in sorted(tf)}
     twist = _build_twist(config, window, config.twist_spec)
     exact = {name: exact_clt_variances(config.params, twist, vec, window, n)
@@ -391,8 +406,11 @@ def _unbiasedness(config: ExperimentConfig, window) -> _Output:
         mean_b, se_b = _mean_ratio_stats(ref, anchor)
         mean = mean_a / mean_b
         se = float(np.sqrt((se_a / mean_b) ** 2 + (mean_a * se_b / mean_b**2) ** 2))
-    z_score = abs(mean - 1.0) / se
-    ok = bool(z_score <= 4.0)
+    if se == 0.0:  # every ratio the same: no spread to judge the mean by
+        z_score = 0.0 if mean == 1.0 else math.inf
+    else:
+        z_score = abs(mean - 1.0) / se
+    ok = bool(se > 0.0 and z_score <= 4.0)
     spec = config.twist_spec
     row = [config.filter_kind, spec["kind"], spec["ell"], n, config.particles,
            config.replicates, repr(float(mean)), repr(float(se)), repr(float(z_score)), ok]
@@ -429,7 +447,10 @@ def _oracle_check(config: ExperimentConfig, window) -> _Output:
 def _bound(config: ExperimentConfig, window) -> _Output:
     """Discrepancy to the eigenfunction and growth-rate bound of the twist."""
     twist = _build_twist(config, window, config.twist_spec)
-    rep = _growth_bound(config, window, twist)
+    try:
+        rep = _growth_bound(config, window, twist)
+    except ConvergenceError as exc:
+        raise _short_margin(exc) from exc
     spec = config.twist_spec
     row = [repr(float(rep.d_sup)), repr(float(rep.bound)), config.particles, spec["kind"],
            spec["ell"]]
@@ -460,7 +481,8 @@ run_clt_check = Experiment(
     _clt_check, finite_only=True, requires=(_SPREAD,))
 run_unbiasedness = Experiment(
     "unbiasedness", "unbiasedness", "replicate-mean of the normalizer vs the exact value",
-    _unbiasedness, requires=(_SPREAD,))
+    _unbiasedness,
+    requires=(_SPREAD, _at_least("steps", 1, "at n = 0 every estimate is Z_0 = 1 exactly")))
 run_oracle_check = Experiment(
     "oracle-check", "oracle_check", "exact cloud-chain variance growth (finite models)",
     _oracle_check, finite_only=True, eigen_margins=True,
@@ -470,7 +492,8 @@ run_bound = Experiment(
     "bound", "bound", "twist discrepancy and growth-rate bound (finite models)", _bound,
     finite_only=True, eigen_margins=True,
     requires=(_at_least("particles", 2,
-                        "the bound log(1 + d_sup / (N - 1)) is undefined at N = 1"),))
+                        "the bound log(1 + d_sup / (N - 1)) is undefined at N = 1"),
+              _at_least("steps", 1, "its bound is taken over t = 1 .. steps")))
 
 _EXPERIMENTS = {e.name: e for e in (run_simulate, run_single, run_variance_growth,
                                     run_clt_check, run_unbiasedness, run_oracle_check,

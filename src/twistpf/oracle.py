@@ -154,7 +154,6 @@ def exact_moments(
     init = params.mu0 if mu0 is None else np.asarray(mu0, dtype=float)
     if init.shape != (params.k,) or abs(init.sum() - 1.0) > 1e-9 or (init < 0).any():
         raise ValueError("mu0 override must be a probability vector on the grid")
-    fk = params.fk()
     grid = np.arange(params.k)
     n_states = len(states)
     # m_bold is built in chunks of rows that fit _CHUNK_BYTES; when one
@@ -170,10 +169,10 @@ def exact_moments(
     for p0 in range(1, n_steps + 1, batch):
         ps = range(p0, min(p0 + batch, n_steps + 1))
         times = np.arange(p0 - 1, ps.stop - 1)
-        cg = counts * np.exp(fk.log_g_grid(window, times))[:, None, :]   # (B, S, k)
+        cg = counts * np.exp(params.log_g_grid(window, times))[:, None, :]   # (B, S, k)
         cg_sum = cg.sum(axis=2)
         g_bold = cg_sum / n_particles
-        mix = cg @ fk.trans / cg_sum[:, :, None]
+        mix = cg @ params.trans / cg_sum[:, :, None]
         lp = np.array([twist.log_psi(window, p, grid) for p in ps], dtype=float)
         psi = np.exp(lp - lp.max(axis=1, keepdims=True))[:, :, None]
         # the laws' factors before the step, and after it 1 and psi_bold at p
@@ -274,9 +273,8 @@ def exact_clt_variances(
         raise ValueError("phi must be a vector on the state grid")
     fwd = finite_forward(params, window, n_steps)
     eta = fwd.pred                                    # (n+1, k) prediction laws
-    fk = params.fk()
     grid = np.arange(params.k)
-    g = [np.exp(fk.log_g_grid(window, t)) for t in range(n_steps)]
+    g = [np.exp(params.log_g_grid(window, t)) for t in range(n_steps)]
     c = [float(eta[t] @ g[t]) for t in range(n_steps)]
 
     # normalized backward operators applied to phi and to phi - eta_n(phi)
@@ -286,8 +284,8 @@ def exact_clt_variances(
     w_cent[n_steps] = phi - eta_n_phi
     w_full[n_steps] = phi
     for t in range(n_steps - 1, -1, -1):
-        w_cent[t] = g[t] * (fk.trans @ w_cent[t + 1]) / c[t]
-        w_full[t] = g[t] * (fk.trans @ w_full[t + 1]) / c[t]
+        w_cent[t] = g[t] * (params.trans @ w_cent[t + 1]) / c[t]
+        w_full[t] = g[t] * (params.trans @ w_full[t + 1]) / c[t]
 
     sigma2 = 0.0
     varsigma2_rel = 0.0

@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["Workspace", "weights_pass", "ancestors", "resample_rows"]
+__all__ = ["Workspace", "weights_pass", "ancestors"]
 
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 # particles x replicates per block: small clouds share each step's array calls
@@ -76,11 +76,11 @@ def cast_into(out: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def weights_pass(log_weights: np.ndarray, ws: Workspace | None = None):
+def weights_pass(log_weights: np.ndarray, ws: Workspace):
     """The row max ``m`` of a block of log weights, ``(R, N)``, and the shifted
     exponentials ``exp(log_weights - m[:, None])``, written into ``ws``'s
-    ``"exp"`` buffer when one is given. One pass serves an estimator's log
-    mean exp and the resampling CDF (:func:`ancestors`).
+    ``"exp"`` buffer. One pass serves an estimator's log mean exp and the
+    resampling CDF (:func:`ancestors`).
 
     Every row needs a finite weight and none may be NaN (``ValueError``)."""
     m = np.maximum.reduce(log_weights, axis=1)  # NaN where a row has one
@@ -88,20 +88,19 @@ def weights_pass(log_weights: np.ndarray, ws: Workspace | None = None):
         if np.isnan(m).any():
             raise ValueError("log weights contain NaN")
         raise ValueError("every row needs at least one finite log weight")
-    e = np.subtract(log_weights, m[:, None],
-                    out=None if ws is None else ws.take("exp", log_weights.shape))
+    e = np.subtract(log_weights, m[:, None], out=ws.take("exp", log_weights.shape))
     return m, np.exp(e, out=e)
 
 
-def ancestors(exps: np.ndarray, uniforms: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def ancestors(exps: np.ndarray, uniforms: np.ndarray, ws: Workspace) -> np.ndarray:
     """Ancestor indices from the shifted exponentials of :func:`weights_pass`,
     which are overwritten (with the row CDFs, or with their partial sums for
     one row and one uniform): row ``r`` maps the uniforms ``uniforms[r]``
     through the normalized CDF of ``exps[r]``, and each index is the number
     of CDF entries at or below its uniform (``searchsorted(side="right")``).
-    Every uniform must lie in [0, 1) (``ValueError``). With ``ws`` the
-    indices and every temporary live in its buffers, the indices in
-    ``"anc"`` (one uniform per row: a new array).
+    Every uniform must lie in [0, 1) (``ValueError``). The indices and every
+    temporary live in ``ws``'s buffers, the indices in ``"anc"`` (one
+    uniform per row: a new array).
 
     One row and one uniform, a twisted step's slot: the partial sums ``S``
     are bisected for the count of ``i < N - 1`` with ``S[i] / S[-1] <= u``.
@@ -121,7 +120,6 @@ def ancestors(exps: np.ndarray, uniforms: np.ndarray, ws: Workspace | None = Non
     # above it. One reduction, not a min and a max.
     if np.maximum.reduce(uniforms.view(np.uint64), axis=None, initial=0) >= _ONE_BITS:
         raise ValueError("resampling uniforms must lie in [0, 1)")
-    ws = Workspace() if ws is None else ws
     cdf = np.add.accumulate(exps, axis=1, out=exps)
     if uniforms.size == 1:
         # the count of i < N - 1 with S[i] / S[-1] <= u, by bisection (the
@@ -137,15 +135,6 @@ def ancestors(exps: np.ndarray, uniforms: np.ndarray, ws: Workspace | None = Non
         below = np.less_equal(cdf, uniforms, out=ws.take("le", cdf.shape, bool))
         return np.add.reduce(below, axis=1, keepdims=True)
     return _guide_table_search(cdf, uniforms, ws)
-
-
-def resample_rows(log_weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Ancestor indices for a block of clouds: :func:`weights_pass` then
-    :func:`ancestors`, the particle step's own two calls. The weights are
-    normalized after subtracting the row max, so a common additive constant
-    in a row cancels."""
-    _, exps = weights_pass(log_weights)
-    return ancestors(exps, np.asarray(uniforms, dtype=np.float64))
 
 
 def _guide_table_search(cdf: np.ndarray, uniforms: np.ndarray, ws: Workspace) -> np.ndarray:

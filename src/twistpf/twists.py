@@ -56,9 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fkcore import (categorical_counts, count_at_or_below, logsumexp, logsumexp_bounded,
-                     lookup, q_apply_log)
-from .models import FiniteHMMParams, LinearGaussianParams, SVParams
+from .fkcore import categorical_counts, count_at_or_below, logsumexp, logsumexp_bounded, lookup
+from .models import FiniteHMMParams, LinearGaussianParams, SVParams, q_apply_log
 from .resampling import scratch
 
 __all__ = [
@@ -77,7 +76,12 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    pass
+    """An eigen certificate failed on its window; ``edge`` is the window edge
+    to extend, ``"left"`` or ``"right"``."""
+
+    def __init__(self, message: str, edge: str | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class TwistFunction:
@@ -142,13 +146,13 @@ class ConstantTwist(TwistFunction):
 _TABLE_BYTES = 4 << 20
 
 
-def _q_rows(fk, window, ts, log_phi) -> np.ndarray:
+def _q_rows(model, window, ts, log_phi) -> np.ndarray:
     """``q_apply_log`` with one time of ``ts`` per row of ``log_phi``, in
     chunks of rows whose temporaries fit ``_TABLE_BYTES``."""
-    step = max(1, _TABLE_BYTES // (8 * fk.k * fk.k))
+    step = max(1, _TABLE_BYTES // (8 * model.k * model.k))
     out = np.empty_like(log_phi)
     for lo in range(0, len(ts), step):
-        out[lo:lo + step] = q_apply_log(fk, window, ts[lo:lo + step], log_phi[lo:lo + step])
+        out[lo:lo + step] = q_apply_log(model, window, ts[lo:lo + step], log_phi[lo:lo + step])
     return out
 
 
@@ -220,11 +224,10 @@ class _LagTwist(TwistFunction):
     of psi_t from those of psi_{t+1}, reading observations ``ts``) and
     ``_up(window, ts, rows)`` (the rows of Q_t(psi_{t+1}))."""
 
-    def __init__(self, params, ell: int):
+    def __init__(self, model, ell: int):
         if ell < 0:
             raise ValueError("lag must be >= 0")
-        self.params = params
-        self.model = params.fk()
+        self.model = model
         self.ell = self.lookahead = int(ell)
         self._window = self._tables = None
 
@@ -257,7 +260,7 @@ class FiniteLagTwist(_LagTwist, _FiniteTableTwist):
     index."""
 
     def _flat(self):
-        return np.zeros(self.params.k)
+        return np.zeros(self.model.k)
 
     def _back(self, window, ts, psi):
         psi = _q_rows(self.model, window, ts, psi)
@@ -267,11 +270,11 @@ class FiniteLagTwist(_LagTwist, _FiniteTableTwist):
         return _q_rows(self.model, window, ts, psi)
 
     def _mu0_psi(self, window):
-        logits = np.log(self.params.mu0) + self._log_table(window, 0)
+        logits = np.log(self.model.mu0) + self._log_table(window, 0)
         return np.exp(logits - logits.max())
 
     def log_mu0_psi(self, window):
-        return float(logsumexp(np.log(self.params.mu0) + self._log_table(window, 0)))
+        return float(logsumexp(np.log(self.model.mu0) + self._log_table(window, 0)))
 
 
 class _GaussianQuadTwist(_LagTwist):
@@ -340,7 +343,7 @@ class _GaussianQuadTwist(_LagTwist):
 
     def log_mu0_psi(self, window):
         c, d, e = self._log_table(window, 0)
-        m0, v0 = self.model.mu0_mean, self.model.mu0_var
+        m0, v0 = self.model.mu0_mean, self.model.init_var
         big_a = c + 1.0 / v0
         big_b = m0 / v0 + d
         return float(
@@ -350,7 +353,7 @@ class _GaussianQuadTwist(_LagTwist):
 
     def sample_twisted_initial(self, window, size, gen):
         c, d, _ = self._log_table(window, 0)
-        m0, v0 = self.model.mu0_mean, self.model.mu0_var
+        m0, v0 = self.model.mu0_mean, self.model.init_var
         prec = c + 1.0 / v0
         var = 1.0 / prec
         mean = (m0 / v0 + d) * var
@@ -362,7 +365,7 @@ class LinearGaussianLagTwist(_GaussianQuadTwist):
     likelihood of the next ``ell`` observations given the current state."""
 
     def _obs_quad(self, y):
-        r = self.params.r_obs
+        r = self.model.r_obs
         return 1.0 / r, y / r, -y * y / (2.0 * r) - 0.5 * np.log(2.0 * np.pi * r)
 
 
@@ -464,7 +467,6 @@ def eigen_triple(
             "guaranteed to converge",
             stacklevel=2,
         )
-    fk = params.fk()
     o, e_idx = window.origin, window.end
     length = window.length
     if t_lo is None:
@@ -486,12 +488,12 @@ def eigen_triple(
     # Their row maxima lie in [log 1e-300, 0], since log_trans does and u is
     # max-centered (its max is 0), so logsumexp's bound check is skipped.
     # back[t - t_lo] holds both rows of log u_t.
-    log_g_back = fk.log_g_grid(window, np.arange(e_idx - 1, t_lo - 1, -1))
+    log_g_back = params.log_g_grid(window, np.arange(e_idx - 1, t_lo - 1, -1))
     back = np.empty((e_idx - t_lo, 2, k))
     terms = np.empty((2, k, k))
 
     def q_step(i, u, out):
-        lt = np.add(fk.log_trans, u[:, None, :], out=terms[:len(u)])
+        lt = np.add(params.log_trans, u[:, None, :], out=terms[:len(u)])
         lse = logsumexp_bounded(lt, np.maximum.reduce(lt, -1, None, None, True))
         np.add(log_g_back[i], lse, out=out)
         out -= np.maximum.reduce(out, 1, None, None, True)
@@ -505,14 +507,14 @@ def eigen_triple(
         raise ConvergenceError(
             f"eigenfunction not converged on [{t_lo}, {t_hi}]: certificate "
             f"{gap_h:.3e} > tol {tol:.3e}; extend the window right edge beyond "
-            f"index {e_idx - 1}"
+            f"index {e_idx - 1}", edge="right"
         )
 
     # two forward sweeps as one (2, k) block, from the left edge up to t_hi:
     # row 0 from the uniform law, row 1 from a law nearly all on state 0.
     # The potentials are read and exponentiated once; fwd[t - o] holds both
     # rows of eta_t, and a step is one vector-matrix product per row
-    g = np.exp(fk.log_g_grid(window, np.arange(o, t_hi + 1)))
+    g = np.exp(params.log_g_grid(window, np.arange(o, t_hi + 1)))
     inner = slice(t_lo - o, t_hi - o + 1)
     init_b = np.full(k, 1e-12)
     init_b[0] = 1.0
@@ -523,14 +525,14 @@ def eigen_triple(
     w_rows, p_rows = w[:, 0], p[:, 0]
     for i in range(t_hi - o):
         np.multiply(fwd[i], g[i], out=w_rows)
-        np.matmul(w, fk.trans, out=p)
+        np.matmul(w, params.trans, out=p)
         np.divide(p_rows, np.add.reduce(p, 2), out=fwd[i + 1])
     gap_eta = _centered_gap(np.log(fwd[inner, 0]), np.log(fwd[inner, 1]))
     if gap_eta > tol:
         raise ConvergenceError(
             f"eigenmeasure not converged on [{t_lo}, {t_hi}]: certificate "
             f"{gap_eta:.3e} > tol {tol:.3e}; extend the window left edge below "
-            f"index {o}"
+            f"index {o}", edge="left"
         )
 
     # per-row dot products as stacked (1, k) @ (k, 1) products, so every row
@@ -543,8 +545,8 @@ def eigen_triple(
     lam = (eta[:, None, :] @ g[:, :, None])[:, 0, 0]
 
     # residuals of the defining identities, measured on the interior
-    qh = g[:-1] * (fk.trans @ h[1:, :, None])[:, :, 0]
-    flow = ((eta[:-1] * g[:-1])[:, None, :] @ fk.trans)[:, 0]
+    qh = g[:-1] * (params.trans @ h[1:, :, None])[:, :, 0]
+    flow = ((eta[:-1] * g[:-1])[:, None, :] @ params.trans)[:, 0]
     res_func = float(np.abs(qh - lam[:-1, None] * h[:-1]).max(initial=0.0))
     res_meas = float(np.abs(flow - lam[:-1, None] * eta[1:]).max(initial=0.0))
     res_norm = float(np.abs((eta * h).sum(axis=1) - 1.0).max())
@@ -579,8 +581,7 @@ class EigenTwist(_FiniteTableTwist):
     """
 
     def __init__(self, triple: EigenTriple):
-        self.params = triple.params
-        self.model = triple.params.fk()
+        self.model = triple.params
         self.triple = triple
 
     def _row(self, window, t: int) -> int:
@@ -598,10 +599,10 @@ class EigenTwist(_FiniteTableTwist):
         return self._window_row(window, ("q", t), build)
 
     def _mu0_psi(self, window):
-        return self.params.mu0 * self.triple.h[self._row(window, 0)]
+        return self.model.mu0 * self.triple.h[self._row(window, 0)]
 
     def log_mu0_psi(self, window):
-        return float(np.log(self.params.mu0 @ self.triple.h[self._row(window, 0)]))
+        return float(np.log(self.model.mu0 @ self.triple.h[self._row(window, 0)]))
 
 
 # the twist kinds each model has
@@ -628,7 +629,7 @@ def make_twist(params, spec: dict) -> TwistFunction:
                          "eigen_triple(params, window, ...).as_twist()")
     ell = int(spec.get("ell", 0))
     if kind == "constant":
-        return ConstantTwist(params.fk())
+        return ConstantTwist(params)
     if kind == "sv_approx":
         return StochasticVolatilityTwist(params, ell)
     lag = FiniteLagTwist if isinstance(params, FiniteHMMParams) else LinearGaussianLagTwist

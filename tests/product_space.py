@@ -29,10 +29,9 @@ def product_kernels(params, twist, n_particles, window, t):
     kernel of the twisted run.
     """
     states = product_states(params.k, n_particles)
-    fk = params.fk()
-    g = np.exp(fk.log_g_grid(window, t))[states]                  # (S, N)
+    g = np.exp(params.log_g_grid(window, t))[states]              # (S, N)
     g_bold = g.mean(axis=1)
-    mix = (g[:, :, None] * fk.trans[states]).sum(axis=1) / g.sum(axis=1)[:, None]
+    mix = (g[:, :, None] * params.trans[states]).sum(axis=1) / g.sum(axis=1)[:, None]
     m_bold = mix[:, states].prod(axis=2)                          # (S, S)
     lp = twist.log_psi(window, t + 1, np.arange(params.k))
     psi_bold = np.exp(lp - lp.max())[states].mean(axis=1)

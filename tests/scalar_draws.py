@@ -2,12 +2,23 @@
 
 The package draws each step's noise per replicate stream and transforms whole
 blocks of clouds at once. These are the per-generator forms the reference
-loops in the tests are written in: a 1-d cloud, its draws taken from ``gen``.
+loops in the tests are written in: a 1-d cloud, its draws taken from ``gen``;
+and ``resample_rows``, a block's resampling as the particle step makes it.
 """
 
 import numpy as np
 
-from twistpf.resampling import resample_rows
+from twistpf.resampling import Workspace, ancestors, weights_pass
+
+
+def resample_rows(log_weights, uniforms):
+    """Ancestor indices for a block of clouds: :func:`weights_pass` then
+    :func:`ancestors`, the particle step's own two calls, in a workspace of
+    their own. The weights are normalized after subtracting the row max, so
+    a common additive constant in a row cancels."""
+    ws = Workspace()
+    _, exps = weights_pass(log_weights, ws)
+    return ancestors(exps, np.asarray(uniforms, dtype=np.float64), ws)
 
 
 def multinomial_resample(log_weights, count, gen):

@@ -110,7 +110,7 @@ def test_criterion_01_exact_mean_identity():
     exact = finite_forward(params, w, n).log_z
     tri = eigen_triple(params, w, t_lo=-10, t_hi=n + 40)
     twists = {
-        "constant": ConstantTwist(params.fk()),
+        "constant": ConstantTwist(params),
         "lag-1": FiniteLagTwist(params, 1),
         "lag-2": FiniteLagTwist(params, 2),
         "exact-h": tri.as_twist(),
@@ -137,7 +137,7 @@ def test_criterion_02_eigen_twist_flat_variance():
     w = w0.shift(80)
     tri = eigen_triple(params, w, t_lo=-10, t_hi=220)
     rep_h = exact_moments(params, tri.as_twist(), 2, w, 200)
-    rep_c = exact_moments(params, ConstantTwist(params.fk()), 2, w, 200)
+    rep_c = exact_moments(params, ConstantTwist(params), 2, w, 200)
     fit_h = fit_slope(rep_h.n, rep_h.log_v, n_lo=120, n_hi=200)
     fit_c = fit_slope(rep_c.n, rep_c.log_v, n_lo=120, n_hi=200)
     bounded = float(np.max(rep_h.log_v[:201])) < 10.0
@@ -161,7 +161,7 @@ def test_criterion_03_per_run_eigenvalue_identity():
         w = w0.shift(60)
         tri = eigen_triple(params, w, t_lo=-10, t_hi=50, tol=1e-12)
         trace = run_filter(
-            "twisted", params.fk(), tri.as_twist(), w, n, n_particles, seed=seed, replicate=1
+            "twisted", params, tri.as_twist(), w, n, n_particles, seed=seed, replicate=1
         )
         lam_sum = float(np.sum(np.log(tri.lam[tri.row(0) : tri.row(n)])))
         h0 = np.log(tri.h[tri.row(0)][trace.aux["initial_positions"]].mean())
@@ -175,13 +175,12 @@ def test_criterion_04_constant_potential_zero_variance():
     # when the potential is constant the bootstrap estimate equals the exact
     # marginal likelihood bit for bit, on every one of 100 seeds
     params = flat_params()
-    model = params.fk()
     n, n_particles = 12, 8
     all_exact = True
     for seed in range(100):
         _, w = simulate(params, n, seed=seed)
         want = finite_forward(params, w, n).log_z
-        got = run_filter("bootstrap", model, None, w, n, n_particles, seed=seed).log_z
+        got = run_filter("bootstrap", params, None, w, n, n_particles, seed=seed).log_z
         all_exact = all_exact and np.array_equal(got, want)
     verdict(4, all_exact, "bootstrap log Z bitwise equal to exact on 100/100 seeds")
 
@@ -191,7 +190,6 @@ def test_criterion_05_twisted_kernel_total_variation():
     # the enumerated twisted kernel row within total variation 0.01 at 1e5
     # replicates
     params = pair_params()
-    model = params.fk()
     _, w = simulate(params, 6, seed=6)
     twist = FiniteLagTwist(params, 1)
     kern = product_kernels(params, twist, 2, w, 0)
@@ -201,7 +199,7 @@ def test_criterion_05_twisted_kernel_total_variation():
     counts = np.zeros(4)
     # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
     for block in replicate_blocks(
-        "twisted", model, twist, w, 1, 2, seed=7, replicates=range(reps),
+        "twisted", params, twist, w, 1, 2, seed=7, replicates=range(reps),
         test_functions={}, initial=start,
     ):
         fin = block.aux["final_positions"]
@@ -218,7 +216,6 @@ def test_criterion_06_clt_variances():
     # normalizer-weighted error matches its own exact value, which moves by
     # more than 20% between the two twists
     params = sharp_params()
-    model = params.fk()
     _, w0 = simulate(params, 200, seed=11)
     w = w0.shift(80)
     n, n_particles, reps = 5, 10_000, 10_000
@@ -226,7 +223,7 @@ def test_criterion_06_clt_variances():
     tri = eigen_triple(params, w, t_lo=-5, t_hi=n + 40)
     grid = np.arange(3)
     phis = {"id": grid.astype(float), "is0": (grid == 0).astype(float)}
-    twists = {"constant": ConstantTwist(model), "exact-h": tri.as_twist()}
+    twists = {"constant": ConstantTwist(params), "exact-h": tri.as_twist()}
     ok = True
     notes = []
     exact_store = {}
@@ -234,7 +231,7 @@ def test_criterion_06_clt_variances():
         # the replicate engine: row r of each block is run_filter("twisted", ..., replicate=r)
         # at step n; the default test functions of a finite model are the phis, id and is0
         blocks = replicate_blocks(
-            "twisted", model, tw, w, n, n_particles, seed=11, replicates=range(reps),
+            "twisted", params, tw, w, n, n_particles, seed=11, replicates=range(reps),
             workers=WORKERS, step=n,
         )
         lz, eta_n = [], {k: [] for k in phis}
@@ -283,7 +280,7 @@ def test_criterion_07_growth_rate_bound():
     ok = True
     notes = []
     for ell in (0, 1, 2):
-        twist = FiniteLagTwist(params, ell) if ell else ConstantTwist(params.fk())
+        twist = FiniteLagTwist(params, ell) if ell else ConstantTwist(params)
         for n_particles in (2, 3):
             rep = exact_moments(params, twist, n_particles, w, nb)
             fit = fit_slope(rep.n, rep.log_v)
@@ -314,10 +311,9 @@ def test_criterion_08_lag_zero_twist_is_the_constant_twist():
     # with q = 1 the lag-0 twist's moves are the model's own, bit for bit, so
     # criterion 8 may run lag 0 in the same one-class grid as the other lags
     params, w = _criterion_08_window()
-    model = params.fk()
-    runs = [list(replicate_blocks("twisted", model, twist, w, 100, 100, seed=12,
+    runs = [list(replicate_blocks("twisted", params, twist, w, 100, 100, seed=12,
                                   replicates=range(200)))
-            for twist in (ConstantTwist(model), LinearGaussianLagTwist(params, 0))]
+            for twist in (ConstantTwist(params), LinearGaussianLagTwist(params, 0))]
     assert sum(len(block.log_z) for block in runs[0]) == 200
     for const, lag0 in zip(*runs):
         assert set(const.eta) == set(lag0.eta) and set(const.aux) == set(lag0.aux)
@@ -335,14 +331,13 @@ def test_criterion_08_lag_cuts_variance_growth():
     t0 = time.perf_counter()
     params, w = _criterion_08_window()
     n, n_particles, reps = 100, 100, 10_000
-    model = params.fk()
     exact = kalman_run(params, w, n).log_z[n]
     lags = [0, 1, 2, 5]
     # the replicate engine, the lags as one grid: row l * R + r of each block
     # of R replicates is run_filter("twisted", ..., replicate=r) at step n under
     # lag l's twist (lag 0 is the constant twist, see the test above)
     blocks = replicate_blocks(
-        "twisted", model, [LinearGaussianLagTwist(params, ell) for ell in lags], w, n,
+        "twisted", params, [LinearGaussianLagTwist(params, ell) for ell in lags], w, n,
         n_particles, seed=12, replicates=range(reps), test_functions={}, workers=WORKERS,
         step=n,
     )
@@ -373,12 +368,11 @@ def test_criterion_09_interaction_beats_independence():
     # grows strictly faster than the interacting filter's at 50 particles:
     # the gap between fitted growth rates exceeds 2 pooled s.e.
     params = acceptance_params()
-    model = params.fk()
     _, w0 = simulate(params, 120, seed=11)
     w = w0.shift(20)
     n, n_lo = 60, 10
     exact = finite_forward(params, w, n).log_z
-    sis = run_filter("sis", model, None, w, n, 4000, seed=11, test_functions={})
+    sis = run_filter("sis", params, None, w, n, 4000, seed=11, test_functions={})
     ns = np.arange(n_lo, n + 1)
     sis_logv = np.array(
         [
@@ -391,7 +385,7 @@ def test_criterion_09_interaction_beats_independence():
     lz = np.empty((reps, n + 1))
     for r in range(reps):
         lz[r] = run_filter(
-            "bootstrap", model, None, w, n, n_particles, seed=11, replicate=r, test_functions={}
+            "bootstrap", params, None, w, n, n_particles, seed=11, replicate=r, test_functions={}
         ).log_z
     boot_logv = np.array(
         [logmeanexp(2.0 * (lz[:, t] - exact[t])) for t in ns]
@@ -414,7 +408,6 @@ def test_criterion_10_lookahead_weighting():
     # log-oscillation below 1e-8; (c) its 1/r-weighted estimate matches the
     # exact prediction-filter mean within 4 s.e. at N = 1e4
     params = acceptance_params()
-    model = params.fk()
     _, w0 = simulate(params, 160, seed=11)
     w = w0.shift(60)
     n = 10
@@ -424,7 +417,7 @@ def test_criterion_10_lookahead_weighting():
     ratios = np.empty(reps)
     for r in range(reps):
         trace = run_filter(
-            "apf", model, weight, w, n, 32, seed=11, replicate=r, test_functions={}
+            "apf", params, weight, w, n, 32, seed=11, replicate=r, test_functions={}
         )
         ratios[r] = math.exp(trace.log_z[n] - exact.log_z[n])
     se = ratios.std(ddof=1) / math.sqrt(reps)
@@ -444,7 +437,7 @@ def test_criterion_10_lookahead_weighting():
     reps_c = 200
     vals = np.empty(reps_c)
     for r in range(reps_c):
-        trace = run_filter("apf", model, weight, w, n, 10_000, seed=12, replicate=r)
+        trace = run_filter("apf", params, weight, w, n, 10_000, seed=12, replicate=r)
         vals[r] = trace.aux["filter_est_id"][n]
     se_c = vals.std(ddof=1) / math.sqrt(reps_c)
     ok_c = abs(vals.mean() - target) < 4 * se_c
@@ -499,10 +492,10 @@ class PowerEigenTwist(EigenTwist):
         return self.model.log_g_grid(window, t) + np.log(self.model.trans @ psi)
 
     def _mu0_psi(self, window):
-        return self.params.mu0 * np.exp(self._log_table(window, 0))
+        return self.model.mu0 * np.exp(self._log_table(window, 0))
 
     def log_mu0_psi(self, window):
-        return float(np.log(self.params.mu0 @ np.exp(self._log_table(window, 0))))
+        return float(np.log(self.model.mu0 @ np.exp(self._log_table(window, 0))))
 
 
 def test_criterion_12_h_is_the_optimal_twist():
@@ -542,10 +535,9 @@ def test_criterion_12_h_is_the_optimal_twist():
         moments_gap = max(moments_gap, float(np.max(np.abs(plain.log_first - scaled.log_first))),
                           float(np.max(np.abs(plain.log_second - scaled.log_second))))
     run_gap, same_positions = 0.0, True
-    model = params.fk()
     for kind in ("twisted", "apf"):
         for replicate in range(3):
-            plain, scaled = (run_filter(kind, model, tw, w, 60, 50, seed=13, replicate=replicate)
+            plain, scaled = (run_filter(kind, params, tw, w, 60, 50, seed=13, replicate=replicate)
                              for tw in (PowerEigenTwist(tri, 0.7),
                                         PowerEigenTwist(tri, 0.7, log_c)))
             run_gap = max(run_gap, float(np.max(np.abs(plain.log_z - scaled.log_z))))

@@ -5,6 +5,7 @@ replaced, kept verbatim in spirit: one replicate, 1-d clouds, every draw
 through the per-generator samplers. Every comparison is bit for bit.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -16,15 +17,15 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from twistpf import filters, resampling
 from twistpf.filters import default_test_functions, replicate_blocks, run_filter
-from twistpf.fkcore import FiniteFK, logsumexp
+from twistpf.fkcore import logsumexp
 from twistpf.harness import run_clt_check, run_unbiasedness, run_variance_growth
 from twistpf.models import FiniteHMMParams, LinearGaussianParams, SVParams, simulate
-from twistpf.resampling import resample_rows
 from twistpf.rng import INIT, MUTATE, RESAMPLE, TWIST, RngStream
 from twistpf.twists import ConstantTwist, eigen_triple, make_twist
 from twistpf.windows import LookaheadError
 
-from scalar_draws import multinomial_resample, sample_mutation, sample_twisted_mutation
+from scalar_draws import (multinomial_resample, resample_rows, sample_mutation,
+                          sample_twisted_mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -206,30 +207,29 @@ CASES = _cases()
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_engine_matches_scalar_runs(case):
     _, params, w, tw = case
-    model = params.fk()
     n_steps, seed = 25, 8
     for n in (1, 2, 9, 64):
         reps = [0, 5, 2, 7]
         refs = {
-            "bootstrap": [scalar_bootstrap(model, w, n_steps, n, seed, r) for r in reps],
-            "twisted": [scalar_twisted(model, tw, w, n_steps, n, seed, r) for r in reps],
-            "apf": [scalar_apf(model, tw, w, n_steps, n, seed, r) for r in reps],
+            "bootstrap": [scalar_bootstrap(params, w, n_steps, n, seed, r) for r in reps],
+            "twisted": [scalar_twisted(params, tw, w, n_steps, n, seed, r) for r in reps],
+            "apf": [scalar_apf(params, tw, w, n_steps, n, seed, r) for r in reps],
         }
         for kind, ref in refs.items():
             for i, r in enumerate(reps):
-                tr = run_filter(kind, model, tw, w, n_steps, n, seed, r)
+                tr = run_filter(kind, params, tw, w, n_steps, n, seed, r)
                 assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), ref[i]), (kind, n, r)
-            for rows in _rows_by_workers(kind, model, tw, w, n_steps, n, seed, reps):
+            for rows in _rows_by_workers(kind, params, tw, w, n_steps, n, seed, reps):
                 assert len(rows) == len(ref) and all(map(_same, rows, ref)), (kind, n)
     # the twisted constant twist and an initial override take the same path
-    const = ConstantTwist(model)
-    start = np.asarray(scalar_bootstrap(model, w, 0, 6, seed)[3]["initial_positions"])
+    const = ConstantTwist(params)
+    start = np.asarray(scalar_bootstrap(params, w, 0, 6, seed)[3]["initial_positions"])
     for initial in (None, start):
-        tr = run_filter("twisted", model, const, w, n_steps, 6, seed, 1, initial=initial)
-        ref = scalar_twisted(model, const, w, n_steps, 6, seed, 1, initial=initial)
+        tr = run_filter("twisted", params, const, w, n_steps, 6, seed, 1, initial=initial)
+        ref = scalar_twisted(params, const, w, n_steps, 6, seed, 1, initial=initial)
         assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), ref)
-        tr = run_filter("bootstrap", model, None, w, n_steps, 6, seed, 1, initial=initial)
-        ref = scalar_bootstrap(model, w, n_steps, 6, seed, 1, initial=initial)
+        tr = run_filter("bootstrap", params, None, w, n_steps, 6, seed, 1, initial=initial)
+        ref = scalar_bootstrap(params, w, n_steps, 6, seed, 1, initial=initial)
         assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), ref)
 
 
@@ -247,15 +247,14 @@ def test_sis_matches_scalar_runs(case):
     # SIS runs in the block engine: identity ancestors, no RESAMPLE draw,
     # the weights carried across steps
     _, params, w, tw = case
-    model = params.fk()
     reps = [0, 5]
     for n_steps in (0, 1, 20):
         for n in (1, 37):
-            refs = [scalar_sis(model, w, n_steps, n, 4, r, proposal=tw) for r in reps]
+            refs = [scalar_sis(params, w, n_steps, n, 4, r, proposal=tw) for r in reps]
             for i, r in enumerate(reps):
-                tr = run_filter("sis", model, tw, w, n_steps, n, 4, r)
+                tr = run_filter("sis", params, tw, w, n_steps, n, 4, r)
                 assert _same((tr.log_z, tr.log_phi, tr.eta, tr.aux), refs[i]), (n_steps, n, r)
-            for rows in _rows_by_workers("sis", model, tw, w, n_steps, n, 4, reps):
+            for rows in _rows_by_workers("sis", params, tw, w, n_steps, n, 4, reps):
                 assert len(rows) == len(refs) and all(map(_same, rows, refs)), (n_steps, n)
 
 
@@ -266,9 +265,8 @@ def test_sis_on_step_passes_each_step_of_chain_weights_and_keeps_none(case):
     # step, the rows the whole traces keep, in one reused buffer, and its
     # blocks carry no chain weights and the same estimates otherwise
     _, params, w, tw = case
-    model = params.fk()
     n_steps, n, reps = 9, 37, [0, 5, 2]
-    (full,) = replicate_blocks("sis", model, tw, w, n_steps, n, 4, reps)
+    (full,) = replicate_blocks("sis", params, tw, w, n_steps, n, 4, reps)
     seen, buffers = {}, set()
 
     def on_step(p, lv):
@@ -276,7 +274,7 @@ def test_sis_on_step_passes_each_step_of_chain_weights_and_keeps_none(case):
         buffers.add(lv.__array_interface__["data"][0])
         seen[p] = lv.copy()
 
-    (block,) = replicate_blocks("sis", model, tw, w, n_steps, n, 4, reps, on_step=on_step)
+    (block,) = replicate_blocks("sis", params, tw, w, n_steps, n, 4, reps, on_step=on_step)
     assert sorted(seen) == list(range(1, n_steps + 1)) and len(buffers) == 1
     for p, lv in seen.items():
         assert np.array_equal(lv, full.aux["chain_log_weights"][:, p]), p
@@ -291,7 +289,6 @@ def test_on_step_needs_sis_in_one_process(monkeypatch):
     # a callback cannot run in a worker or see a resampled cloud's weights;
     # either misuse fails before any block runs or any pool starts
     _, params, w, tw = CASES[0]
-    model = params.fk()
 
     def no_run(*args, **kw):
         raise AssertionError("a block ran")
@@ -300,19 +297,18 @@ def test_on_step_needs_sis_in_one_process(monkeypatch):
     monkeypatch.setattr(filters, "ProcessPoolExecutor", no_run)
     for kind in ("bootstrap", "twisted", "apf"):
         with pytest.raises(ValueError, match="on_step needs filter kind 'sis'"):
-            next(replicate_blocks(kind, model, tw, w, 4, 8, 1, range(3), on_step=print))
+            next(replicate_blocks(kind, params, tw, w, 4, 8, 1, range(3), on_step=print))
     with pytest.raises(ValueError, match="workers=1"):
-        next(replicate_blocks("sis", model, tw, w, 4, 8, 1, range(3), workers=2,
+        next(replicate_blocks("sis", params, tw, w, 4, 8, 1, range(3), workers=2,
                               on_step=print))
 
 
 def test_block_size_never_changes_a_row(monkeypatch):
     _, params, w, tw = CASES[1]
-    model = params.fk()
-    whole = next(replicate_blocks("twisted", model, tw, w, 20, 16, 3, range(11)))
+    whole = next(replicate_blocks("twisted", params, tw, w, 20, 16, 3, range(11)))
     for budget in (16, 3 * 16, 5 * 16 + 7):
         monkeypatch.setattr(filters, "BLOCK_ELEMENTS", budget)
-        blocks = list(replicate_blocks("twisted", model, tw, w, 20, 16, 3, range(11)))
+        blocks = list(replicate_blocks("twisted", params, tw, w, 20, 16, 3, range(11)))
         assert len(blocks) == math.ceil(11 / max(1, budget // 16))
         assert np.array_equal(np.concatenate([b.log_z for b in blocks]), whole.log_z)
         for name in whole.eta:
@@ -334,15 +330,14 @@ def test_rows_at_a_named_step_equal_the_full_traces(case):
     # bit for bit, and no clouds, from every worker count; of aux, SIS keeps
     # its chain log weights at the step
     _, params, w, tw = case
-    model = params.fk()
     n_steps, n, reps = 9, 12, [0, 5, 2, 7, 3]
     for kind in filters._KINDS:
-        full = list(replicate_blocks(kind, model, tw, w, n_steps, n, 4, reps))
+        full = list(replicate_blocks(kind, params, tw, w, n_steps, n, 4, reps))
         want = {f: np.concatenate([getattr(b, f) for b in full]) for f in ("log_z", "log_phi")}
         want_eta = {k: np.concatenate([b.eta[k] for b in full]) for k in full[0].eta}
         for step in (0, 4, n_steps):
             for workers in (1, 2, 3) if step == 4 else (1,):
-                blocks = list(replicate_blocks(kind, model, tw, w, n_steps, n, 4, reps,
+                blocks = list(replicate_blocks(kind, params, tw, w, n_steps, n, 4, reps,
                                                workers=workers, step=step))
                 if kind == "sis":
                     chains = np.concatenate([b.aux.pop("chain_log_weights") for b in blocks])
@@ -357,17 +352,16 @@ def test_rows_at_a_named_step_equal_the_full_traces(case):
                     got = np.concatenate([b.eta[k] for b in blocks])
                     assert np.array_equal(got, arr[:, step]), (kind, step, workers, k)
     with pytest.raises(ValueError, match="step"):
-        next(replicate_blocks("twisted", model, tw, w, n_steps, n, 4, reps, step=n_steps + 1))
+        next(replicate_blocks("twisted", params, tw, w, n_steps, n, 4, reps, step=n_steps + 1))
 
 
 def test_step_rows_of_a_twist_grid_equal_the_full_traces():
     _, params, w, grid = GRID_CASES[1]
-    model = params.fk()
     reps, step = range(7), 6
-    full = list(replicate_blocks("twisted", model, grid, w, 8, 9, 2, reps))
+    full = list(replicate_blocks("twisted", params, grid, w, 8, 9, 2, reps))
     want = _by_twist([b.log_z for b in full], len(grid))
     for workers in (1, 2, 3):
-        blocks = list(replicate_blocks("twisted", model, grid, w, 8, 9, 2, reps,
+        blocks = list(replicate_blocks("twisted", params, grid, w, 8, 9, 2, reps,
                                        workers=workers, step=step))
         got = _by_twist([b.log_z for b in blocks], len(grid))
         assert all(np.array_equal(g, v[:, step]) for g, v in zip(got, want)), workers
@@ -382,9 +376,10 @@ def test_a_warmed_step_allocates_no_particle_array():
     # and numpy's cast buffers a step took 75,784, allocating every
     # temporary afresh 404,040
     _, params, w, tw = CASES[3]
-    # a model of its own: params.fk() is shared, and the patch must not
-    # reach later tests (a pool cannot pickle it)
-    model = FiniteFK(params.mu0, params.trans, params.emit)
+    # a model of its own: params is shared, and the patch must not
+    # reach later tests (a pool cannot pickle it); models are frozen, so the
+    # patch bypasses the dataclass's __setattr__
+    model = dataclasses.replace(params)
     log_g, marks = model.log_g, []
 
     def marked(window, t, x, out=None):
@@ -392,7 +387,7 @@ def test_a_warmed_step_allocates_no_particle_array():
         tracemalloc.reset_peak()
         return log_g(window, t, x, out)
 
-    model.log_g = marked
+    object.__setattr__(model, "log_g", marked)
     for _ in range(2):  # the first run makes the buffers
         marks.clear()
         tracemalloc.start()
@@ -425,35 +420,33 @@ GRID_CASES = _grid_cases()
 def test_twist_grid_rows_equal_single_twist_runs(case):
     # row l * R + i of a grid block is twist l on the block's i-th replicate
     _, params, w, grid = case
-    model = params.fk()
     n_steps, seed, reps = 12, 8, [0, 5, 2, 7]
-    start = np.asarray(scalar_bootstrap(model, w, 0, 9, seed)[3]["initial_positions"])
+    start = np.asarray(scalar_bootstrap(params, w, 0, 9, seed)[3]["initial_positions"])
     for n, initial in ((1, None), (9, None), (9, start), (64, None)):
-        (block,) = replicate_blocks("twisted", model, grid, w, n_steps, n, seed, reps,
+        (block,) = replicate_blocks("twisted", params, grid, w, n_steps, n, seed, reps,
                                     initial=initial)
         assert block.log_z.shape == (len(grid) * len(reps), n_steps + 1)
-        runs = [run_filter("twisted", model, tw, w, n_steps, n, seed, r, initial=initial)
+        runs = [run_filter("twisted", params, tw, w, n_steps, n, seed, r, initial=initial)
                 for tw in grid for r in reps]
         want = [(tr.log_z, tr.log_phi, tr.eta, tr.aux) for tr in runs]
-        for rows in _rows_by_workers("twisted", model, grid, w, n_steps, n, seed, reps,
+        for rows in _rows_by_workers("twisted", params, grid, w, n_steps, n, seed, reps,
                                      n_grid=len(grid), initial=initial):
             assert len(rows) == len(want) and all(map(_same, rows, want)), n
 
 
 def test_twist_grid_rows_do_not_depend_on_the_block_budget(monkeypatch):
     _, params, w, grid = GRID_CASES[1]
-    model = params.fk()
 
     def by_twist(blocks):
         # per twist, its rows of every block in replicate order
         parts = [np.split(b.log_z, len(grid)) for b in blocks]
         return [np.concatenate([p[lag] for p in parts]) for lag in range(len(grid))]
 
-    whole = list(replicate_blocks("twisted", model, grid, w, 20, 16, 3, range(11)))
+    whole = list(replicate_blocks("twisted", params, grid, w, 20, 16, 3, range(11)))
     assert len(whole) == 1
     for budget in (16, 3 * 4 * 16, 2 * 4 * 16 + 7):
         monkeypatch.setattr(filters, "BLOCK_ELEMENTS", budget)
-        blocks = list(replicate_blocks("twisted", model, grid, w, 20, 16, 3, range(11)))
+        blocks = list(replicate_blocks("twisted", params, grid, w, 20, 16, 3, range(11)))
         assert len(blocks) == math.ceil(11 / max(1, budget // (len(grid) * 16)))
         for got, want in zip(by_twist(blocks), by_twist(whole)):
             assert np.array_equal(got, want)
@@ -461,17 +454,16 @@ def test_twist_grid_rows_do_not_depend_on_the_block_budget(monkeypatch):
 
 def test_twist_grid_guards():
     _, params, w, grid = GRID_CASES[1]
-    model = params.fk()
     for kind in ("bootstrap", "apf"):
         with pytest.raises(ValueError, match="'twisted'"):
-            list(replicate_blocks(kind, model, grid, w, 5, 8, 1, range(3)))
+            list(replicate_blocks(kind, params, grid, w, 5, 8, 1, range(3)))
     with pytest.raises(ValueError, match="one class"):
-        list(replicate_blocks("twisted", model, [grid[0], ConstantTwist(model)], w, 5, 8, 1,
+        list(replicate_blocks("twisted", params, [grid[0], ConstantTwist(params)], w, 5, 8, 1,
                               range(3)))
     # a grid of one is a single twist, for every kind
     for kind in ("bootstrap", "twisted", "apf", "sis"):
-        (a,) = replicate_blocks(kind, model, grid[1:2], w, 5, 8, 1, range(3))
-        (b,) = replicate_blocks(kind, model, grid[1], w, 5, 8, 1, range(3))
+        (a,) = replicate_blocks(kind, params, grid[1:2], w, 5, 8, 1, range(3))
+        (b,) = replicate_blocks(kind, params, grid[1], w, 5, 8, 1, range(3))
         assert _same((a.log_z, a.log_phi, a.eta, a.aux), (b.log_z, b.log_phi, b.eta, b.aux))
 
 
@@ -506,12 +498,11 @@ def test_pool_size_is_bounded_by_its_work(monkeypatch):
     # in this process
     sizes = _fake_pool(monkeypatch)
     _, params, w, tw = CASES[1]
-    model = params.fk()
-    serial = [b.log_z for b in replicate_blocks("twisted", model, tw, w, 10, 8, 1, range(40))]
+    serial = [b.log_z for b in replicate_blocks("twisted", params, tw, w, 10, 8, 1, range(40))]
     for cpus, n_reps, workers, size in ((64, 2, 5000, 2), (64, 40, 5000, 40), (3, 40, 5000, 3),
                                         (64, 40, 2, 2), (64, 1, 5000, None)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        blocks = list(replicate_blocks("twisted", model, tw, w, 10, 8, 1, range(n_reps),
+        blocks = list(replicate_blocks("twisted", params, tw, w, 10, 8, 1, range(n_reps),
                                        workers=workers))
         assert sizes == ([size] if size else [])
         sizes.clear()
@@ -523,21 +514,20 @@ def test_pooled_study_checks_before_any_process(monkeypatch):
     # a pooled call fails as a serial one does, before any pool is built
     sizes = _fake_pool(monkeypatch)
     _, params, w, grid = GRID_CASES[1]
-    model = params.fk()
     # a window too short, an unknown kind, a grid for another kind, a grid of two classes
     bad = [("twisted", grid[0], 80, LookaheadError), ("kalman", grid[0], 5, ValueError),
            ("apf", grid, 5, ValueError),
-           ("twisted", [grid[0], ConstantTwist(model)], 5, ValueError)]
+           ("twisted", [grid[0], ConstantTwist(params)], 5, ValueError)]
     for kind, twist, n_steps, error in bad:
         messages = []
         for workers in (1, 2):
             with pytest.raises(error) as raised:
-                next(replicate_blocks(kind, model, twist, w, n_steps, 8, 1, range(6),
+                next(replicate_blocks(kind, params, twist, w, n_steps, 8, 1, range(6),
                                       workers=workers))
             messages.append(str(raised.value))
         assert messages[0] == messages[1], kind
     with pytest.raises(ValueError, match="workers"):
-        next(replicate_blocks("twisted", model, grid[0], w, 5, 8, 1, range(6), workers=0))
+        next(replicate_blocks("twisted", params, grid[0], w, 5, 8, 1, range(6), workers=0))
     assert sizes == []
 
 
@@ -545,10 +535,9 @@ def test_default_test_functions_pickle_for_a_pooled_study():
     # the package's own test functions, passed in, reach a pool's workers:
     # the pooled study equals the serial one row for row
     for _, params, w, _ in CASES[:3]:
-        model = params.fk()
-        tf = default_test_functions(model)
+        tf = default_test_functions(params)
         serial, pooled = (
-            list(replicate_blocks("bootstrap", model, None, w, 5, 50, 1, range(8), tf,
+            list(replicate_blocks("bootstrap", params, None, w, 5, 50, 1, range(8), tf,
                                   workers=workers))
             for workers in (1, 2))
         assert len(pooled) == 2
@@ -597,7 +586,7 @@ def test_block_boundaries_and_worker_counts_change_no_csv_byte(tmp_path, monkeyp
 
 def test_nan_weight_in_one_replicate_of_a_block_raises():
     _, params, w, tw = CASES[1]
-    model = params.fk()
+    model = dataclasses.replace(params)  # the patch stays on a copy of the shared model
     log_g = model.log_g
 
     def poisoned(window, t, x, out=None):
@@ -606,7 +595,7 @@ def test_nan_weight_in_one_replicate_of_a_block_raises():
             lg[..., -1, 5] = np.nan
         return lg
 
-    model.log_g = poisoned
+    object.__setattr__(model, "log_g", poisoned)
     for kind in ("bootstrap", "twisted"):
         with pytest.raises(ValueError):
             list(replicate_blocks(kind, model, tw, w, 10, 8, 1, range(4)))
@@ -679,8 +668,8 @@ def _gather_and_reduce(logits, u):
 
 def _row_logits(tw, window, t, x):
     """Each particle's log masses under the twisted kernel, gathered per particle."""
-    log_psi = tw.log_psi(window, t + 1, np.arange(tw.params.k))
-    return tw.params.fk().log_trans[x] + log_psi
+    log_psi = tw.log_psi(window, t + 1, np.arange(tw.model.k))
+    return tw.model.log_trans[x] + log_psi
 
 
 FINITE_CASES = [c for c in CASES if c[0].startswith("finite")]
@@ -689,27 +678,26 @@ FINITE_CASES = [c for c in CASES if c[0].startswith("finite")]
 @pytest.mark.parametrize("case", FINITE_CASES, ids=[c[0] for c in FINITE_CASES])
 def test_categorical_transform_matches_gather_and_reduce(case, monkeypatch):
     _, params, w, tw = case
-    model = params.fk()
     rng = np.random.default_rng(6)
     x = rng.integers(0, params.k, (7, 300))
     u = rng.random(x.shape)
     # uniforms equal to a CDF entry: the strict comparison decides the state
-    u[:, ::3] = model.trans_cdf[x[:, ::3], rng.integers(0, params.k, (7, 100))]
+    u[:, ::3] = params.trans_cdf[x[:, ::3], rng.integers(0, params.k, (7, 100))]
     u[u >= 1.0] = 0.5
-    want = np.add.reduce(model.trans_cdf[x] < u[..., None], axis=-1).astype(np.int64)
-    assert np.array_equal(model.mutate(w, 0, x, u), want)
+    want = np.add.reduce(params.trans_cdf[x] < u[..., None], axis=-1).astype(np.int64)
+    assert np.array_equal(params.mutate(w, 0, x, u), want)
     for t in range(6):
         got = tw.twisted_mutate(w, t, x, u)
         assert np.array_equal(got, _gather_and_reduce(_row_logits(tw, w, t, x), u)), t
     # auxiliary runs move the whole cloud by the twisted kernel: the same
     # runs, bit for bit, with the reference transform patched in
-    runs = [run_filter("apf", model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
+    runs = [run_filter("apf", params, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
     def reference(window, t, x, noise, out=None):
         moved = _gather_and_reduce(_row_logits(tw, window, t, np.asarray(x, dtype=np.int64)), noise)
         return moved if out is None else np.copyto(out, moved) or out
 
     monkeypatch.setattr(tw, "twisted_mutate", reference)
-    refs = [run_filter("apf", model, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
+    refs = [run_filter("apf", params, tw, w, 20, n, 2, r) for n in (1, 9, 64) for r in (0, 3)]
     for tr, ref in zip(runs, refs):
         assert _same((tr.log_z, tr.eta, tr.aux), (ref.log_z, ref.eta, ref.aux))
 
@@ -719,7 +707,6 @@ def test_guide_table_changes_no_run(case, monkeypatch):
     # the same blocks with every resampling through the guide table and with
     # every row searched on its own by searchsorted
     _, params, w, tw = case
-    model = params.fk()
 
     def per_row_search(cdf, uniforms, ws):
         return np.array([c.searchsorted(u, side="right") for c, u in zip(cdf, uniforms)])
@@ -728,7 +715,7 @@ def test_guide_table_changes_no_run(case, monkeypatch):
     for patch in (False, True):
         if patch:
             monkeypatch.setattr(resampling, "_guide_table_search", per_row_search)
-        traces.append([next(replicate_blocks(kind, model, tw, w, 15, 40, 3, range(6)))
+        traces.append([next(replicate_blocks(kind, params, tw, w, 15, 40, 3, range(6)))
                        for kind in ("bootstrap", "twisted", "apf")])
     for a, b in zip(*traces):
         assert _same((a.log_z, a.log_phi, a.eta, a.aux), (b.log_z, b.log_phi, b.eta, b.aux))

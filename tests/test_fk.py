@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from twistpf.fkcore import (ARGaussianFK, FiniteFK, categorical_counts, count_at_or_below,
-                            q_apply_log)
+from twistpf.fkcore import categorical_counts, count_at_or_below
+from twistpf.models import FiniteHMMParams, LinearGaussianParams, q_apply_log
 from twistpf.rng import INIT, MUTATE, RngStream
 from twistpf.windows import ObservationWindow
 
@@ -16,7 +16,7 @@ def q_apply(model, window, t, phi):
 
 
 def two_state_model():
-    return FiniteFK(
+    return FiniteHMMParams(
         mu0=[0.6, 0.4],
         trans=[[0.7, 0.3], [0.4, 0.6]],
         emit=[[0.5, 0.5], [2.0 / 3.0, 1.0 / 3.0]],
@@ -25,13 +25,13 @@ def two_state_model():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        FiniteFK([0.6, 0.4], [[0.7, 0.3]], [[0.5, 0.5], [0.5, 0.5]])
+        FiniteHMMParams([0.6, 0.4], [[0.7, 0.3]], [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError):
-        FiniteFK([0.6, 0.4], [[0.9, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]])
+        FiniteHMMParams([0.6, 0.4], [[0.9, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError):
-        FiniteFK([0.6, 0.4], [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.0], [0.5, 0.5]])
+        FiniteHMMParams([0.6, 0.4], [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError):
-        FiniteFK([0.6, 0.5], [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]])
+        FiniteHMMParams([0.6, 0.5], [[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.5, 0.5]])
 
 
 @pytest.mark.parametrize("table, value", [
@@ -45,15 +45,15 @@ def test_validation_errors():
 def test_validation_rejects_negative_and_non_finite_tables(table, value):
     tables = {"mu0": [0.6, 0.4], "trans": [[0.7, 0.3], [0.4, 0.6]],
               "emit": [[0.5, 0.5], [0.5, 0.5]]}
-    FiniteFK(**tables)
+    FiniteHMMParams(**tables)
     with pytest.raises(ValueError, match=f"^{table} "):
-        FiniteFK(**dict(tables, **{table: value}))
+        FiniteHMMParams(**dict(tables, **{table: value}))
 
 
 def test_q_apply_frozen_example():
     # hand-computed: G = (0.5, 2/3*3) -> use explicit potential (0.5, 2.0) via
     # an emission table whose column 0 is exactly (0.5, 2.0) after scaling
-    model = FiniteFK(
+    model = FiniteHMMParams(
         mu0=[0.5, 0.5],
         trans=[[0.7, 0.3], [0.4, 0.6]],
         emit=[[0.5, 0.5], [2.0 / 3.0, 1.0 / 3.0]],
@@ -75,7 +75,7 @@ def test_q_apply_matches_matmul_oracle():
         emit /= emit.sum(axis=1, keepdims=True)
         mu0 = rng.random(k)
         mu0 /= mu0.sum()
-        model = FiniteFK(mu0, trans, emit)
+        model = FiniteHMMParams(mu0, trans, emit)
         y = int(rng.integers(3))
         w = ObservationWindow(0, np.array([y]))
         phi = rng.random(k)
@@ -119,7 +119,7 @@ def test_finite_samplers_match_law():
 
 
 def test_ar_mutation_moments():
-    model = ARGaussianFK(a=0.9, q=0.25, mu0_mean=0.0, mu0_var=1.0)
+    model = LinearGaussianParams(a=0.9, q=0.25, r_obs=1.0, mu0_var=1.0)
     x = np.full(400_000, 2.0)
     gen = RngStream(8).generator(1, MUTATE)
     nxt = sample_mutation(model, None, 0, x, gen)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from twistpf import harness
-from twistpf.cli import main
+from twistpf.cli import _MODEL_PRESETS, main
 from twistpf.config import _PARAMS
 from twistpf.filters import _KINDS, run_filter
 from twistpf.harness import (
@@ -323,7 +323,7 @@ def test_sis_unbiasedness_keeps_one_step_of_chain_weights(tmp_path):
     assert peak < 1_000_000, peak
     conf = load_config(cfg)
     window = harness.draw_window(conf.params, conf.window_length, conf.burn_in, conf.seed)
-    whole = run_filter("sis", conf.params.fk(), None, window, 100, 10_000, 3, test_functions={})
+    whole = run_filter("sis", conf.params, None, window, 100, 10_000, 3, test_functions={})
     log_z = kalman_run(conf.params, window, 100).log_z[100]
     ratio = np.exp(whole.aux["chain_log_weights"][100] - log_z)
     _, rows = read_csv(res.csv_path)
@@ -472,7 +472,7 @@ def test_closing_a_pooled_study_early_leaves_no_process_behind():
         "from twistpf.models import LinearGaussianParams, simulate\n"
         "params = LinearGaussianParams(a=0.9, q=1.0, r_obs=1.0)\n"
         "_, w = simulate(params, 400, seed=1)\n"
-        "blocks = replicate_blocks('bootstrap', params.fk(), None, w, 300, 10_000, 1,\n"
+        "blocks = replicate_blocks('bootstrap', params, None, w, 300, 10_000, 1,\n"
         "                          range(30), test_functions={}, workers=2)\n"
         "t0 = time.perf_counter()\n"
         "next(blocks)\n"
@@ -674,6 +674,79 @@ _LG = {"kind": "lg", "a": 0.9, "q": 1.0, "r_obs": 1.0}
 _INF, _NAN = float("inf"), float("nan")
 
 
+@pytest.mark.parametrize("table, value, named", [
+    ("mu0", 0.5, "mu0"),
+    ("mu0", [], "mu0"),
+    ("mu0", "x", "mu0"),
+    ("mu0", {}, "mu0"),
+    ("mu0", [0.5, 0.5], "trans"),
+    ("trans", 0.5, "trans"),
+    ("trans", [[0.5, 0.5]], "trans"),
+    ("emit", [[0.4, 0.3, 0.3], [0.3, 0.4], [0.3, 0.3, 0.4]], "emit"),
+    ("emit", [[], [], []], "emit"),
+], ids=["scalar-mu0", "empty-mu0", "string-mu0", "dict-mu0", "short-mu0", "scalar-trans",
+        "one-row-trans", "ragged-emit", "no-symbol-emit"])
+def test_cli_refuses_malformed_finite_tables_naming_each(tmp_path, monkeypatch, capsys, table,
+                                                         value, named):
+    # the finite preset with one table replaced: each table is converted and
+    # checked by itself, in the order mu0, trans, emit, and the error names
+    # it; a valid mu0 of another length is named by the first table that
+    # disagrees with it, whose message names mu0 too
+    cfg = {"model": dict(_MODEL_PRESETS["finite"], **{table: value}), "steps": 4}
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, "run", cfg, f"'model.{named}'")
+    with pytest.raises(ConfigError, match=table):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("field", ["particles", "steps", "replicates", "workers", "twist.ell",
+                                   "window.length", "window.burn_in", "ell_grid", "N_grid"])
+def test_cli_refuses_integer_fields_past_int64(tmp_path, monkeypatch, capsys, field):
+    # sizes, counts and lags are numpy's sizes and indices: 2**63 is refused
+    # by name, where numpy would stop on it; the seed is reduced modulo 2**64
+    cfg = finite_cfg(twist={"kind": "lag", "ell": 1}, window={"length": 10, "burn_in": 0})
+    head, _, key = field.rpartition(".")
+    (cfg[head] if head else cfg)[key] = [2**63] if field.endswith("grid") else 2**63
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, "variance-growth", cfg, f"'{field}'")
+    load_config(finite_cfg(seed=2**63))
+
+
+def test_cli_refuses_a_window_of_non_finite_observations(tmp_path, capsys):
+    # a volatility whose path overflows float64: the drawn window is refused
+    # as a model fault, naming the parameters, before any filter reads it
+    cfg = finite_cfg(model={"kind": "sv", "vol_of_vol": 2.0**63}, steps=4)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'model'" in err and "vol_of_vol=9.223372036854776e+18" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unbiasedness_needs_a_horizon(tmp_path, monkeypatch, capsys):
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, "unbiasedness",
+                               finite_cfg(steps=0), "'steps'")
+
+
+def test_unbiasedness_with_no_spread_fails_without_dividing(tmp_path, monkeypatch):
+    # every replicate ratio equal: a zero standard error, which no z-score
+    # can be judged by. q = 2**63 underflows every ratio to 0 (z = inf); the
+    # exact value in every replicate gives a mean of exactly 1 (z = 0)
+    res = run_unbiasedness(finite_cfg(model=dict(_LG, q=2.0**63), filter="twisted",
+                                      twist={"kind": "lag", "ell": 1}), str(tmp_path / "a"))
+    assert res.extra == {"pass": False, "z_score": float("inf")}
+    header, rows = read_csv(res.csv_path)
+    assert dict(zip(header, rows[0]))["se"] == "0.0"
+
+    def exact(config, window, filter_kind, step):
+        return [(np.full(config.replicates, harness._exact_log_z(config, window)[step]), {})]
+
+    monkeypatch.setattr(harness, "_replicates", exact)
+    res = run_unbiasedness(finite_cfg(), str(tmp_path / "b"))
+    assert res.extra == {"pass": False, "z_score": 0.0}
+
+
 @pytest.mark.parametrize("command, model, twist, field", [
     ("oracle-check", None, {"kind": "lag", "ell": 1, "tol": _INF}, "twist.tol"),
     ("run", dict(_LG, q=_INF), {}, "model.q"),
@@ -829,7 +902,7 @@ def test_streamed_sis_moments_equal_the_materialized_ones(model):
         log_ref = harness._exact_log_z(config, window)
         assert (log_ref is None) == (model == "sv")
         got = harness._sis_moment_stats(config, window, twist, log_ref)
-        whole = run_filter("sis", config.params.fk(), twist, window, 12, chains, 4,
+        whole = run_filter("sis", config.params, twist, window, 12, chains, 4,
                            test_functions={})
         log_w = whole.aux["chain_log_weights"].T
         ref = harness._logmeanexp_rows(log_w) if log_ref is None else log_ref

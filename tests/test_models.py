@@ -256,10 +256,9 @@ def test_params_validation():
         )
 
 
-def test_fk_builders_expose_model_dimensions():
-    fk = small_finite().fk()
-    assert fk.k == 2
-    sv = SVParams().fk()
+def test_models_expose_dimensions_and_potentials():
+    assert small_finite().k == 2
+    sv = SVParams()
     w = ObservationWindow(0, np.array([0.4, -0.1]))
     pts = np.array([-0.5, 0.0, 0.5])
     lg_dens = sv.log_g(w, 0, pts)
@@ -270,14 +269,18 @@ def test_fk_builders_expose_model_dimensions():
     assert np.allclose(lg_dens, expect, atol=1e-12)
 
 
-def test_finite_params_build_one_read_only_model():
-    # fk() returns the model built, and checked, with the params; its tables
-    # and the ones derived from them cannot be written, so no caller can
-    # change what another reads
-    params = small_finite()
-    fk = params.fk()
-    assert params.fk() is fk
+def test_finite_model_tables_are_read_only_copies():
+    # a finite model's tables and the ones derived from them cannot be
+    # written, so no caller can change what another reads; they are copies,
+    # so the caller's own arrays stay writable, and fk() is the model itself
+    tables = {name: getattr(small_finite(), name).copy() for name in ("mu0", "trans", "emit")}
+    params = FiniteHMMParams(**tables)
+    assert params.fk() is params
     for name in ("mu0", "trans", "emit", "log_trans", "trans_cdf", "log_emit"):
-        table = getattr(fk, name)
+        table = getattr(params, name)
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
+    for name, table in tables.items():
+        assert getattr(params, name) is not table
+        table[0] = 0.4
+    assert params.mu0[0] == 0.6 and params.trans[0, 0] == 0.8 and params.emit[0, 0] == 0.9

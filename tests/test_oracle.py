@@ -56,9 +56,8 @@ def gentle_params():
 def test_single_particle_bold_kernels_reduce_to_base():
     params = two_state_params()
     _, w = simulate(params, 8, seed=0)
-    fk = params.fk()
-    kern = product_kernels(params, ConstantTwist(fk), 1, w, 2)
-    g = np.exp(fk.log_g_grid(w, 2))
+    kern = product_kernels(params, ConstantTwist(params), 1, w, 2)
+    g = np.exp(params.log_g_grid(w, 2))
     assert np.allclose(kern.g_bold, g, atol=1e-14)
     assert np.allclose(kern.m_bold, params.trans, atol=1e-14)
     assert np.allclose(kern.m_tilde, params.trans, atol=1e-14)
@@ -68,7 +67,7 @@ def test_single_particle_bold_kernels_reduce_to_base():
 def test_constant_twist_leaves_bold_kernel_untwisted():
     params = two_state_params()
     _, w = simulate(params, 8, seed=1)
-    kern = product_kernels(params, ConstantTwist(params.fk()), 3, w, 1)
+    kern = product_kernels(params, ConstantTwist(params), 3, w, 1)
     assert np.allclose(kern.m_tilde, kern.m_bold, atol=1e-14)
     assert np.allclose(kern.phi, 1.0, atol=1e-14)
     assert np.allclose(kern.m_bold.sum(axis=1), 1.0, atol=1e-12)
@@ -81,11 +80,10 @@ def test_pair_system_kernel_by_scalar_enumeration():
     # transition row
     params = two_state_params()
     _, w = simulate(params, 8, seed=2)
-    fk = params.fk()
     t = 1
-    g = np.exp(fk.log_g_grid(w, t))
+    g = np.exp(params.log_g_grid(w, t))
     states = product_states(2, 2)
-    kern = product_kernels(params, ConstantTwist(fk), 2, w, t)
+    kern = product_kernels(params, ConstantTwist(params), 2, w, t)
     for i, (a, b) in enumerate(states):
         wa = g[a] / (g[a] + g[b])
         for j, (za, zb) in enumerate(states):
@@ -134,7 +132,7 @@ def test_exact_first_moment_equals_marginal_likelihood():
     exact = finite_forward(params, w, 6).log_z
     tri = eigen_triple(params, w, t_lo=-20, t_hi=40)
     twists = [
-        ConstantTwist(params.fk()),
+        ConstantTwist(params),
         FiniteLagTwist(params, 1),
         FiniteLagTwist(params, 2),
         tri.as_twist(),
@@ -147,19 +145,18 @@ def test_exact_first_moment_equals_marginal_likelihood():
 
 def test_exact_second_moment_matches_monte_carlo():
     params = two_state_params()
-    model = params.fk()
     _, w = simulate(params, 8, seed=6)
     n, reps = 4, 20_000
     exact = finite_forward(params, w, n).log_z[n]
 
     def ratios(kind, twist):
         # the replicate engine: row r of each block is the run of replicate r
-        blocks = replicate_blocks(kind, model, twist, w, n, 2, seed=5,
+        blocks = replicate_blocks(kind, params, twist, w, n, 2, seed=5,
                                   replicates=range(reps), test_functions={})
         lz = np.concatenate([block.log_z[:, n] for block in blocks])
         return np.array([math.exp(2.0 * (v - exact)) for v in lz.tolist()])
 
-    rep_const = exact_moments(params, ConstantTwist(model), 2, w, n)
+    rep_const = exact_moments(params, ConstantTwist(params), 2, w, n)
     r2 = ratios("bootstrap", None)
     se = r2.std(ddof=1) / math.sqrt(reps)
     assert abs(r2.mean() - rep_const.v_tilde[n]) < 4 * se
@@ -174,7 +171,7 @@ def test_exact_second_moment_matches_monte_carlo():
 def test_constant_potential_has_unit_relative_second_moment():
     params = flat_emission_params()
     _, w = simulate(params, 10, seed=7)
-    for twist in (ConstantTwist(params.fk()), FiniteLagTwist(params, 1)):
+    for twist in (ConstantTwist(params), FiniteLagTwist(params, 1)):
         rep = exact_moments(params, twist, 2, w, 8)
         assert np.allclose(rep.log_v, 0.0, atol=1e-12)
         assert np.allclose(rep.v_tilde, 1.0, atol=1e-12)
@@ -229,7 +226,7 @@ def test_bound_rows_equal_per_t_terms_bit_for_bit():
     _, w0 = simulate(params, 300, seed=11)
     w = w0.shift(100)
     tri = eigen_triple(params, w, t_lo=-10, t_hi=90)
-    twists = [ConstantTwist(params.fk()), tri.as_twist()]
+    twists = [ConstantTwist(params), tri.as_twist()]
     twists += [FiniteLagTwist(params, ell) for ell in range(1, 7)]
     for twist in twists:
         rep = upsilon_bound(tri, twist, w, range(1, 61), 3)
@@ -280,13 +277,12 @@ def test_fit_slope_recovers_exact_line():
 
 def test_clt_variances_match_simulation():
     params = two_state_params()
-    model = params.fk()
     _, w = simulate(params, 8, seed=12)
     n, n_particles, reps = 3, 1024, 1500
     phi = np.array([0.0, 1.0])
     fwd = finite_forward(params, w, n)
     exact_eta = float(fwd.pred[n] @ phi)
-    cv = exact_clt_variances(params, ConstantTwist(model), phi, w, n)
+    cv = exact_clt_variances(params, ConstantTwist(params), phi, w, n)
     assert math.isclose(cv.eta_phi, exact_eta, rel_tol=1e-12)
     assert math.isclose(cv.log_z, fwd.log_z[n], rel_tol=1e-12)
     eta_err = np.empty(reps)
@@ -294,7 +290,7 @@ def test_clt_variances_match_simulation():
     tf = {"phi": lambda v: (np.asarray(v) == 1).astype(float)}
     for r in range(reps):
         trace = run_filter(
-            "bootstrap", model, None, w, n, n_particles, seed=6, replicate=r, test_functions=tf
+            "bootstrap", params, None, w, n, n_particles, seed=6, replicate=r, test_functions=tf
         )
         scale = math.sqrt(n_particles)
         eta_err[r] = scale * (trace.eta["phi"][n] - exact_eta)
@@ -316,7 +312,7 @@ def test_clt_sigma_is_twist_free_but_gamma_variance_is_not():
     phi = np.arange(3, dtype=float)
     n = 6
     tri = eigen_triple(params, w, t_lo=-15, t_hi=n + 40)
-    cv_const = exact_clt_variances(params, ConstantTwist(params.fk()), phi, w, n)
+    cv_const = exact_clt_variances(params, ConstantTwist(params), phi, w, n)
     cv_h = exact_clt_variances(params, tri.as_twist(), phi, w, n)
     assert math.isclose(cv_const.sigma2, cv_h.sigma2, rel_tol=1e-10)
     assert cv_const.varsigma2_rel != pytest.approx(cv_h.varsigma2_rel, rel=1e-3)
@@ -326,7 +322,7 @@ def test_exact_moments_rejects_bad_particle_count():
     params = two_state_params()
     _, w = simulate(params, 8, seed=14)
     with pytest.raises(ValueError):
-        exact_moments(params, ConstantTwist(params.fk()), 0, w, 4)
+        exact_moments(params, ConstantTwist(params), 0, w, 4)
 
 
 def acceptance_params():
@@ -398,7 +394,7 @@ def test_count_space_moments_match_product_chain():
         n = 6
         tri = eigen_triple(params, w, t_lo=-20, t_hi=40)
         twists = [
-            ConstantTwist(params.fk()),
+            ConstantTwist(params),
             FiniteLagTwist(params, 1),
             FiniteLagTwist(params, 2),
             tri.as_twist(),
@@ -422,7 +418,6 @@ def per_horizon_moments(params, twist, n_particles, window, n_steps, mu0=None):
     log_coef = oracle._log_multinomial(states, n_particles)
     counts = states.astype(float)
     counts_t = np.ascontiguousarray(counts.T)
-    fk = params.fk()
     grid = np.arange(params.k)
     alpha = np.exp(log_coef + counts @ oracle._log0(params.mu0 if mu0 is None else mu0))
     alpha = np.stack([alpha, alpha])
@@ -430,10 +425,10 @@ def per_horizon_moments(params, twist, n_particles, window, n_steps, mu0=None):
     rows = min(n_states, max(1, oracle._CHUNK_BYTES // (8 * n_states)))
     log_m = np.zeros((2, n_steps + 1))
     for p in range(1, n_steps + 1):
-        cg = counts * np.exp(fk.log_g_grid(window, p - 1))
+        cg = counts * np.exp(params.log_g_grid(window, p - 1))
         cg_sum = cg.sum(axis=1)
         g_bold = cg_sum / n_particles
-        mix = cg @ fk.trans / cg_sum[:, None]
+        mix = cg @ params.trans / cg_sum[:, None]
         lp = twist.log_psi(window, p, grid)
         psi = np.exp(lp - lp.max())
         alpha[0] *= g_bold
@@ -471,7 +466,7 @@ def test_horizon_batches_equal_per_horizon_recursion_bit_for_bit(budget, monkeyp
         w = w0.shift(60)
         tri = eigen_triple(params, w, t_lo=-10, t_hi=n + 30)
         mu0 = np.linspace(1.0, 2.0, k)
-        for twist in (ConstantTwist(params.fk()), FiniteLagTwist(params, 2), tri.as_twist()):
+        for twist in (ConstantTwist(params), FiniteLagTwist(params, 2), tri.as_twist()):
             for n_particles in range(1, 8):
                 init = mu0 / mu0.sum() if n_particles == 3 else None
                 want = per_horizon_moments(params, twist, n_particles, w, n, init)
@@ -486,7 +481,7 @@ def test_single_particle_moments_reproduce_forward_recursion():
     _, w0 = simulate(params, 140, seed=16)
     w = w0.shift(60)
     exact = finite_forward(params, w, 10).log_z
-    for twist in (ConstantTwist(params.fk()), FiniteLagTwist(params, 2)):
+    for twist in (ConstantTwist(params), FiniteLagTwist(params, 2)):
         rep = exact_moments(params, twist, 1, w, 10)
         assert np.allclose(rep.log_first, exact, rtol=0, atol=1e-12)
 
@@ -538,7 +533,7 @@ def test_byte_budget_refuses_large_chains_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"N=2000 .* k=3 .* 2003001 states") as err:
-            exact_moments(params, ConstantTwist(params.fk()), 2000, w, 4)
+            exact_moments(params, ConstantTwist(params), 2000, w, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from twistpf.resampling import Workspace, ancestors, resample_rows, weights_pass
+from twistpf.resampling import Workspace, ancestors, weights_pass
 from twistpf.rng import RESAMPLE, RngStream
 
-from scalar_draws import multinomial_resample
+from scalar_draws import multinomial_resample, resample_rows
 
 
 def _gen(seed=0):

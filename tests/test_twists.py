@@ -9,13 +9,14 @@ from scipy import integrate
 
 from twistpf import twists
 from twistpf.filters import run_filter
-from twistpf.fkcore import FiniteFK, categorical_counts, logsumexp_bounded, q_apply_log
+from twistpf.fkcore import categorical_counts, logsumexp_bounded
 
 from twistpf.models import (
     FiniteHMMParams,
     LinearGaussianParams,
     SVParams,
     finite_forward,
+    q_apply_log,
     simulate,
 )
 from twistpf.twists import (
@@ -67,11 +68,10 @@ def test_lag_one_matches_potential():
     params = finite_params()
     _, w = simulate(params, 12, seed=1)
     tw = FiniteLagTwist(params, 1)
-    fk = params.fk()
     grid = np.arange(3)
     for t in range(8):
         got = centered(tw.log_psi(w, t, grid))
-        want = centered(fk.log_g(w, t, grid))
+        want = centered(params.log_g(w, t, grid))
         assert np.allclose(got, want, atol=1e-13)
 
 
@@ -80,13 +80,12 @@ def test_finite_lag_matches_operator_chain():
     # to the all-ones vector and compare up to the shared centering constant
     params = finite_params()
     _, w = simulate(params, 16, seed=2)
-    fk = params.fk()
     for ell in range(5):
         tw = FiniteLagTwist(params, ell)
         for t in range(4):
             vec = np.ones(3)
             for s in range(t + ell - 1, t - 1, -1):
-                vec = np.exp(fk.log_g_grid(w, s)) * (fk.trans @ vec)
+                vec = np.exp(params.log_g_grid(w, s)) * (params.trans @ vec)
             want = centered(np.log(vec)) if ell else np.zeros(3)
             got = centered(tw.log_psi(w, t, np.arange(3)))
             assert np.allclose(got, want, atol=1e-12)
@@ -238,11 +237,10 @@ def test_lg_mu0_psi_matches_quad():
 
 def eigen_residual_oracle(params, w, tri):
     """Recompute the defining identities with plain matrix algebra."""
-    fk = params.fk()
     worst = 0.0
     for t in range(tri.t_lo, tri.t_hi):
         r0, r1 = tri.row(t), tri.row(t + 1)
-        g = np.exp(fk.log_g_grid(w, t))
+        g = np.exp(params.log_g_grid(w, t))
         lam = float(tri.eta[r0] @ g)
         worst = max(worst, abs(lam - tri.lam[r0]))
         qh = g * (params.trans @ tri.h[r1])
@@ -272,7 +270,6 @@ def test_eigen_triple_short_window_raises():
 def two_sweep_eigen_triple(params, window, tol=1e-9, t_lo=None, t_hi=None):
     # the eigen elements by one sweep at a time and one time index at a
     # time: the reference the batched sweeps must equal bit for bit
-    fk = params.fk()
     o, e_idx = window.origin, window.end
     length = window.length
     t_lo = o + max(1, length // 4) if t_lo is None else t_lo
@@ -289,7 +286,7 @@ def two_sweep_eigen_triple(params, window, tol=1e-9, t_lo=None, t_hi=None):
         u = np.zeros(k)
         logs[start - o] = u
         for t in range(start - 1, o - 1, -1):
-            u = q_apply_log(fk, window, t, u)
+            u = q_apply_log(params, window, t, u)
             u = u - u.max()
             logs[t - o] = u
         return logs
@@ -308,8 +305,8 @@ def two_sweep_eigen_triple(params, window, tol=1e-9, t_lo=None, t_hi=None):
         p = init
         probs[0] = p
         for t in range(o, e_idx):
-            w = p * np.exp(fk.log_g_grid(window, t))
-            p = w @ fk.trans
+            w = p * np.exp(params.log_g_grid(window, t))
+            p = w @ params.trans
             p = p / p.sum()
             probs[t + 1 - o] = p
         return probs
@@ -333,14 +330,14 @@ def two_sweep_eigen_triple(params, window, tol=1e-9, t_lo=None, t_hi=None):
         h_lin = np.exp(back_a[t - o] - back_a[t - o].max())
         h[t - t_lo] = h_lin / float(eta_t @ h_lin)
         eta[t - t_lo] = eta_t
-        lam[t - t_lo] = float(eta_t @ np.exp(fk.log_g_grid(window, t)))
+        lam[t - t_lo] = float(eta_t @ np.exp(params.log_g_grid(window, t)))
     res_func = res_meas = 0.0
     for t in range(t_lo, t_hi):
         i = t - t_lo
-        g_t = np.exp(fk.log_g_grid(window, t))
-        qh = g_t * (fk.trans @ h[i + 1])
+        g_t = np.exp(params.log_g_grid(window, t))
+        qh = g_t * (params.trans @ h[i + 1])
         res_func = max(res_func, float(np.abs(qh - lam[i] * h[i]).max()))
-        flow = (eta[i] * g_t) @ fk.trans
+        flow = (eta[i] * g_t) @ params.trans
         res_meas = max(res_meas, float(np.abs(flow - lam[i] * eta[i + 1]).max()))
     residuals = {
         "eigenfunction": res_func,
@@ -435,9 +432,9 @@ def test_eigen_sweeps_stop_at_the_evaluation_range(monkeypatch):
         reads.append(np.asarray(t).tolist())
         return log_g_grid(self, window, t)
 
-    log_g_grid = FiniteFK.log_g_grid
+    log_g_grid = FiniteHMMParams.log_g_grid
     monkeypatch.setattr(twists, "logsumexp_bounded", counted)
-    monkeypatch.setattr(FiniteFK, "log_g_grid", recorded)
+    monkeypatch.setattr(FiniteHMMParams, "log_g_grid", recorded)
     params = acceptance_params()
     _, w0 = simulate(params, 300, seed=21)
     cases = [(w0.shift(80), {}), (w0.shift(80), {"t_lo": 0, "t_hi": 61}),
@@ -462,16 +459,15 @@ def test_eigen_sweeps_stop_at_the_evaluation_range(monkeypatch):
 def per_t_lag_table(params, ell, window, t):
     # log psi_t by its own backward recursion, one time index at a time: the
     # reference the batched lag tables must equal bit for bit
-    fk = params.fk()
     tab = np.zeros(params.k)
     for s in range(t + ell - 1, t - 1, -1):
-        tab = q_apply_log(fk, window, s, tab)
+        tab = q_apply_log(params, window, s, tab)
         tab = tab - tab.max()
     return tab
 
 
 def per_t_lag_q_table(params, ell, window, t):
-    return q_apply_log(params.fk(), window, t, per_t_lag_table(params, ell, window, t + 1))
+    return q_apply_log(params, window, t, per_t_lag_table(params, ell, window, t + 1))
 
 
 @pytest.mark.parametrize("budget", [None, 1, 500], ids=["default", "row", "rows"])
@@ -525,7 +521,7 @@ def scalar_integrate(model, c, d, e):
 
 
 def lg_obs_quad(tw, y):
-    r = tw.params.r_obs
+    r = tw.model.r_obs
     return 1.0 / r, y / r, -y * y / (2.0 * r) - 0.5 * np.log(2.0 * np.pi * r)
 
 
@@ -556,7 +552,6 @@ def test_gaussian_lag_tables_match_per_t_recursion_bit_for_bit(params):
     # for their t alone where it has a value, and raise its LookaheadError
     # (same index, origin and length) where it has none
     make = StochasticVolatilityTwist if isinstance(params, SVParams) else LinearGaussianLagTwist
-    model = params.fk()
     _, w0 = simulate(params, 40, seed=23)
     xs = np.linspace(-3.0, 3.0, 7)
     # the last window has observations at and near zero, where the SV
@@ -565,8 +560,8 @@ def test_gaussian_lag_tables_match_per_t_recursion_bit_for_bit(params):
                ObservationWindow(-2, np.r_[w0.values[:4], 0.0, 1e-6, w0.values[4:8]])]
 
     def q_reference(tw, window, t):
-        mid = scalar_integrate(model, *per_t_quad(tw, window, t + 1))
-        return model.log_g(window, t, xs) + eval_quad(mid, xs)
+        mid = scalar_integrate(params, *per_t_quad(tw, window, t + 1))
+        return params.log_g(window, t, xs) + eval_quad(mid, xs)
 
     for ell in range(5):
         for window in windows:
@@ -697,7 +692,7 @@ def test_twist_memos_hold_one_window_at_a_time():
     lg = LinearGaussianParams(0.9, 1.0, 1.0)
     for params, make in ((finite_params(), FiniteLagTwist), (lg, LinearGaussianLagTwist),
                          (SVParams(), StochasticVolatilityTwist)):
-        model, twist = params.fk(), make(params, 2)
+        model, twist = params, make(params, 2)
         _, w = simulate(params, 16, seed=0)
         grid = np.arange(3)
         try:
@@ -783,7 +778,7 @@ def test_gaussian_step_formulas_keep_their_bits_and_allocate_no_particle_array(p
     # bit, with and without out, and a warmed call into out allocates far
     # less than one particle array (8 * 8192 bytes)
     make = StochasticVolatilityTwist if isinstance(params, SVParams) else LinearGaussianLagTwist
-    model, twist = params.fk(), make(params, 2)
+    model, twist = params, make(params, 2)
     _, w = simulate(params, 20, seed=4)
     rng = np.random.default_rng(5)
     x = rng.normal(scale=3.0, size=(2, 4096))
