@@ -13,7 +13,8 @@ The library is organized in layers:
   forward recursion, Kalman).
 - :mod:`twistpf.twists` -- twist functions: constant, finite-lookahead,
   Gaussian and volatility approximations, and the time-varying
-  eigenfunction with its convergence certificate.
+  eigenfunction with its convergence certificate; the one table of each
+  model's twist kinds.
 - :mod:`twistpf.filters` -- bootstrap, twisted, auxiliary and
   importance-sampling runs, four kinds of one step loop, all returning a
   :class:`RunTrace`.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, read_config
+from .config import ConfigError, lag_kind, read_config
 from .filters import _KINDS
 from .harness import _EXPERIMENTS, run_from_manifest
 
@@ -68,11 +68,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         value = getattr(args, field)
         if value is not None:
             cfg[field] = value
-    if args.lag is not None:
-        twist = dict(cfg.get("twist", {}))
-        twist.setdefault("kind", "lag")
-        twist["ell"] = args.lag
-        cfg["twist"] = twist
+    twist = cfg.get("twist", {})
+    if args.lag is not None and isinstance(twist, dict):  # else load_config names 'twist'
+        cfg["twist"] = {"kind": lag_kind(cfg["model"]), **twist, "ell": args.lag}
     if "steps" not in cfg:
         raise ConfigError("config field 'steps' is required (or pass --steps)")
     return cfg

@@ -30,6 +30,9 @@ _NESTED_FIELDS = {"twist": ("kind", "ell", "tol"), "window": ("length", "burn_in
 _INTS = {"steps": 0, "particles": 1, "replicates": 1, "seed": None, "workers": 1,
          "twist.ell": 0, "window.length": 0, "window.burn_in": 0}
 _INT_LISTS = {"ell_grid": 0, "N_grid": 1}
+# sizes of one float64 row: at 2**60 entries a row spans 2**63 bytes, which
+# numpy cannot index
+_ROW_LIMIT = 2**60
 
 # margin, in steps, left and right of the study horizon when a run needs the
 # time-varying eigenfunction: wide enough that the sweeps converge well below
@@ -116,7 +119,14 @@ def _check_fields(cfg: dict) -> None:
             _check_int(value, field, low)
     if cfg.get("filter", "bootstrap") not in _KINDS:
         raise ConfigError(f"config field 'filter' must be one of {_KINDS}")
-    twist, twist_kinds = cfg.get("twist", {}), TWIST_KINDS[_PARAMS[kind]]
+    rows = {"particles": [cfg.get("particles", 1)], "N_grid": cfg.get("N_grid", [1])}
+    if cfg.get("filter") == "sis":  # the chains of one run are its replicates
+        rows["replicates"] = [cfg.get("replicates", 1)]
+    for field, sizes in rows.items():
+        if max(sizes) >= _ROW_LIMIT:
+            raise ConfigError(f"config field '{field}' must be < 2**60: a row of "
+                              f"{max(sizes)} float64 entries cannot be indexed")
+    twist, twist_kinds = cfg.get("twist", {}), tuple(TWIST_KINDS[_PARAMS[kind]])
     if twist.get("kind", "constant") not in twist_kinds:
         raise ConfigError(f"config field 'twist.kind' must be one of {twist_kinds} for "
                           f"model kind {kind!r}")
@@ -157,6 +167,13 @@ def read_config(source) -> dict:
     return dict(source)
 
 
+def lag_kind(model) -> str | None:
+    """The twist kind with a lag of a config's ``model`` mapping, if any."""
+    kind = model.get("kind") if isinstance(model, dict) else None
+    kinds = TWIST_KINDS.get(_PARAMS.get(str(kind)), {})
+    return next((name for name, cls in kinds.items() if cls.lagged), None)
+
+
 def eigen_window(steps: int) -> dict:
     """The window an eigenfunction needs around ``steps``: margins both sides."""
     return {"length": steps + 1 + EIGEN_MARGIN, "burn_in": EIGEN_MARGIN}
@@ -169,7 +186,8 @@ def load_config(source) -> ExperimentConfig:
     params = _build_params(cfg)
     steps = _need(cfg, "steps")
     twist = {"kind": "constant", "ell": 0, "tol": 1e-9, **cfg.get("twist", {})}
-    window = cfg.get("window", eigen_window(steps) if twist["kind"] == "exact_h" else {})
+    margins = TWIST_KINDS[type(params)][twist["kind"]].margins
+    window = cfg.get("window", eigen_window(steps) if margins else {})
     window = {"length": window.get("length", steps + twist["ell"] + 1),
               "burn_in": window.get("burn_in", 0)}
     raw = {"filter": "bootstrap", "particles": 100, "replicates": 1, "seed": 0, "workers": 1,

@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +31,8 @@ from .config import ConfigError, ExperimentConfig, eigen_window, load_config, re
 from .filters import default_test_functions, replicate_blocks, run_filter
 from .models import finite_forward, kalman_run, simulate
 from .oracle import _MAX_STATES, exact_clt_variances, exact_moments, fit_slope, upsilon_bound
-from .twists import ConvergenceError, EigenTwist, eigen_triple, make_twist
+from .twists import TWIST_KINDS, ConvergenceError, make_twist, study_triple
+from .windows import LookaheadError
 
 __all__ = [
     "draw_window",
@@ -57,30 +58,23 @@ def draw_window(params, length: int, burn_in: int, seed: int):
     return window.shift(burn_in)
 
 
-def _eigen(config: ExperimentConfig, window, tol):
-    """The eigen triple on [0, steps + 1]; the certificate uses the margins."""
-    t_hi = config.steps + 1
-    if window.end - 1 <= t_hi:
-        raise ConfigError("config field 'window.length' is too short for an exact_h twist: "
-                          f"need observations beyond index {t_hi}")
-    return eigen_triple(config.params, window, tol=float(tol), t_lo=0, t_hi=t_hi)
-
-
 def _build_twist(config: ExperimentConfig, window, spec: dict, filter_kind="twisted"):
     """The twist (auxiliary weight, SIS proposal) of ``spec`` for a filter;
     None for the bootstrap filter, which runs without one."""
     if filter_kind == "bootstrap":
         return None
-    if spec["kind"] != "exact_h":
-        return make_twist(config.params, spec)
     try:
-        return _eigen(config, window, spec["tol"]).as_twist()
-    except ConvergenceError as exc:
-        raise _short_margin(exc) from exc
+        return make_twist(config.params, spec, window, config.steps)
+    except (ConvergenceError, LookaheadError) as exc:
+        raise _short_window(exc) from exc
 
 
-def _short_margin(exc: ConvergenceError) -> ConfigError:
-    """An eigen certificate's failure as the window field to widen."""
+def _short_window(exc) -> ConfigError:
+    """An eigen build's failure as the window field to widen: no observation
+    past its range (``LookaheadError``), or a certificate's ``exc.edge``."""
+    if isinstance(exc, LookaheadError):
+        return ConfigError("config field 'window.length' is too short for an exact_h twist: "
+                           f"need observations beyond index {exc.index - 1}")
     field = "window.burn_in" if exc.edge == "left" else "window.length"
     return ConfigError(f"config field '{field}' leaves too short a margin for the eigen "
                        f"elements: {exc}")
@@ -89,15 +83,24 @@ def _short_margin(exc: ConvergenceError) -> ConfigError:
 def _lag_grid(config: ExperimentConfig):
     """The ``ell_grid`` of a twisted run with a lag twist, else None: the lags
     variance-growth runs in place of the twist's own."""
-    if config.filter_kind == "twisted" and config.twist_spec["kind"] in ("lag", "sv_approx"):
+    if config.filter_kind == "twisted" and _twist_class(config).lagged:
         return config.raw.get("ell_grid")
     return None
 
 
+def _twist_class(config: ExperimentConfig):
+    """The twist class of the config's kind, from ``TWIST_KINDS``."""
+    return TWIST_KINDS[type(config.params)][config.twist_spec["kind"]]
+
+
 def _growth_bound(config: ExperimentConfig, window, twist):
-    """Twist discrepancy and growth-rate bound over ``t = 1 .. steps``."""
-    triple = (twist.triple if isinstance(twist, EigenTwist)
-              else _eigen(config, window, config.twist_spec["tol"]))
+    """Twist discrepancy and growth-rate bound over ``t = 1 .. steps``,
+    against the twist's eigen triple or the one an eigen twist would hold."""
+    try:
+        triple = twist.triple or study_triple(config.params, window, config.steps,
+                                              config.twist_spec["tol"])
+    except LookaheadError as exc:
+        raise _short_window(exc) from exc
     return upsilon_bound(triple, twist, window, range(1, config.steps + 1), config.particles)
 
 
@@ -248,12 +251,10 @@ def _setup(source, experiment: Experiment):
                               f"{experiment.name}: {why}")
     if experiment.eigen_margins and "window" not in cfg:
         # widen an implicit window so the eigenfunction sweeps can converge
-        window = eigen_window(config.steps)
-        config = replace(config, raw=dict(config.raw, window=window),
-                         window_length=window["length"], burn_in=window["burn_in"])
+        config = load_config(dict(cfg, window=eigen_window(config.steps)))
     if not experiment.windowed:
         return config, None
-    lookahead = 0 if config.twist_spec["kind"] == "exact_h" else config.twist_spec["ell"]
+    lookahead = 0 if _twist_class(config).margins else config.twist_spec["ell"]
     need = config.steps + 1 + lookahead
     if config.window_length < need:
         raise ConfigError(f"config field 'window.length' = {config.window_length} is too short "
@@ -450,7 +451,7 @@ def _bound(config: ExperimentConfig, window) -> _Output:
     try:
         rep = _growth_bound(config, window, twist)
     except ConvergenceError as exc:
-        raise _short_margin(exc) from exc
+        raise _short_window(exc) from exc
     spec = config.twist_spec
     row = [repr(float(rep.d_sup)), repr(float(rep.bound)), config.particles, spec["kind"],
            spec["ell"]]

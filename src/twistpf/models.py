@@ -143,13 +143,17 @@ class SVParams(_AR1):
 
     def log_g(self, window, t, x, out=None):
         # -(log(2 pi b^2) + x + y^2 exp(-x) / b^2) / 2, in that order, the
-        # exponential term in a step buffer
+        # exponential term in a step buffer; at y = 0 that term is exactly 0,
+        # also where exp(-x) overflows
         y = float(window.y(t, context="potential evaluation"))
         x = np.asarray(x, dtype=float)
         term = np.negative(x, out=scratch("term", x))
-        np.exp(term, out=term)
-        np.multiply(y * y, term, out=term)
-        term /= self.obs_scale2
+        if y == 0.0:
+            term.fill(0.0)
+        else:
+            np.exp(term, out=term)
+            np.multiply(y * y, term, out=term)
+            term /= self.obs_scale2
         v = np.add(np.log(2.0 * np.pi * self.obs_scale2), x, out=out)
         v += term
         v *= -0.5

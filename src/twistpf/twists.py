@@ -14,39 +14,32 @@ The interface every twist implements:
   from the reweighted kernel M_t(x, dz) psi_{t+1}(z) / integral, split as for
   models into the draws (one uniform or standard normal per position) and
   an elementwise transform.
+* ``log_mu0_psi(window)`` and ``sample_twisted_initial(window, size, gen)``:
+  psi_0 integrated against, and reweighting, the initial law.
 * ``lookahead``: largest future offset read, i.e. evaluating at time ``t``
   touches observation indices up to ``t + lookahead``.
 
-The four methods write their result into an ``out=`` array when one is
-given, as the models' methods do.
+The first four methods write their result into an ``out=`` array when one
+is given, as the models' methods do.
 
-Twists that can also be integrated against the initial law (needed by the
-auxiliary filter) provide ``log_mu0_psi(window)`` and
-``sample_twisted_initial(window, size, gen)``.
+``TWIST_KINDS`` is the one table of the twist kinds each model has, by
+name, and the class of each, whose ``lagged`` and ``margins`` say how
+:func:`make_twist` builds it and what it reads past the horizon:
 
-Families provided here:
+* ``constant``, :class:`ConstantTwist`: psi = 1; every consumer reduces to
+  its standard form.
+* ``lag``: psi_t = conditional likelihood of the next ``ell`` observations,
+  by backward matrix recursion on a finite grid (:class:`FiniteLagTwist`)
+  or in closed Gaussian form (:class:`LinearGaussianLagTwist`).
+* ``sv_approx``, :class:`StochasticVolatilityTwist`: a Gaussian
+  approximation of the lag twist of the stochastic volatility model.
+* ``exact_h``, :class:`EigenTwist`: the generalized eigenfunction of the
+  one-step operator on finite models, from :func:`study_triple`.
 
-* :class:`ConstantTwist`: psi = 1; reduces every consumer to its standard form.
-* :class:`FiniteLagTwist`: psi_t = conditional likelihood of the next ``ell``
-  observations, by backward matrix recursion on a finite grid.
-* :class:`LinearGaussianLagTwist`: the same quantity in closed Gaussian form.
-* :class:`StochasticVolatilityTwist`: Gaussian approximation for the
-  stochastic volatility model (second-order expansion of each log observation
-  density in the log-volatility, curvature floored so psi stays bounded).
-* :class:`EigenTwist`: the generalized eigenfunction of the one-step operator,
-  precomputed by :func:`eigen_triple` on finite models.
-
-The three lag twists share one table design: the first lookup in a window
-builds the rows of psi_t and of Q_t(psi_{t+1}) for every time of the window
-in ``ell + 1`` batched steps, and lookups read them. A family supplies only
-its row of psi = 1 and its backward and up steps: ``q_apply_log`` on a
-finite grid, a closed-form Gaussian integral on the coefficients of a
-quadratic log psi. :class:`FiniteLagTwist` and :class:`EigenTwist` are
-finite table twists: a log table over the k states per time, from which
-lookups, moves and initial draws are made the same way. Both exact
-references stop where their tables end: :func:`eigen_triple` sweeps only as
-far as its range and certificates need, and a lag twist's tables cover only
-the times whose observations the window holds.
+The three lag twists share one table builder (:class:`_LagTwist`), and the
+finite ``lag`` and ``exact_h`` twists one finite table base
+(:class:`_FiniteTableTwist`). What a twist builds for a window is kept in
+its one memo (:meth:`TwistFunction._memo`).
 """
 
 from __future__ import annotations
@@ -69,6 +62,7 @@ __all__ = [
     "EigenTriple",
     "EigenTwist",
     "eigen_triple",
+    "study_triple",
     "ConvergenceError",
     "TWIST_KINDS",
     "make_twist",
@@ -85,9 +79,23 @@ class ConvergenceError(RuntimeError):
 
 
 class TwistFunction:
-    """Interface; see module docstring."""
+    """Interface; see module docstring. ``triple``: an eigen twist's triple."""
 
     lookahead = 0
+    lagged = False   # its kind takes a lag ``ell``, which an ``ell_grid`` varies
+    margins = False  # it reads its study's eigen margins, not ``ell`` observations
+    triple = None
+    _memo_window = None
+
+    def _memo(self, window, key, build):
+        """What ``window`` decides under ``key``, ``build()`` on first use;
+        met with another window, the twist drops all the last one's keys."""
+        if window is not self._memo_window:
+            self._memo_window, self._memo_rows = window, {}
+        row = self._memo_rows.get(key)
+        if row is None:
+            row = self._memo_rows[key] = build()
+        return row
 
     def log_psi(self, window, t: int, x, out=None):
         raise NotImplementedError
@@ -114,8 +122,6 @@ class TwistFunction:
 
 class ConstantTwist(TwistFunction):
     """psi = 1. All consumers collapse to their untwisted behavior."""
-
-    lookahead = 0
 
     def __init__(self, model):
         self.model = model
@@ -162,24 +168,9 @@ class _FiniteTableTwist(TwistFunction):
     ``_log_table(window, t)``, log psi_t, and ``_log_table(window, t,
     q=True)``, log Q_t(psi_{t+1}). A subclass supplies both tables,
     ``_mu0_psi(window)`` (mu0 * psi_0 up to a constant factor) and
-    ``log_mu0_psi``.
-
-    What a window and a time decide is built on first use and kept for the
-    window (:meth:`_window_row`): the CDFs of the twisted kernel's rows at
-    ``t``, and of the twisted initial law; a twist keeps one window's rows,
-    as the lag twists keep their tables."""
-
-    _rows_window = None
-
-    def _window_row(self, window, key, build):
-        """Row ``key`` of ``window``, ``build()`` on its first use; met with
-        another window, the twist drops the last one's rows."""
-        if window is not self._rows_window:
-            self._rows_window, self._rows = window, {}
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = build()
-        return row
+    ``log_mu0_psi``. The CDFs of the twisted kernel's rows at ``t`` and of
+    the twisted initial law are built on first use and kept in the memo
+    under ``("move", t)`` and ``"initial"``."""
 
     def log_psi(self, window, t, x, out=None):
         return lookup(self._log_table(window, t), x, out)
@@ -196,7 +187,7 @@ class _FiniteTableTwist(TwistFunction):
             cdf[:, -1] = 1.0
             return cdf
 
-        return categorical_counts(self._window_row(window, ("move", t), build), x, noise, out)
+        return categorical_counts(self._memo(window, ("move", t), build), x, noise, out)
 
     def sample_twisted_initial(self, window, size, gen):
         def build():
@@ -205,7 +196,7 @@ class _FiniteTableTwist(TwistFunction):
             cdf[-1] = 1.0
             return cdf
 
-        return count_at_or_below(self._window_row(window, "initial", build), gen.random(size))
+        return count_at_or_below(self._memo(window, "initial", build), gen.random(size))
 
 
 class _LagTwist(TwistFunction):
@@ -218,18 +209,19 @@ class _LagTwist(TwistFunction):
     backward steps, one batched call per step with one observation offset
     per step and one time per row, and the rows of Q_t(psi_{t+1}) for ``t``
     below ``end - ell`` by one up step; each row gets the bits a recursion
-    for its ``t`` alone would give. A twist keeps the tables of one window:
-    met with the next window, it drops the last one's. A family supplies
+    for its ``t`` alone would give. Both tables are kept in the memo under
+    ``"tables"``. A family supplies
     ``_flat()`` (the row of psi = 1), ``_back(window, ts, rows)`` (the rows
     of psi_t from those of psi_{t+1}, reading observations ``ts``) and
     ``_up(window, ts, rows)`` (the rows of Q_t(psi_{t+1}))."""
+
+    lagged = True
 
     def __init__(self, model, ell: int):
         if ell < 0:
             raise ValueError("lag must be >= 0")
         self.model = model
         self.ell = self.lookahead = int(ell)
-        self._window = self._tables = None
 
     def _log_table(self, window, t: int, q: bool = False) -> np.ndarray:
         """Row ``t`` of the psi table, or with ``q`` of the Q(psi) table;
@@ -237,19 +229,20 @@ class _LagTwist(TwistFunction):
         observations from the top down would have failed on first."""
         if self.ell == 0 and not q:
             return self._flat()
-        if window is not self._window:
-            ts = np.arange(window.origin, window.end - self.ell + 1)
-            psi = np.tile(self._flat(), (ts.size, 1))
-            for j in range(self.ell - 1, -1, -1):  # observation t + j, top down
-                psi = self._back(window, ts + j, psi)
-            self._window, self._tables = window, (psi, self._up(window, ts[:-1], psi[1:]))
-        rows = self._tables[q]
+        rows = self._memo(window, "tables", lambda: self._tables(window))[q]
         i = t - window.origin
         if not 0 <= i < rows.shape[0]:
             top = t + self.ell - 1 + q  # psi_t reads t .. t + ell - 1, Q_t one more
             window.require(top, top, context="potential evaluation")
             window.require(max(t, window.origin - 1), top, context="potential evaluation")
         return rows[i]
+
+    def _tables(self, window):
+        ts = np.arange(window.origin, window.end - self.ell + 1)
+        psi = np.tile(self._flat(), (ts.size, 1))
+        for j in range(self.ell - 1, -1, -1):  # observation t + j, top down
+            psi = self._back(window, ts + j, psi)
+        return psi, self._up(window, ts[:-1], psi[1:])
 
 
 class FiniteLagTwist(_LagTwist, _FiniteTableTwist):
@@ -580,6 +573,8 @@ class EigenTwist(_FiniteTableTwist):
     collapses onto the eigenvalue product; see the per-run identity tests.
     """
 
+    margins = True
+
     def __init__(self, triple: EigenTriple):
         self.model = triple.params
         self.triple = triple
@@ -596,7 +591,7 @@ class EigenTwist(_FiniteTableTwist):
             h = self.triple.h[self._row(window, t + 1)]
             return self.model.log_g_grid(window, t) + np.log(self.model.trans @ h)
 
-        return self._window_row(window, ("q", t), build)
+        return self._memo(window, ("q", t), build)
 
     def _mu0_psi(self, window):
         return self.model.mu0 * self.triple.h[self._row(window, 0)]
@@ -605,32 +600,41 @@ class EigenTwist(_FiniteTableTwist):
         return float(np.log(self.model.mu0 @ self.triple.h[self._row(window, 0)]))
 
 
-# the twist kinds each model has
+def study_triple(params: FiniteHMMParams, window, steps: int, tol: float = 1e-9) -> EigenTriple:
+    """The eigen triple of a study of ``steps`` steps: on ``[0, steps + 1]``,
+    certified on the margins; a window that ends there raises the
+    ``LookaheadError`` of index ``steps + 2``."""
+    t_hi = steps + 1
+    window.require(t_hi + 1, t_hi + 1, context="eigen margins")
+    return eigen_triple(params, window, tol=float(tol), t_lo=0, t_hi=t_hi)
+
+
+# the twist kinds each model has, by name, and the class of each
 TWIST_KINDS = {
-    FiniteHMMParams: ("constant", "lag", "exact_h"),
-    LinearGaussianParams: ("constant", "lag"),
-    SVParams: ("constant", "sv_approx"),
+    FiniteHMMParams: {"constant": ConstantTwist, "lag": FiniteLagTwist, "exact_h": EigenTwist},
+    LinearGaussianParams: {"constant": ConstantTwist, "lag": LinearGaussianLagTwist},
+    SVParams: {"constant": ConstantTwist, "sv_approx": StochasticVolatilityTwist},
 }
 
 
-def make_twist(params, spec: dict) -> TwistFunction:
-    """Build a twist from a config mapping ``{kind, ell}``, of a kind the
-    model has (``TWIST_KINDS``). An ``exact_h`` twist is made from its eigen
-    elements, which need a window and an evaluation range:
-    ``eigen_triple(params, window, ...).as_twist()``.
-    """
+def make_twist(params, spec: dict, window=None, steps: int | None = None) -> TwistFunction:
+    """Build a twist from a config mapping ``{kind, ell, tol}``, of a kind the
+    model has (``TWIST_KINDS``): from the model and ``ell`` for a kind that
+    takes a lag, from the eigen triple of the study's ``window`` and
+    ``steps`` (:func:`study_triple`) for one that reads the eigen margins,
+    else from the model."""
     kind = spec.get("kind", "constant")
-    kinds = TWIST_KINDS.get(type(params), ())
+    kinds = TWIST_KINDS.get(type(params), {})
     if kind not in kinds:
-        raise ValueError(f"twist kind {kind!r} is not one of {kinds}, the kinds of "
+        raise ValueError(f"twist kind {kind!r} is not one of {tuple(kinds)}, the kinds of "
                          f"{type(params).__name__}")
-    if kind == "exact_h":
-        raise ValueError("an exact_h twist is built from its eigen elements: "
+    cls = kinds[kind]
+    if cls.lagged:
+        return cls(params, int(spec.get("ell", 0)))
+    if not cls.margins:
+        return cls(params)
+    if window is None or steps is None:
+        raise ValueError("an exact_h twist is built from its eigen elements on a window: "
+                         "make_twist(params, spec, window, steps) or "
                          "eigen_triple(params, window, ...).as_twist()")
-    ell = int(spec.get("ell", 0))
-    if kind == "constant":
-        return ConstantTwist(params)
-    if kind == "sv_approx":
-        return StochasticVolatilityTwist(params, ell)
-    lag = FiniteLagTwist if isinstance(params, FiniteHMMParams) else LinearGaussianLagTwist
-    return lag(params, ell)
+    return cls(study_triple(params, window, steps, spec.get("tol", 1e-9)))

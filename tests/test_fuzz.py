@@ -20,6 +20,7 @@ Any other exception fails the test, which lists every such outcome.
 
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -58,7 +59,9 @@ def _bases() -> list:
     """``(label, experiment, config)`` for each starting point. The presets
     run a lag twist (``sv_approx`` on sv) and, on the finite model, the
     eigen twist too, in a window given in full: the eigen margins where the
-    experiment or the twist needs them, else the default."""
+    experiment or the twist needs them, else the default. They run at seed
+    1, and sv at seed 0 too, whose path under ``vol_of_vol: 2**63``
+    underflows an observation to exactly 0."""
     bases = []
     for path in sorted(os.listdir(os.path.join(ROOT, "demos", "configs"))):
         with open(os.path.join(ROOT, "demos", "configs", path)) as fh:
@@ -72,14 +75,14 @@ def _bases() -> list:
             kinds = ("bootstrap", "twisted", "apf", "sis") if name in (
                 "run", "variance-growth") else ("twisted",)
             twists = [lag, {"kind": "exact_h"}] if model == "finite" else [lag]
-            for kind in kinds:
-                for twist in twists:
-                    cfg = {"model": dict(preset), "filter": kind, "twist": twist, "seed": 1,
-                           **_MAX}
-                    eigen = experiment.eigen_margins or twist["kind"] == "exact_h"
-                    cfg["window"] = (eigen_window(cfg["steps"]) if eigen else
-                                     {"length": cfg["steps"] + 2, "burn_in": 0})
-                    bases.append((f"{model}-{name}-{kind}-{twist['kind']}", name, cfg))
+            for kind, twist, seed in itertools.product(kinds, twists,
+                                                       (1, 0) if model == "sv" else (1,)):
+                cfg = {"model": dict(preset), "filter": kind, "twist": twist, "seed": seed,
+                       **_MAX}
+                eigen = experiment.eigen_margins or twist["kind"] == "exact_h"
+                cfg["window"] = (eigen_window(cfg["steps"]) if eigen else
+                                 {"length": cfg["steps"] + 2, "burn_in": 0})
+                bases.append((f"{model}-{name}-{kind}-{twist['kind']}-seed{seed}", name, cfg))
     return bases
 
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twistpf import harness
+from twistpf import harness, twists
 from twistpf.cli import _MODEL_PRESETS, main
 from twistpf.config import _PARAMS
 from twistpf.filters import _KINDS, run_filter
@@ -27,6 +27,7 @@ from twistpf.harness import (
     run_variance_growth,
 )
 from twistpf.models import kalman_run, simulate
+from twistpf.windows import ObservationWindow
 from twistpf.oracle import occupation_states
 from twistpf.twists import TWIST_KINDS, ConvergenceError
 
@@ -217,14 +218,14 @@ def test_ell_grid_beyond_the_window_fails_naming_the_field(tmp_path):
 
 def test_runner_draws_one_window_and_one_eigen_triple(tmp_path, monkeypatch):
     calls = {"draw_window": 0, "eigen_triple": 0}
-    for name in calls:
-        original = getattr(harness, name)
+    for module, name in ((harness, "draw_window"), (twists, "eigen_triple")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     run_variance_growth(finite_cfg(filter="twisted", twist={"kind": "lag", "ell": 1},
                                    ell_grid=[0, 1]), str(tmp_path))
     run_unbiasedness(finite_cfg(filter="sis"), str(tmp_path))
@@ -352,7 +353,7 @@ def test_oracle_check_records_bound_error(tmp_path, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("eigenfunction not converged")
 
-    monkeypatch.setattr(harness, "eigen_triple", no_convergence)
+    monkeypatch.setattr(twists, "eigen_triple", no_convergence)
     res = run_oracle_check(cfg, str(tmp_path / "short"))
     manifest = json.load(open(res.manifest_path))
     assert manifest["bound_error"] == "eigenfunction not converged"
@@ -363,7 +364,7 @@ def test_oracle_check_records_bound_error(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("not a convergence failure")
 
-    monkeypatch.setattr(harness, "eigen_triple", broken)
+    monkeypatch.setattr(twists, "eigen_triple", broken)
     with pytest.raises(RuntimeError, match="not a convergence failure"):
         run_oracle_check(cfg, str(tmp_path / "broken"))
 
@@ -722,6 +723,68 @@ def test_cli_refuses_a_window_of_non_finite_observations(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'model'" in err and "vol_of_vol=9.223372036854776e+18" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("filter_kind", ["bootstrap", "twisted", "apf", "sis"])
+def test_cli_runs_an_sv_path_with_a_zero_observation(tmp_path, capsys, filter_kind):
+    # at seed 0 the path of vol_of_vol 2**63 underflows its observations to
+    # exactly 0 (a finite window) while particles lie far below x = -709: the
+    # potential's y^2 exp(-x) term is exactly 0 there, not 0 * inf
+    cfg = {"model": {"kind": "sv", "vol_of_vol": 2**63}, "filter": filter_kind,
+           "twist": {"kind": "sv_approx", "ell": 1}, "steps": 4, "particles": 8,
+           "replicates": 4, "seed": 0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        config = load_config(cfg)
+        window = harness.draw_window(config.params, config.window_length, 0, 0)
+        assert (window.values == 0.0).any()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(str(tmp_path / "out" / "runtrace.csv"))
+    assert header[1] == "log_Z" and all(np.isfinite(float(row[1])) for row in rows)
+    x = np.array([-1e4, -800.0, 0.0, 3.0])
+    b2 = config.params.obs_scale2
+    zero = ObservationWindow(0, [0.0])
+    assert np.array_equal(config.params.log_g(zero, 0, x),
+                          np.multiply(-0.5, np.log(2.0 * np.pi * b2) + x))
+
+
+@pytest.mark.parametrize("model, kind", [("sv", "sv_approx"), ("lg", "lag"), ("finite", "lag")])
+def test_cli_lag_takes_the_models_lag_kind(tmp_path, capsys, model, kind):
+    # --lag with no twist kind given sets the kind of the model that takes a
+    # lag; a kind the config gives is kept, and a twist that is not an object
+    # is refused by name
+    out = tmp_path / "out"
+    assert main(["run", "--model", model, "--lag", "2", "--steps", "4", "--particles", "8",
+                 "--filter", "twisted", "--out", str(out)]) == 0
+    manifest = json.load(open(out / "runtrace_manifest.json"))
+    assert manifest["config"]["twist"] == {"kind": kind, "ell": 2, "tol": 1e-9}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": _MODEL_PRESETS[model], "twist": {"kind": "constant"},
+                                "steps": 4, "particles": 8}))
+    assert main(["run", "--config", str(path), "--lag", "1", "--out", str(out)]) == 0
+    manifest = json.load(open(out / "runtrace_manifest.json"))
+    assert manifest["config"]["twist"] == {"kind": "constant", "ell": 1, "tol": 1e-9}
+    path.write_text(json.dumps({"model": _MODEL_PRESETS[model], "twist": "x", "steps": 4}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--lag", "1", "--out", str(out)]) == 2
+    assert "'twist'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, over, field", [
+    ("run", {"model": _LG, "particles": 2**62}, "particles"),
+    ("run", {"model": _LG, "particles": 2**60}, "particles"),
+    ("clt-check", {"N_grid": [8, 2**60]}, "N_grid"),
+    ("variance-growth", {"filter": "sis", "replicates": 2**60}, "replicates"),
+    ("run", {"filter": "sis", "replicates": 2**61}, "replicates"),
+], ids=["particles-2**62", "particles-2**60", "N_grid", "sis-variance-growth", "sis-run"])
+def test_cli_refuses_rows_numpy_cannot_index(tmp_path, monkeypatch, capsys, command, over,
+                                             field):
+    # a row of 2**60 float64 particles (or SIS chains) spans 2**63 bytes,
+    # which numpy cannot index: the size is refused by name before any window
+    _refused_before_any_window(tmp_path, monkeypatch, capsys, command, finite_cfg(**over),
+                               f"'{field}'")
 
 
 def test_unbiasedness_needs_a_horizon(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import gc
 import math
 import tracemalloc
 import warnings
@@ -666,9 +665,18 @@ def test_make_twist_dispatch_and_errors():
         make_twist(svp, {"kind": "lag", "ell": 1})
     with pytest.raises(ValueError, match="the kinds of LinearGaussianParams"):
         make_twist(lgp, {"kind": "exact_h"})
-    # an eigen twist needs a window and a range: it is built from its triple
+    # an eigen twist is the eigenfunction of a study's window and horizon:
+    # without them it names how to build one
     with pytest.raises(ValueError, match=r"eigen_triple\(params, window, \.\.\.\)\.as_twist\(\)"):
         make_twist(fin, {"kind": "exact_h"})
+    _, w = simulate(fin, 160, seed=21)
+    w = w.shift(60)
+    tw = make_twist(fin, {"kind": "exact_h", "tol": 1e-8}, w, 20)
+    want = eigen_triple(fin, w, tol=1e-8, t_lo=0, t_hi=21)
+    assert isinstance(tw, EigenTwist) and (tw.triple.t_lo, tw.triple.t_hi) == (0, 21)
+    assert np.array_equal(tw.triple.h, want.h) and tw.triple.residuals == want.residuals
+    with pytest.raises(LookaheadError, match="observation index 101 "):
+        make_twist(fin, {"kind": "exact_h"}, w, 99)
     with pytest.raises(ValueError):
         make_twist(fin, {"kind": "nope"})
     with pytest.raises(ValueError):
@@ -684,35 +692,57 @@ def test_eigen_twist_out_of_range_raises():
         tw.log_psi(w.shift(60), 31, np.arange(3))
 
 
+def _memo_families():
+    """``(params, make, window)`` per twist family: a fresh twist is
+    ``make()``, and ``window`` (or a roll of its values) fits it."""
+    fin = finite_params()
+    _, long = simulate(fin, 160, seed=21)
+    long = long.shift(60)
+    tri = eigen_triple(fin, long, t_lo=-10, t_hi=40)
+    out = [(fin, tri.as_twist, long)]
+    for params, cls in ((fin, FiniteLagTwist), (LinearGaussianParams(0.9, 1.0, 1.0),
+                        LinearGaussianLagTwist), (SVParams(), StochasticVolatilityTwist)):
+        out.append((params, lambda params=params, cls=cls: cls(params, 2),
+                    simulate(params, 16, seed=0)[1]))
+    return out
+
+
+def _use(twist, window, finite):
+    """The lookups of three steps, and for a finite table twist its moves
+    and an initial draw: what a run asks of a twist in one window."""
+    grid = np.arange(3)
+    for t in range(3):
+        twist.log_psi(window, t, grid)
+        twist.log_q_psi(window, t, grid)
+        if finite:
+            twist.twisted_mutate(window, t, grid, np.full(3, 0.5))
+    if finite:
+        twist.sample_twisted_initial(window, 5, np.random.default_rng(0))
+
+
 def test_twist_memos_hold_one_window_at_a_time():
-    # one lag twist reused over 10^3 windows: what it allocates after the
-    # 100th window and still holds after the last is one window's tables,
-    # and a twist that has seen other windows gives every trace bit for bit
-    # what a fresh twist gives
-    lg = LinearGaussianParams(0.9, 1.0, 1.0)
-    for params, make in ((finite_params(), FiniteLagTwist), (lg, LinearGaussianLagTwist),
-                         (SVParams(), StochasticVolatilityTwist)):
-        model, twist = params, make(params, 2)
-        _, w = simulate(params, 16, seed=0)
-        grid = np.arange(3)
-        try:
-            for i in range(1000):
-                if i == 100:
-                    gc.collect()
-                    tracemalloc.start()
-                window = ObservationWindow(0, np.roll(w.values, i % 7))
-                for t in range(3):
-                    twist.log_psi(window, t, grid)
-                    twist.log_q_psi(window, t, grid)
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert held < 32 * 1024, (make.__name__, held)
-        windows = [simulate(params, 16, seed=s)[1] for s in range(3)]
-        for window in windows + windows[::-1]:  # every window met again later
-            got = run_filter("twisted", model, twist, window, 12, 32, seed=5)
-            want = run_filter("twisted", model, make(params, 2), window, 12, 32, seed=5)
+    # one twist of each family reused over 10^3 windows: its one memo then
+    # holds the keys of the last window alone, each bit for bit what a
+    # fresh twist builds for that window (the lag tables, the move and
+    # initial CDFs, the eigen q rows), and a twist that has seen other
+    # windows gives every trace bit for bit what a fresh twist gives
+    for params, make, w in _memo_families():
+        twist, finite = make(), isinstance(params, FiniteHMMParams)
+        windows = [ObservationWindow(w.origin, np.roll(w.values, i % 7)) for i in range(1000)]
+        for window in windows:
+            _use(twist, window, finite)
+        fresh = make()
+        _use(fresh, windows[-1], finite)
+        name = type(twist).__name__
+        assert twist._memo_window is windows[-1], name
+        assert set(twist._memo_rows) == set(fresh._memo_rows), name
+        for key, row in twist._memo_rows.items():
+            want = fresh._memo_rows[key]
+            assert all(map(np.array_equal, row, want)) if key == "tables" else (
+                np.array_equal(row, want)), (name, key)
+        for window in windows[1:4] + windows[3:0:-1]:  # every window met again later
+            got = run_filter("twisted", params, twist, window, 12, 32, seed=5)
+            want = run_filter("twisted", params, make(), window, 12, 32, seed=5)
             assert np.array_equal(got.log_z, want.log_z)
             assert np.array_equal(got.log_phi, want.log_phi)
             assert all(np.array_equal(got.eta[n], want.eta[n]) for n in want.eta)
@@ -722,6 +752,8 @@ def _fresh_row(twist, window, key):
     """Row ``key`` of what a finite table twist keeps per window, built by
     the expressions the twist builds it with, afresh."""
     model = twist.model
+    if key == "tables":
+        return FiniteLagTwist(model, twist.ell)._tables(window)
     if key == "initial":
         cdf = np.cumsum(twist._mu0_psi(window))
         cdf /= cdf[-1]
@@ -760,11 +792,13 @@ def test_finite_table_twist_rows_equal_fresh_ones_for_one_window():
                 twist.log_q_psi(window, t, x)
             twist.sample_twisted_initial(window, 5, np.random.default_rng(0))
             keys = {("move", t) for t in range(20)} | {"initial"}
-            if isinstance(twist, EigenTwist):
-                keys |= {("q", t) for t in range(20)}
-            assert twist._rows_window is window and set(twist._rows) == keys
-            for key, row in twist._rows.items():
-                assert np.array_equal(row, _fresh_row(twist, window, key)), key
+            keys |= ({("q", t) for t in range(20)} if isinstance(twist, EigenTwist)
+                     else {"tables"})
+            assert twist._memo_window is window and set(twist._memo_rows) == keys
+            for key, row in twist._memo_rows.items():
+                want = _fresh_row(twist, window, key)
+                assert all(map(np.array_equal, row, want)) if key == "tables" else (
+                    np.array_equal(row, want)), key
 
 
 @pytest.mark.parametrize("params", [
